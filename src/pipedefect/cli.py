@@ -143,7 +143,7 @@ def cmd_rate(cfg, input_path: Path, tagger: str) -> int:
             report = rate_document(doc, resources, tagger=tagger, model=model)
             payload = _report_to_json(report)
             rows.append((doc_id, report.rating.value))
-        except PipeDefectError as exc:
+        except (PipeDefectError, UnicodeDecodeError, OSError) as exc:
             failures += 1
             payload = {"document_id": doc_id, "error": str(exc)}
             log.error("failed to rate %s: %s", doc_id, exc)
@@ -187,6 +187,9 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
     if missing:
         raise ConfigError(f"no gold records for predicted ids: {', '.join(missing)}")
     raw_docs = _load_corpus_documents(Path(cfg.corpus_dir))
+    absent = sorted(i for i, p in payloads.items() if "error" not in p and i not in raw_docs)
+    if absent:
+        raise ConfigError(f"rated documents missing from {cfg.corpus_dir}: {', '.join(absent)}")
     docs = {}
     pred_frames = {}
     pred_ratings = {}

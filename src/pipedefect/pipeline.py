@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import Document, Sentence
 from .lexicon import Lexicon
@@ -33,11 +33,9 @@ class PipelineResources:
     abbreviations: tuple[str, ...]
     spell_vocab: SpellVocabulary
     patterns: PatternTable
-    frequency_bands: dict[str, float] = None
-
-    def __post_init__(self):
-        if self.frequency_bands is None:
-            self.frequency_bands = dict(DEFAULT_FREQUENCY_BANDS)
+    frequency_bands: dict[str, float] = field(
+        default_factory=lambda: dict(DEFAULT_FREQUENCY_BANDS)
+    )
 
 
 def build_spell_vocabulary(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .corpus import Sentence, Token
 
@@ -40,6 +41,64 @@ class SpellVocabulary:
     def __post_init__(self):
         if self.max_edit_distance not in (1, 2):
             raise ValueError("max_edit_distance must be 1 or 2")
+
+    @cached_property
+    def _delete_index(self) -> dict[str, str | tuple[str, ...]]:
+        """Symmetric-delete index (Garbe's SymSpell): every deletion of up
+        to ``max_edit_distance`` characters of each known term -> that term,
+        or a tuple of terms when several produce the same deletion.
+
+        Built on the first search, so runs that never search never pay for
+        it.  Most deletions come from one term, so a bare string is stored
+        for those instead of a one-element container.
+        """
+        index: dict[str, str | tuple[str, ...]] = {}
+        for term in self.known_terms:
+            for key in _deletions(term, self.max_edit_distance):
+                hit = index.get(key)
+                if hit is None:
+                    index[key] = term
+                elif isinstance(hit, str):
+                    index[key] = (hit, term)
+                else:
+                    index[key] = hit + (term,)
+        return index
+
+    @cached_property
+    def _longest_term(self) -> int:
+        return max(map(len, self.known_terms), default=0)
+
+    def candidates(self, word: str) -> set[str]:
+        """Known terms sharing a deletion with ``word``: a superset of the
+        terms within ``max_edit_distance`` of it.
+
+        A Levenshtein alignment of cost k deletes at most k characters from
+        each side (a substitution is one deletion on each side), so every
+        term within the budget shares a deletion with the word.
+        """
+        if len(word) > self._longest_term + self.max_edit_distance:
+            return set()
+        index = self._delete_index
+        found: set[str] = set()
+        for key in _deletions(word, self.max_edit_distance):
+            hit = index.get(key)
+            if hit is None:
+                continue
+            if isinstance(hit, str):
+                found.add(hit)
+            else:
+                found.update(hit)
+        return found
+
+
+def _deletions(word: str, depth: int) -> set[str]:
+    """``word`` and every string made by deleting up to ``depth`` of its
+    characters."""
+    found = level = {word}
+    for _ in range(depth):
+        level = {w[:i] + w[i + 1 :] for w in level for i in range(len(w))}
+        found = found | level
+    return found
 
 
 def load_phrase_file(path) -> tuple[str, ...]:
@@ -173,14 +232,12 @@ def correct_spelling(token: Token, vocab: SpellVocabulary) -> Token:
         return token
     if len(word) < 3 or not any(ch.isalpha() for ch in word):
         return token
-    best: str | None = None
-    best_dist = vocab.max_edit_distance + 1
-    for term in vocab.known_terms:
-        d = edit_distance(word, term, cap=vocab.max_edit_distance)
-        if d < best_dist or (d == best_dist and (best is None or term < best)):
-            best = term
-            best_dist = d
-    if best is None or best_dist > vocab.max_edit_distance:
+    cap = vocab.max_edit_distance
+    best_dist, best = min(
+        ((edit_distance(word, term, cap=cap), term) for term in vocab.candidates(word)),
+        default=(cap + 1, None),
+    )
+    if best_dist > cap:
         return token
     return replace(token, normalized=best)
 

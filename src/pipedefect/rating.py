@@ -85,6 +85,12 @@ def _active(entities: list[Entity]) -> list[Entity]:
     return [e for e in entities if not e.negated]
 
 
+def _unmatched(entity: Entity) -> bool:
+    """A span no lexicon entry matched.  The Bi-LSTM can tag one; there is
+    no term to look up a band for."""
+    return not entity.matched_lexicon_term and not entity.seed_root
+
+
 def weight_location(frames: list[EntityFrame]) -> float:
     """Exactly one non-negated location in the document -> 0.9, else 1.0."""
     count = sum(len(_active(f.locations)) for f in frames)
@@ -95,10 +101,16 @@ def weight_frequency(
     frames: list[EntityFrame],
     bands: dict[str, float] = DEFAULT_FREQUENCY_BANDS,
 ) -> float:
-    """Maximum band over non-negated frequency terms; none present -> 0.1."""
+    """Maximum band over non-negated frequency terms; none present -> 0.1.
+
+    Spans without a lexicon entry are skipped; a lexicon term without a
+    band is a configuration fault and raises.
+    """
     best = 0.1
     for frame in frames:
         for entity in _active(frame.frequencies):
+            if _unmatched(entity):
+                continue
             term = entity.matched_lexicon_term
             weight = bands.get(term) if term else None
             if weight is None and entity.seed_root:
@@ -156,4 +168,12 @@ def rate_frames(
     report.notes.append("negated entities excluded from all weights")
     if rating.gap_row:
         report.notes.append("weight triple outside the rating table; defaulted to rating 1")
+    for sent_idx, frame in enumerate(frames):
+        for entity in frame.frequencies:
+            if not entity.negated and _unmatched(entity):
+                start, end = entity.token_range
+                report.notes.append(
+                    f"frequency span at sentence {sent_idx} tokens {start}-{end} "
+                    "has no lexicon entry; skipped"
+                )
     return report

@@ -116,6 +116,20 @@ class TestRate:
         _, argv = workspace
         assert main([*argv, "rate", str(tmp_path / "ghost.txt")]) == 2
 
+    def test_undecodable_file_fails_only_that_document(self, tmp_path):
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG)
+        argv = ["--config", str(config)]
+        assert main([*argv, "build-lexicon"]) == 0
+        assert main([*argv, "generate", "--n", "4"]) == 0
+        (tmp_path / "corpus" / "latin1.txt").write_bytes("Defects: café leaks.".encode("latin-1"))
+        assert main([*argv, "rate", str(tmp_path / "corpus")]) == 0
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 5 and "latin1" not in {r[0] for r in rows}
+        payload = json.loads((tmp_path / "out" / "reports" / "latin1.json").read_text())
+        assert "error" in payload
+
 
 @pytest.fixture(scope="module")
 def eval_workspace(workspace):
@@ -147,6 +161,19 @@ class TestEvaluate:
         gold = tmp_path / "gold.tsv"
         gold.write_text("pipe0000\t1\t-\tsynthetic\n")  # misses the other 29 ids
         assert main([*argv, "evaluate", str(root / "out_eval"), str(gold)]) == 2
+
+    def test_rated_document_missing_from_corpus_exits_2(self, eval_workspace, tmp_path, capsys):
+        root, _ = eval_workspace
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        removed, *kept = sorted((root / "corpus").glob("*.txt"))
+        for path in kept:
+            (corpus / path.name).write_bytes(path.read_bytes())
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv")))
+        argv = ["--config", str(config)]
+        assert main([*argv, "evaluate", str(root / "out_eval"), str(root / "gold.tsv")]) == 2
+        assert removed.stem in capsys.readouterr().err
 
 
 class TestConfigHandling:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipedefect.corpus import Token
@@ -119,6 +119,50 @@ class TestEditDistance:
         assert edit_distance(a, b) == edit_distance(b, a)
 
 
+def brute_force_correction(word, vocab):
+    """Reference corrector: scan every known term, keep the smallest
+    (distance, term) within the budget."""
+    if word in vocab.known_terms or len(word) < 3 or not any(ch.isalpha() for ch in word):
+        return word
+    best = None
+    best_dist = vocab.max_edit_distance + 1
+    for term in vocab.known_terms:
+        d = edit_distance(word, term, cap=vocab.max_edit_distance)
+        if d < best_dist or (d == best_dist and (best is None or term < best)):
+            best = term
+            best_dist = d
+    if best is None or best_dist > vocab.max_edit_distance:
+        return word
+    return best
+
+
+# A three-letter alphabet makes repeated letters, short terms and several
+# terms at the same distance from a word (ties) common.
+_TERMS = st.text(alphabet="abc", min_size=1, max_size=5)
+
+
+@st.composite
+def _vocab_and_word(draw):
+    terms = draw(st.frozensets(_TERMS, min_size=8, max_size=40))
+    vocab = SpellVocabulary(terms, max_edit_distance=draw(st.sampled_from([1, 2])))
+    if draw(st.booleans()):
+        word = draw(st.text(alphabet="abc1", max_size=8))
+    else:  # a few random edits away from a known term
+        chars = list(draw(st.sampled_from(sorted(terms))))
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(chars)))
+            op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+            if op == "insert":
+                chars.insert(i, draw(st.sampled_from("abcd")))
+            elif chars and i < len(chars):
+                if op == "delete":
+                    del chars[i]
+                else:
+                    chars[i] = draw(st.sampled_from("abcd"))
+        word = "".join(chars)
+    return vocab, word
+
+
 class TestCorrectSpelling:
     VOCAB = SpellVocabulary(frozenset({"leaks", "cracks", "holes", "pipe"}))
 
@@ -156,6 +200,20 @@ class TestCorrectSpelling:
     def test_identity_on_vocabulary(self, word):
         tok = self.make(word)
         assert correct_spelling(tok, self.VOCAB).normalized == word
+
+    @settings(max_examples=500)
+    @given(_vocab_and_word())
+    def test_matches_brute_force_scan(self, case):
+        vocab, word = case
+        expected = brute_force_correction(word, vocab)
+        assert correct_spelling(self.make(word), vocab).normalized == expected
+
+    def test_length_cutoff_keeps_words_within_budget(self):
+        vocab = SpellVocabulary(frozenset({"leak"}), max_edit_distance=2)
+        for word in ("leakxx", "leakxxx", "leak" + "x" * 1000):
+            expected = brute_force_correction(word, vocab)
+            assert correct_spelling(self.make(word), vocab).normalized == expected
+        assert correct_spelling(self.make("leakxx"), vocab).normalized == "leak"
 
 
 class TestDetectNegation:

@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pipedefect.corpus import parse_document
 from pipedefect.errors import InvalidWeight, UnknownFrequencyTerm
+from pipedefect.network import init_model
+from pipedefect.pipeline import BILSTM_TAGGER, rate_document
 from pipedefect.rating import (
     ACTION_TEXT,
     DEFAULT_FREQUENCY_BANDS,
@@ -14,7 +17,7 @@ from pipedefect.rating import (
     weight_frequency,
     weight_location,
 )
-from pipedefect.tagger import Entity, EntityFrame
+from pipedefect.tagger import Entity, EntityFrame, Tag
 
 
 def frame_with(*entities):
@@ -175,3 +178,16 @@ class TestRateFrames:
         frames = [frame_with(frequency("intermittently"), defect("crack"))]
         report = rate_frames("doc", frames, bands=bands)
         assert report.rating.value == 3
+
+
+class TestNetTaggedFrequency:
+    def test_span_without_lexicon_entry_is_skipped_and_noted(self, resources):
+        model = init_model(["pipe", "ok"], seed=0, word_dim=5, dict_dim=3, hidden_dim=4)
+        model.out_b[Tag.FREQUENCY] = 100.0  # every token tagged FREQUENCY
+        doc = parse_document("Defects: pipe ok.", "net")
+        report = rate_document(doc, resources, tagger=BILSTM_TAGGER, model=model)
+        (entity,) = report.entities
+        assert entity["type"] == "FrequencyOfDefects"
+        assert entity["matched_term"] is None and entity["seed_root"] is None
+        assert report.weights.frequencies == 0.1
+        assert any("no lexicon entry" in note for note in report.notes)
