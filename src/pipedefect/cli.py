@@ -39,7 +39,13 @@ log = logging.getLogger("pipedefect")
 def _load_corpus_documents(corpus_dir: Path) -> dict[str, str]:
     if not corpus_dir.is_dir():
         raise ConfigError(f"corpus directory {corpus_dir} does not exist")
-    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.txt"))}
+    docs = {}
+    for path in sorted(corpus_dir.glob("*.txt")):
+        try:
+            docs[path.stem] = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"corpus file {path} is not UTF-8: {exc}") from exc
+    return docs
 
 
 def cmd_build_lexicon(cfg) -> int:

@@ -173,6 +173,17 @@ def format_gold(records: list[GoldRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def gold_token_types(sentences: list[Sentence], gold: list[GoldEntity]) -> list[list[str]]:
+    """Per sentence, each token's gold entity type, or "O": the type of the
+    first gold entity whose raw-text span overlaps the token's."""
+
+    def token_type(tok: Token) -> str:
+        s, e = tok.raw_span
+        return next((g.entity_type for g in gold if s < g.span[1] and g.span[0] < e), "O")
+
+    return [[token_type(tok) for tok in sentence.tokens] for sentence in sentences]
+
+
 def split_corpus(ids: list[str], ratio: float, seed: int) -> CorpusSplit:
     """Deterministic train/test split by seeded shuffle of the sorted ids."""
     if len(ids) < 2:

@@ -37,6 +37,10 @@ class NumericalError(PipeDefectError):
     pass
 
 
+class ModelFormatError(PipeDefectError):
+    """A model file that does not parse: bad magic, header or payload size."""
+
+
 class EmptySequence(PipeDefectError):
     pass
 

@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Document, GoldRecord
+from .corpus import Document, GoldRecord, gold_token_types
 from .errors import AlignmentError, MissingGold
 from .tagger import EntityFrame
 
@@ -122,17 +122,7 @@ def cohens_kappa(labels_a: list, labels_b: list) -> float | None:
 
 def token_labels_from_gold(doc: Document, record: GoldRecord) -> list[str]:
     """Per-token entity-type labels from raw-text gold spans."""
-    labels = []
-    for sentence in doc.sentences:
-        for tok in sentence.tokens:
-            label = "O"
-            for entity in record.entities:
-                s, e = entity.span
-                if tok.raw_span[0] < e and s < tok.raw_span[1]:
-                    label = entity.entity_type
-                    break
-            labels.append(label)
-    return labels
+    return [t for types in gold_token_types(doc.sentences, record.entities) for t in types]
 
 
 def token_labels_from_frames(doc: Document, frames: list[EntityFrame]) -> list[str]:

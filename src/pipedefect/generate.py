@@ -42,19 +42,6 @@ class GeneratorConfig:
     )
 
 
-def load_generator_options(path) -> dict[str, float]:
-    """Key = value file with count / probability overrides."""
-    options: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            options[key.strip()] = float(value.strip())
-    return options
-
-
 class _DocBuilder:
     """Accumulates raw text while tracking absolute entity spans."""
 

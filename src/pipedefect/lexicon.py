@@ -133,9 +133,6 @@ class Lexicon:
     def __eq__(self, other):
         return isinstance(other, Lexicon) and self.entries == other.entries
 
-    def terms(self) -> set[str]:
-        return set(self.entries)
-
     def vocabulary(self) -> set[str]:
         """Individual words appearing in any term (for spelling correction)."""
         words: set[str] = set()

@@ -1,19 +1,22 @@
 """Bi-LSTM sequence labeling network, implemented directly on numpy.
 
-One set of gate equations serves both the single-vector API (lstm_step,
-bilstm_forward) and the batched training path: all core functions
-broadcast over leading dimensions.  Gate order inside the packed weight
-matrices is [input, forget, output, candidate].
+One masked, batched direction pass (lstm_direction) holds the only copy of
+the gate equations; training runs it on padded batches and inference
+(bilstm_forward) on one sentence with an all-ones mask.  Gate order inside
+the packed weight matrices is [input, forget, output, candidate].
 """
 
 from __future__ import annotations
 
+import math
+import os
+import re
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySequence, NumericalError
+from .errors import EmptySequence, ModelFormatError, NumericalError
 
 UNK = "<unk>"
 
@@ -23,10 +26,6 @@ DICT_DIM = 100
 HIDDEN_DIM = 300
 N_TAGS = 4
 N_DICT_FEATURES = 4  # none / defect / location / frequency
-
-
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -59,14 +58,11 @@ class TaggerModel:
     def hidden_dim(self) -> int:
         return self.fwd.hidden_dim
 
+    def __post_init__(self):
+        self._token_ids = {t: i for i, t in enumerate(self.vocab)}
+
     def token_index(self, normalized: str) -> int:
-        try:
-            return self._tok2idx[normalized]
-        except AttributeError:
-            self._tok2idx = {t: i for i, t in enumerate(self.vocab)}
-            return self._tok2idx.get(normalized, 0)
-        except KeyError:
-            return 0
+        return self._token_ids.get(normalized, 0)
 
     def parameters(self) -> list[np.ndarray]:
         return [
@@ -124,31 +120,35 @@ def init_model(
     )
 
 
-def embed(token_index: int, dict_feature: int, model: TaggerModel) -> np.ndarray:
-    """Concatenated word + dictionary-feature embedding row."""
-    return np.concatenate([model.word_emb[token_index], model.dict_emb[dict_feature]])
+def lstm_direction(X, mask, params: LstmParams, reverse: bool):
+    """Masked recurrence over a padded batch, in one time direction.
 
-
-def lstm_core(x, h_prev, c_prev, params: LstmParams):
-    """Gate arithmetic; broadcasts over any leading batch dimensions."""
+    X: (B, T, input_dim); mask: (B, T), 1.0 on real tokens.  A padded step
+    carries the previous state through unchanged.  The input projection
+    runs as one GEMM over every step before the time loop.  Returns the
+    hidden states (B, T, hidden) and the per-step cache for backprop.
+    """
+    B, T, D = X.shape
     hd = params.hidden_dim
-    z = x @ params.wx + h_prev @ params.wh + params.b
-    i = sigmoid(z[..., :hd])
-    f = sigmoid(z[..., hd : 2 * hd])
-    o = sigmoid(z[..., 2 * hd : 3 * hd])
-    g = np.tanh(z[..., 3 * hd :])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
-
-
-def lstm_step(x, h_prev, c_prev, params: LstmParams):
-    """One validated LSTM step over 1-d state vectors."""
-    for arr in (params.wx, params.wh, params.b):
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("non-finite LSTM parameters")
-    return lstm_core(np.asarray(x, dtype=float), np.asarray(h_prev, dtype=float),
-                     np.asarray(c_prev, dtype=float), params)
+    Z = (X.reshape(B * T, D) @ params.wx + params.b).reshape(B, T, 4 * hd)
+    H = np.zeros((B, T, hd))
+    h = np.zeros((B, hd))
+    c = np.zeros((B, hd))
+    cache = []
+    for t in range(T - 1, -1, -1) if reverse else range(T):
+        m = mask[:, t : t + 1]
+        h_prev, c_prev = h, c
+        z = Z[:, t] + h_prev @ params.wh
+        ifo = 1.0 / (1.0 + np.exp(-z[:, : 3 * hd]))
+        i, f, o = ifo[:, :hd], ifo[:, hd : 2 * hd], ifo[:, 2 * hd :]
+        g = np.tanh(z[:, 3 * hd :])
+        c_raw = f * c_prev + i * g
+        tanh_c = np.tanh(c_raw)
+        h = m * (o * tanh_c) + (1.0 - m) * h_prev
+        c = m * c_raw + (1.0 - m) * c_prev
+        H[:, t] = h
+        cache.append((t, i, f, o, g, c_raw, tanh_c, h_prev, c_prev, m))
+    return H, cache
 
 
 def bilstm_forward(xs, model: TaggerModel) -> np.ndarray:
@@ -159,20 +159,10 @@ def bilstm_forward(xs, model: TaggerModel) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise EmptySequence("bilstm_forward requires a non-empty (T, D) sequence")
-    hd = model.hidden_dim
-    T = xs.shape[0]
-    out = np.empty((T, 2 * hd))
-    h = np.zeros(hd)
-    c = np.zeros(hd)
-    for t in range(T):
-        h, c = lstm_core(xs[t], h, c, model.fwd)
-        out[t, :hd] = h
-    h = np.zeros(hd)
-    c = np.zeros(hd)
-    for t in range(T - 1, -1, -1):
-        h, c = lstm_core(xs[t], h, c, model.bwd)
-        out[t, hd:] = h
-    return out
+    mask = np.ones((1, xs.shape[0]))
+    hf, _ = lstm_direction(xs[None], mask, model.fwd, reverse=False)
+    hb, _ = lstm_direction(xs[None], mask, model.bwd, reverse=True)
+    return np.concatenate([hf[0], hb[0]], axis=1)
 
 
 def sentence_logits(token_indices, dict_features, model: TaggerModel) -> np.ndarray:
@@ -189,15 +179,15 @@ def sentence_logits(token_indices, dict_features, model: TaggerModel) -> np.ndar
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"PIPEDEFECT-TAGGER v1\n"
+_MATRIX_NAMES = (
+    "word_emb", "dict_emb",
+    "fwd.wx", "fwd.wh", "fwd.b",
+    "bwd.wx", "bwd.wh", "bwd.b",
+    "out_w", "out_b",
+)
 
 
 def save_model(model: TaggerModel, path) -> None:
-    names = [
-        "word_emb", "dict_emb",
-        "fwd.wx", "fwd.wh", "fwd.b",
-        "bwd.wx", "bwd.wh", "bwd.b",
-        "out_w", "out_b",
-    ]
     arrays = model.parameters()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -205,7 +195,7 @@ def save_model(model: TaggerModel, path) -> None:
         fh.write(f"vocab {len(model.vocab)}\n".encode())
         for tok in model.vocab:
             fh.write(tok.encode() + b"\n")
-        for name, arr in zip(names, arrays):
+        for name, arr in zip(_MATRIX_NAMES, arrays):
             fh.write(f"matrix {name} {' '.join(str(s) for s in arr.shape)}\n".encode())
         fh.write(b"data\n")
         for arr in arrays:
@@ -214,26 +204,48 @@ def save_model(model: TaggerModel, path) -> None:
             fh.write(data)
 
 
+def _header(fh, path, pattern: str = "(.*)") -> str:
+    """The one group of `pattern`, which the whole next header line must match."""
+    line = fh.readline()
+    try:
+        match = re.fullmatch(pattern + "\n", line.decode(), re.ASCII)
+    except UnicodeDecodeError:
+        match = None
+    if match is None:
+        raise ModelFormatError(f"{path}: bad or truncated header line {line!r}")
+    return match[1]
+
+
 def load_model(path) -> TaggerModel:
+    """Read and check a model file: one that does not parse raises
+    ModelFormatError, one holding a non-finite parameter NumericalError."""
     with open(path, "rb") as fh:
         if fh.readline() != _MAGIC:
-            raise NumericalError(f"{path}: not a tagger model file")
-        seed = int(fh.readline().decode().split()[1])
-        n_vocab = int(fh.readline().decode().split()[1])
-        vocab = [fh.readline().decode().rstrip("\n") for _ in range(n_vocab)]
-        shapes = []
-        while True:
-            line = fh.readline().decode().rstrip("\n")
-            if line == "data":
-                break
-            parts = line.split()
-            shapes.append((parts[1], tuple(int(x) for x in parts[2:])))
+            raise ModelFormatError(f"{path}: not a tagger model file")
+        seed = int(_header(fh, path, r"seed (\d+)"))
+        n_vocab = int(_header(fh, path, r"vocab (\d+)"))
+        vocab = [_header(fh, path) for _ in range(n_vocab)]
+        shapes = [
+            tuple(int(d) for d in
+                  _header(fh, path, rf"matrix {re.escape(name)} (\d+(?: \d+)*)").split())
+            for name in _MATRIX_NAMES
+        ]
+        _header(fh, path, "(data)")
+        # sizes are checked against the file before any array is allocated,
+        # so a corrupt shape cannot ask for a huge one
+        sizes = [8 * math.prod(shape) for shape in shapes]
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        need = sum(8 + n for n in sizes)  # each matrix has an 8-byte length prefix
+        if payload != need:
+            raise ModelFormatError(f"{path}: payload is {payload} bytes, its header needs {need}")
         arrays = []
-        for _, shape in shapes:
-            (nbytes,) = struct.unpack("<Q", fh.read(8))
-            arrays.append(np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape).copy())
+        for name, shape, nbytes in zip(_MATRIX_NAMES, shapes, sizes):
+            if fh.read(8) != struct.pack("<Q", nbytes):
+                raise ModelFormatError(f"{path}: {name} length prefix disagrees with its shape {shape}")
+            arrays.append(np.empty(shape, dtype="<f8"))
+            fh.readinto(arrays[-1])
     (word_emb, dict_emb, fwx, fwh, fb, bwx, bwh, bb, out_w, out_b) = arrays
-    return TaggerModel(
+    model = TaggerModel(
         vocab=vocab,
         word_emb=word_emb,
         dict_emb=dict_emb,
@@ -243,3 +255,5 @@ def load_model(path) -> TaggerModel:
         out_b=out_b,
         rng_seed=seed,
     )
+    model.check_finite()
+    return model

@@ -11,7 +11,7 @@ token window, or the sentence end, whichever comes first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .corpus import Sentence, Token

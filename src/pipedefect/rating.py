@@ -76,9 +76,7 @@ class RatingReport:
     weights: WeightTriple
     rating: DefectRating
     entities: list[dict] = field(default_factory=list)
-    frames: list[EntityFrame] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    error: str | None = None
 
 
 def _active(entities: list[Entity]) -> list[Entity]:
@@ -164,7 +162,7 @@ def rate_frames(
         defect=weight_defect(frames),
     )
     rating = assign_rating(triple)
-    report = RatingReport(document_id=document_id, weights=triple, rating=rating, frames=frames)
+    report = RatingReport(document_id=document_id, weights=triple, rating=rating)
     report.notes.append("negated entities excluded from all weights")
     if rating.gap_row:
         report.notes.append("weight triple outside the rating table; defaulted to rating 1")

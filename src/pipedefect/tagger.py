@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .corpus import Sentence
+from .corpus import Sentence, gold_token_types
 from .errors import LexiconFormatError
 from .lexicon import Lexicon
 from .network import TaggerModel, sentence_logits
@@ -108,7 +108,6 @@ def predict_tags(sentence: Sentence, lexicon: Lexicon, model: TaggerModel) -> li
     """Argmax over the per-token softmax; ties break to the lowest index."""
     if not sentence.tokens:
         return []
-    model.check_finite()
     ids = [model.token_index(t.normalized) for t in sentence.tokens]
     feats = dict_features(sentence, lexicon)
     logits = sentence_logits(ids, feats, model)
@@ -194,6 +193,7 @@ def entity_text(sentence: Sentence, entity: Entity) -> str:
 
 
 _ENTITY_TYPE_TO_TAG = {
+    "O": Tag.O,
     "Defect": Tag.DEFECT,
     "LocationOfDefect": Tag.LOCATION,
     "FrequencyOfDefects": Tag.FREQUENCY,
@@ -204,16 +204,7 @@ _ENTITY_TYPE_TO_TAG = {
 
 def tags_from_gold_spans(sentences, gold_entities) -> list[list[Tag]]:
     """Gold tag sequences for preprocessed sentences, from raw-text spans."""
-    out = []
-    for sentence in sentences:
-        tags = []
-        for tok in sentence.tokens:
-            tag = Tag.O
-            for ge in gold_entities:
-                s, e = ge.span
-                if tok.raw_span[0] < e and s < tok.raw_span[1]:
-                    tag = _ENTITY_TYPE_TO_TAG[ge.entity_type]
-                    break
-            tags.append(tag)
-        out.append(tags)
-    return out
+    return [
+        [_ENTITY_TYPE_TO_TAG[t] for t in types]
+        for types in gold_token_types(sentences, gold_entities)
+    ]

@@ -1,8 +1,8 @@
 """Training the Bi-LSTM tagger: batched BPTT, masked padding, Adam.
 
-The batched forward/backward reuses the same gate arithmetic as the
-inference path (network.lstm_core); padded positions are frozen by the
-mask so they contribute neither to the recurrence nor to the loss.
+The forward pass is network.lstm_direction, the same masked kernel that
+inference runs; padded positions are frozen by the mask so they contribute
+neither to the recurrence nor to the loss.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .network import (
     LstmParams,
     TaggerModel,
     init_model,
+    lstm_direction,
 )
 from .tagger import Tag, dict_features
 
@@ -95,34 +96,6 @@ def pad_batch(batch: list[EncodedSentence]):
     return ids, feats, tags, mask
 
 
-def _run_direction(X, mask, params: LstmParams, reverse: bool):
-    """Masked recurrence over time; returns per-step cache for backprop."""
-    B, T, _ = X.shape
-    hd = params.hidden_dim
-    H = np.zeros((B, T, hd))
-    h = np.zeros((B, hd))
-    c = np.zeros((B, hd))
-    cache = []
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    for t in order:
-        m = mask[:, t : t + 1]
-        h_prev, c_prev = h, c
-        hd_ = params.hidden_dim
-        z = X[:, t] @ params.wx + h_prev @ params.wh + params.b
-        i = 1.0 / (1.0 + np.exp(-z[:, :hd_]))
-        f = 1.0 / (1.0 + np.exp(-z[:, hd_ : 2 * hd_]))
-        o = 1.0 / (1.0 + np.exp(-z[:, 2 * hd_ : 3 * hd_]))
-        g = np.tanh(z[:, 3 * hd_ :])
-        c_raw = f * c_prev + i * g
-        tanh_c = np.tanh(c_raw)
-        h_raw = o * tanh_c
-        h = m * h_raw + (1.0 - m) * h_prev
-        c = m * c_raw + (1.0 - m) * c_prev
-        H[:, t] = h
-        cache.append((t, i, f, o, g, c_raw, tanh_c, h_prev, c_prev, m))
-    return H, cache
-
-
 def _backprop_direction(X, dH, params: LstmParams, cache):
     """Gradient of the masked recurrence; returns (dX, dWx, dWh, db)."""
     B, T, D = X.shape
@@ -171,8 +144,8 @@ def batch_loss_and_grads(model: TaggerModel, ids, feats, tags, mask, compute_gra
     Xw = model.word_emb[ids]  # (B, T, word_dim)
     Xd = model.dict_emb[feats]  # (B, T, dict_dim)
     X = np.concatenate([Xw, Xd], axis=2)
-    Hf, cache_f = _run_direction(X, mask, model.fwd, reverse=False)
-    Hb, cache_b = _run_direction(X, mask, model.bwd, reverse=True)
+    Hf, cache_f = lstm_direction(X, mask, model.fwd, reverse=False)
+    Hb, cache_b = lstm_direction(X, mask, model.bwd, reverse=True)
     H = np.concatenate([Hf, Hb], axis=2)
     logits = H @ model.out_w + model.out_b
     logits = logits - logits.max(axis=2, keepdims=True)
@@ -268,4 +241,5 @@ def train(
             total += loss * n_real
             weight += n_real
         losses.append(total / weight)
+    model.check_finite()
     return TrainingResult(model=model, epoch_losses=losses)

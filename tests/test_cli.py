@@ -74,6 +74,17 @@ class TestTrain:
         losses = [float(line.split("\t")[1]) for line in lines]
         assert losses[-1] < losses[0]
 
+    def test_undecodable_corpus_file_exits_2(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv")))
+        argv = ["--config", str(config)]
+        assert main([*argv, "generate", "--n", "4"]) == 0
+        (tmp_path / "corpus" / "latin1.txt").write_bytes("Defects: café leaks.".encode("latin-1"))
+        assert main([*argv, "train"]) == 2
+        assert "latin1.txt" in capsys.readouterr().err
+        assert not (tmp_path / "tagger.model").exists()
+
 
 class TestRate:
     def test_rate_corpus_with_dict_tagger(self, workspace):
@@ -111,6 +122,16 @@ class TestRate:
         assert main([*argv, "rate", str(bad)]) == 1  # every input failed
         payload = json.loads((root / "out" / "reports" / "bad.json").read_text())
         assert "error" in payload
+
+    def test_truncated_model_exits_1_naming_it(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        data = (root / "tagger.model").read_bytes()
+        (tmp_path / "tagger.model").write_bytes(data[: len(data) // 2])
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv")))
+        argv = ["--config", str(config)]
+        assert main([*argv, "rate", str(root / "corpus"), "--tagger", "bilstm"]) == 1
+        assert "tagger.model" in capsys.readouterr().err
 
     def test_missing_input_path(self, workspace, tmp_path):
         _, argv = workspace
@@ -174,6 +195,20 @@ class TestEvaluate:
         argv = ["--config", str(config)]
         assert main([*argv, "evaluate", str(root / "out_eval"), str(root / "gold.tsv")]) == 2
         assert removed.stem in capsys.readouterr().err
+
+
+    def test_undecodable_corpus_file_exits_2(self, eval_workspace, tmp_path, capsys):
+        root, _ = eval_workspace
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for path in (root / "corpus").glob("*.txt"):
+            (corpus / path.name).write_bytes(path.read_bytes())
+        (corpus / "latin1.txt").write_bytes("Defects: café leaks.".encode("latin-1"))
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv")))
+        argv = ["--config", str(config)]
+        assert main([*argv, "evaluate", str(root / "out_eval"), str(root / "gold.tsv")]) == 2
+        assert "latin1.txt" in capsys.readouterr().err
 
 
 class TestConfigHandling:

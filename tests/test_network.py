@@ -1,18 +1,17 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from pipedefect.errors import EmptySequence, NumericalError
+from pipedefect.errors import EmptySequence, ModelFormatError, NumericalError
 from pipedefect.network import (
     UNK,
     LstmParams,
-    TaggerModel,
     bilstm_forward,
-    embed,
     init_model,
     load_model,
-    lstm_step,
+    lstm_direction,
     save_model,
     sentence_logits,
 )
@@ -21,6 +20,27 @@ from pipedefect.network import (
 def small_model(seed=0, word_dim=6, dict_dim=4, hidden_dim=5, vocab=("leak", "pipe")):
     return init_model(list(vocab), seed=seed, word_dim=word_dim, dict_dim=dict_dim,
                       hidden_dim=hidden_dim)
+
+
+def reference_step(x, h_prev, c_prev, params: LstmParams):
+    """One LSTM step over 1-d vectors, written out gate by gate: the oracle
+    for lstm_direction."""
+    hd = params.hidden_dim
+    z = x @ params.wx + h_prev @ params.wh + params.b
+    i = 1.0 / (1.0 + np.exp(-z[:hd]))
+    f = 1.0 / (1.0 + np.exp(-z[hd : 2 * hd]))
+    o = 1.0 / (1.0 + np.exp(-z[2 * hd : 3 * hd]))
+    g = np.tanh(z[3 * hd :])
+    c = f * c_prev + i * g
+    return o * np.tanh(c), c
+
+
+def run_one(xs, params: LstmParams):
+    """lstm_direction over one unpadded sequence: hidden states and cells."""
+    xs = np.asarray(xs, dtype=float)
+    H, cache = lstm_direction(xs[None], np.ones((1, len(xs))), params, reverse=False)
+    cells = [step[5][0] for step in cache]  # c_raw, in time order
+    return H[0], np.array(cells)
 
 
 def zero_params(input_dim, hidden_dim):
@@ -62,10 +82,16 @@ class TestInit:
 
 
 class TestEmbed:
+    """Input rows are [word_emb[token], dict_emb[feature]]; sentence_logits
+    runs them through bilstm_forward and the output projection."""
+
     def test_concatenation(self):
         m = small_model()
-        v = embed(1, 2, m)
-        assert np.array_equal(v, np.concatenate([m.word_emb[1], m.dict_emb[2]]))
+        ids, feats = [1, 2, 0], [2, 0, 3]
+        rows = np.array([np.concatenate([m.word_emb[i], m.dict_emb[f]])
+                         for i, f in zip(ids, feats)])
+        expected = bilstm_forward(rows, m) @ m.out_w + m.out_b
+        assert np.array_equal(sentence_logits(ids, feats, m), expected)
 
     def test_unk_token_maps_to_row_zero(self):
         m = small_model()
@@ -74,25 +100,27 @@ class TestEmbed:
 
     def test_deterministic(self):
         m = small_model()
-        assert np.array_equal(embed(1, 0, m), embed(1, 0, m))
+        assert np.array_equal(sentence_logits([1], [0], m), sentence_logits([1], [0], m))
 
     def test_known_token_nonzero_norm(self):
         m = small_model()
-        assert np.linalg.norm(embed(1, 0, m)) > 0
+        assert np.linalg.norm(np.concatenate([m.word_emb[1], m.dict_emb[0]])) > 0
 
 
 class TestLstmStep:
+    """Single steps of lstm_direction against hand and reference arithmetic."""
+
     def test_zero_weights_zero_state(self):
         p = zero_params(3, 2)
-        h, c = lstm_step(np.zeros(3), np.zeros(2), np.zeros(2), p)
-        assert np.array_equal(h, np.zeros(2))
-        assert np.array_equal(c, np.zeros(2))
+        h, c = run_one(np.zeros((1, 3)), p)
+        assert np.array_equal(h, np.zeros((1, 2)))
+        assert np.array_equal(c, np.zeros((1, 2)))
 
     def test_hidden_bounded(self):
         rng = np.random.Generator(np.random.PCG64(3))
         p = LstmParams(wx=rng.normal(size=(4, 8)), wh=rng.normal(size=(2, 8)),
                        b=rng.normal(size=8))
-        h, c = lstm_step(rng.normal(size=4), rng.normal(size=2), rng.normal(size=2), p)
+        h, _ = run_one(rng.normal(size=(6, 4)), p)
         assert np.all(np.abs(h) < 1.0)
 
     def test_scalar_hand_oracle(self):
@@ -100,36 +128,46 @@ class TestLstmStep:
         wx = np.array([[0.5, -0.3, 0.2, 0.7]])
         wh = np.array([[0.1, 0.4, -0.2, 0.3]])
         b = np.array([0.05, -0.1, 0.2, 0.0])
-        x, h_prev, c_prev = 0.8, 0.3, -0.4
+        params = LstmParams(wx, wh, b)
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
-        i = sig(0.5 * x + 0.1 * h_prev + 0.05)
-        f = sig(-0.3 * x + 0.4 * h_prev - 0.1)
-        o = sig(0.2 * x + -0.2 * h_prev + 0.2)
-        g = math.tanh(0.7 * x + 0.3 * h_prev + 0.0)
-        c_exp = f * c_prev + i * g
-        h_exp = o * math.tanh(c_exp)
+        def hand(x, h_prev, c_prev):
+            i = sig(0.5 * x + 0.1 * h_prev + 0.05)
+            f = sig(-0.3 * x + 0.4 * h_prev - 0.1)
+            o = sig(0.2 * x + -0.2 * h_prev + 0.2)
+            g = math.tanh(0.7 * x + 0.3 * h_prev + 0.0)
+            c_exp = f * c_prev + i * g
+            return o * math.tanh(c_exp), c_exp
 
-        h, c = lstm_step(np.array([x]), np.array([h_prev]), np.array([c_prev]),
-                         LstmParams(wx, wh, b))
+        h_exp, c_exp = hand(0.8, 0.3, -0.4)
+        h, c = reference_step(np.array([0.8]), np.array([0.3]), np.array([-0.4]), params)
         assert abs(h[0] - h_exp) <= 1e-12
         assert abs(c[0] - c_exp) <= 1e-12
 
-    def test_nan_parameters_rejected(self):
-        p = zero_params(3, 2)
-        p.wx[0, 0] = np.nan
+        # the kernel from a zero state, then from the state its first step left
+        h1, c1 = hand(-1.2, 0.0, 0.0)
+        h2, c2 = hand(0.8, h1, c1)
+        hs, cs = run_one([[-1.2], [0.8]], params)
+        assert np.allclose(hs[:, 0], [h1, h2], rtol=0, atol=1e-12)
+        assert np.allclose(cs[:, 0], [c1, c2], rtol=0, atol=1e-12)
+
+    def test_nan_parameters_rejected(self, tmp_path):
+        m = small_model()
+        m.fwd.wx[0, 0] = np.nan
+        path = tmp_path / "nan.model"
+        save_model(m, path)
         with pytest.raises(NumericalError):
-            lstm_step(np.zeros(3), np.zeros(2), np.zeros(2), p)
+            load_model(path)
 
 
 class TestBilstmForward:
     def test_length_one(self):
         m = small_model()
         out = bilstm_forward(np.ones((1, m.input_dim)), m)
-        h_f, _ = lstm_step(np.ones(m.input_dim), np.zeros(5), np.zeros(5), m.fwd)
-        h_b, _ = lstm_step(np.ones(m.input_dim), np.zeros(5), np.zeros(5), m.bwd)
+        h_f, _ = reference_step(np.ones(m.input_dim), np.zeros(5), np.zeros(5), m.fwd)
+        h_b, _ = reference_step(np.ones(m.input_dim), np.zeros(5), np.zeros(5), m.bwd)
         assert np.allclose(out[0], np.concatenate([h_f, h_b]), atol=1e-12)
 
     def test_length_preserved(self):
@@ -156,13 +194,13 @@ class TestBilstmForward:
         c = np.zeros(hd)
         fwd = []
         for t in range(3):
-            h, c = lstm_step(xs[t], h, c, m.fwd)
+            h, c = reference_step(xs[t], h, c, m.fwd)
             fwd.append(h)
         h = np.zeros(hd)
         c = np.zeros(hd)
         bwd = [None] * 3
         for t in (2, 1, 0):
-            h, c = lstm_step(xs[t], h, c, m.bwd)
+            h, c = reference_step(xs[t], h, c, m.bwd)
             bwd[t] = h
         for t in range(3):
             assert np.allclose(out[t], np.concatenate([fwd[t], bwd[t]]), atol=1e-12)
@@ -171,6 +209,24 @@ class TestBilstmForward:
         m = small_model()
         with pytest.raises(EmptySequence):
             bilstm_forward(np.zeros((0, m.input_dim)), m)
+
+
+class TestLstmDirection:
+    def test_padded_batch_matches_each_sequence_alone(self):
+        m = small_model(seed=5)
+        rng = np.random.default_rng(3)
+        lengths = [4, 2, 1]
+        X = rng.normal(size=(3, 4, m.input_dim))
+        mask = np.array([[1.0] * n + [0.0] * (4 - n) for n in lengths])
+        for params, reverse in ((m.fwd, False), (m.bwd, True)):
+            H, _ = lstm_direction(X, mask, params, reverse)
+            for k, n in enumerate(lengths):
+                alone, _ = lstm_direction(X[k : k + 1, :n], np.ones((1, n)), params, reverse)
+                assert np.allclose(H[k, :n], alone[0], rtol=0, atol=1e-12)
+                # a padded step carries the state of the step before it in time
+                carried = H[k, n - 1] if not reverse else np.zeros(m.hidden_dim)
+                for t in range(n, 4):
+                    assert np.array_equal(H[k, t], carried)
 
 
 class TestSentenceLogits:
@@ -201,8 +257,43 @@ class TestModelFile:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_bytes(b"not a model\n")
-        with pytest.raises(NumericalError):
+        with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(small_model(seed=9), path)
+        data = path.read_bytes()
+        header_end = data.index(b"data\n") + len(b"data\n")
+        cuts = [0, 10, 25, 30, 40, header_end - 3, header_end, header_end + 4,
+                header_end + 8, header_end + 100, len(data) - 1]
+        for cut in cuts:
+            path.write_bytes(data[:cut])
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+
+    def test_header_that_does_not_parse_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(small_model(seed=9), path)
+        data = path.read_bytes()
+        for old, new in ((b"vocab 3\n", b"vocab three\n"),
+                         (b"matrix fwd.wh 5 20\n", b"matrix fwd.wh 5 x\n"),
+                         (b"matrix out_b 4\n", b"matrix out_w 4\n")):
+            path.write_bytes(data.replace(old, new, 1))
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+
+    def test_payload_length_must_match_header_shape(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(small_model(seed=9), path)
+        data = path.read_bytes()
+        # word_emb is (3, 6): 144 bytes; claim 136 and 152
+        prefix = data.index(b"data\n") + len(b"data\n")
+        assert data[prefix : prefix + 8] == struct.pack("<Q", 144)
+        for nbytes in (136, 152):
+            path.write_bytes(data[:prefix] + struct.pack("<Q", nbytes) + data[prefix + 8 :])
+            with pytest.raises(ModelFormatError):
+                load_model(path)
 
     def test_check_finite(self):
         m = small_model()

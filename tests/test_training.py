@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pipedefect.errors import AlignmentError
+from pipedefect.errors import AlignmentError, NumericalError
 from pipedefect.network import init_model, sentence_logits
 from pipedefect.tagger import Tag, dict_features, dictionary_tag
 from pipedefect.training import (
@@ -113,6 +113,12 @@ class TestTrain:
     def test_empty_corpus_rejected(self, lexicon):
         with pytest.raises(AlignmentError):
             train([], lexicon, SMALL, seed=1)
+
+    def test_non_finite_model_rejected(self, tiny_corpus, lexicon):
+        config = TrainingConfig(word_dim=8, dict_dim=4, hidden_dim=6, epochs=1,
+                                learning_rate=float("inf"))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            train(tiny_corpus, lexicon, config, seed=5)
 
     def test_overfits_tiny_corpus(self, tiny_corpus, lexicon):
         config = TrainingConfig(word_dim=8, dict_dim=4, hidden_dim=6, epochs=80, batch_size=4)
