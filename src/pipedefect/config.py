@@ -15,6 +15,7 @@ from .errors import ConfigError
 from .lexicon import Blacklist, SynonymGraph, load_lexicon, load_seeds
 from .pipeline import PipelineResources, build_spell_vocabulary
 from .preprocess import NegationTriggerSet, load_phrase_file
+from .rating import band_weight
 from .tagger import PatternTable
 from .training import TrainingConfig
 
@@ -99,13 +100,25 @@ def load_resources(cfg: PipelineConfig, require_lexicon: bool = True) -> Pipelin
         scope_terminators=load_phrase_file(cfg.terminators),
     )
     base_words = set(load_phrase_file(cfg.basewords))
-    return PipelineResources(
+    resources = PipelineResources(
         lexicon=lexicon,
         triggers=triggers,
         abbreviations=load_phrase_file(cfg.abbreviations),
         spell_vocab=build_spell_vocabulary(lexicon, base_words),
         patterns=PatternTable.load(cfg.patterns),
     )
+    unbanded = sorted(
+        e.term
+        for e in lexicon.entries.values()
+        if e.category == "Frequency"
+        and band_weight(e.term, e.seed_root, resources.frequency_bands) is None
+    )
+    if unbanded:
+        raise ConfigError(
+            "lexicon Frequency terms with no frequency band for the term or its seed root: "
+            + ", ".join(unbanded)
+        )
+    return resources
 
 
 def build_default_lexicon(cfg: PipelineConfig):

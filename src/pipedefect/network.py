@@ -1,9 +1,10 @@
 """Bi-LSTM sequence labeling network, implemented directly on numpy.
 
 One masked, batched direction pass (lstm_direction) holds the only copy of
-the gate equations; training runs it on padded batches and inference
-(bilstm_forward) on one sentence with an all-ones mask.  Gate order inside
-the packed weight matrices is [input, forget, output, candidate].
+the gate equations; training runs it on padded batches of sentences and
+inference (batch_logits) on the padded sentences of one document.  Gate
+order inside the packed weight matrices is [input, forget, output,
+candidate].
 """
 
 from __future__ import annotations
@@ -120,13 +121,21 @@ def init_model(
     )
 
 
+def embed(ids, feats, model: TaggerModel) -> np.ndarray:
+    """Input rows [word_emb[id], dict_emb[feature]] of a padded batch:
+    ids, feats (B, T) -> (B, T, input_dim)."""
+    return np.concatenate([model.word_emb[ids], model.dict_emb[feats]], axis=2)
+
+
 def lstm_direction(X, mask, params: LstmParams, reverse: bool):
     """Masked recurrence over a padded batch, in one time direction.
 
     X: (B, T, input_dim); mask: (B, T), 1.0 on real tokens.  A padded step
     carries the previous state through unchanged.  The input projection
-    runs as one GEMM over every step before the time loop.  Returns the
-    hidden states (B, T, hidden) and the per-step cache for backprop.
+    runs as one GEMM over every step before the time loop, and each step's
+    gate activations overwrite its slice of that projection, so the cache
+    holds views into it.  Returns the hidden states (B, T, hidden) and the
+    per-step cache for backprop.
     """
     B, T, D = X.shape
     hd = params.hidden_dim
@@ -138,10 +147,12 @@ def lstm_direction(X, mask, params: LstmParams, reverse: bool):
     for t in range(T - 1, -1, -1) if reverse else range(T):
         m = mask[:, t : t + 1]
         h_prev, c_prev = h, c
-        z = Z[:, t] + h_prev @ params.wh
-        ifo = 1.0 / (1.0 + np.exp(-z[:, : 3 * hd]))
+        z = Z[:, t]
+        z += h_prev @ params.wh
+        ifo, g = z[:, : 3 * hd], z[:, 3 * hd :]
+        np.reciprocal(1.0 + np.exp(-ifo), out=ifo)
+        np.tanh(g, out=g)
         i, f, o = ifo[:, :hd], ifo[:, hd : 2 * hd], ifo[:, 2 * hd :]
-        g = np.tanh(z[:, 3 * hd :])
         c_raw = f * c_prev + i * g
         tanh_c = np.tanh(c_raw)
         h = m * (o * tanh_c) + (1.0 - m) * h_prev
@@ -149,6 +160,18 @@ def lstm_direction(X, mask, params: LstmParams, reverse: bool):
         H[:, t] = h
         cache.append((t, i, f, o, g, c_raw, tanh_c, h_prev, c_prev, m))
     return H, cache
+
+
+def _hidden(X, mask, model: TaggerModel) -> np.ndarray:
+    """Forward and backward hidden states side by side, (B, T, 2 * hidden).
+    Each direction's cache is dropped as soon as its states are taken."""
+    return np.concatenate(
+        [
+            lstm_direction(X, mask, model.fwd, reverse=False)[0],
+            lstm_direction(X, mask, model.bwd, reverse=True)[0],
+        ],
+        axis=2,
+    )
 
 
 def bilstm_forward(xs, model: TaggerModel) -> np.ndarray:
@@ -159,19 +182,27 @@ def bilstm_forward(xs, model: TaggerModel) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise EmptySequence("bilstm_forward requires a non-empty (T, D) sequence")
-    mask = np.ones((1, xs.shape[0]))
-    hf, _ = lstm_direction(xs[None], mask, model.fwd, reverse=False)
-    hb, _ = lstm_direction(xs[None], mask, model.bwd, reverse=True)
-    return np.concatenate([hf[0], hb[0]], axis=1)
+    return _hidden(xs[None], np.ones((1, xs.shape[0])), model)[0]
+
+
+def batch_logits(ids, feats, mask, model: TaggerModel) -> np.ndarray:
+    """Tag logits (B, T, N_TAGS) of a padded batch of sentences.
+
+    ids, feats: (B, T) int arrays, 0 on padding; mask: (B, T), 1.0 on real
+    tokens.  Logits at padded positions are meaningless.
+    """
+    B, T = ids.shape
+    if T == 0:
+        raise EmptySequence("batch_logits requires at least one token")
+    H = _hidden(embed(ids, feats, model), mask, model)
+    return (H.reshape(B * T, -1) @ model.out_w + model.out_b).reshape(B, T, N_TAGS)
 
 
 def sentence_logits(token_indices, dict_features, model: TaggerModel) -> np.ndarray:
-    xs = np.concatenate(
-        [model.word_emb[list(token_indices)], model.dict_emb[list(dict_features)]],
-        axis=1,
-    )
-    hs = bilstm_forward(xs, model)
-    return hs @ model.out_w + model.out_b
+    """Tag logits (T, N_TAGS) of one sentence."""
+    ids = np.asarray(token_indices, dtype=np.int64)[None]
+    feats = np.asarray(dict_features, dtype=np.int64)[None]
+    return batch_logits(ids, feats, np.ones(ids.shape), model)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +247,25 @@ def _header(fh, path, pattern: str = "(.*)") -> str:
     return match[1]
 
 
+def _check_shapes(path, vocab: list[str], shapes: list[tuple[int, ...]]) -> None:
+    """The header's matrix shapes must fit the vocabulary and each other."""
+    if not vocab or vocab[0] != UNK:
+        raise ModelFormatError(f"{path}: vocabulary must start with {UNK}")
+    named = dict(zip(_MATRIX_NAMES, shapes))
+    word_dim, dict_dim, hd = named["word_emb"][-1], named["dict_emb"][-1], named["fwd.wh"][0]
+    gates = {"wx": (word_dim + dict_dim, 4 * hd), "wh": (hd, 4 * hd), "b": (4 * hd,)}
+    expected = {
+        "word_emb": (len(vocab), word_dim),
+        "dict_emb": (N_DICT_FEATURES, dict_dim),
+        **{f"{d}.{k}": shape for d in ("fwd", "bwd") for k, shape in gates.items()},
+        "out_w": (2 * hd, N_TAGS),
+        "out_b": (N_TAGS,),
+    }
+    for name, shape in named.items():
+        if shape != expected[name]:
+            raise ModelFormatError(f"{path}: {name} has shape {shape}, expected {expected[name]}")
+
+
 def load_model(path) -> TaggerModel:
     """Read and check a model file: one that does not parse raises
     ModelFormatError, one holding a non-finite parameter NumericalError."""
@@ -231,6 +281,7 @@ def load_model(path) -> TaggerModel:
             for name in _MATRIX_NAMES
         ]
         _header(fh, path, "(data)")
+        _check_shapes(path, vocab, shapes)
         # sizes are checked against the file before any array is allocated,
         # so a corrupt shape cannot ask for a huge one
         sizes = [8 * math.prod(shape) for shape in shapes]

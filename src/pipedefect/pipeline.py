@@ -19,7 +19,7 @@ from .tagger import (
     dictionary_tag,
     entity_text,
     extract_entities,
-    predict_tags,
+    predict_document_tags,
 )
 
 DICT_TAGGER = "dict"
@@ -71,21 +71,20 @@ def tag_document(
     tagger: str = DICT_TAGGER,
     model: TaggerModel | None = None,
 ) -> list[EntityFrame]:
-    """Per-sentence entity frames for a preprocessed document."""
-    frames = []
-    for sentence in doc.sentences:
-        if tagger == BILSTM_TAGGER:
-            if model is None:
-                raise ValueError("bilstm tagger requires a trained model")
-            tags = predict_tags(sentence, resources.lexicon, model)
-        elif tagger == DICT_TAGGER:
-            tags = dictionary_tag(sentence, resources.lexicon)
-        else:
-            raise ValueError(f"unknown tagger {tagger!r}")
-        frames.append(
-            extract_entities(sentence, tags, patterns=resources.patterns, lexicon=resources.lexicon)
-        )
-    return frames
+    """Per-sentence entity frames for a preprocessed document.  The Bi-LSTM
+    tags all of the document's sentences in one padded batch."""
+    if tagger == BILSTM_TAGGER:
+        if model is None:
+            raise ValueError("bilstm tagger requires a trained model")
+        doc_tags = predict_document_tags(doc.sentences, resources.lexicon, model)
+    elif tagger == DICT_TAGGER:
+        doc_tags = (dictionary_tag(sentence, resources.lexicon) for sentence in doc.sentences)
+    else:
+        raise ValueError(f"unknown tagger {tagger!r}")
+    return [
+        extract_entities(sentence, tags, patterns=resources.patterns, lexicon=resources.lexicon)
+        for sentence, tags in zip(doc.sentences, doc_tags)
+    ]
 
 
 def rate_document(

@@ -95,6 +95,14 @@ def weight_location(frames: list[EntityFrame]) -> float:
     return 0.9 if count == 1 else 1.0
 
 
+def band_weight(term: str | None, seed_root: str | None, bands: dict[str, float]) -> float | None:
+    """The band of a frequency term, else of its seed root; None if neither has one."""
+    weight = bands.get(term) if term else None
+    if weight is None and seed_root:
+        weight = bands.get(seed_root)
+    return weight
+
+
 def weight_frequency(
     frames: list[EntityFrame],
     bands: dict[str, float] = DEFAULT_FREQUENCY_BANDS,
@@ -110,9 +118,7 @@ def weight_frequency(
             if _unmatched(entity):
                 continue
             term = entity.matched_lexicon_term
-            weight = bands.get(term) if term else None
-            if weight is None and entity.seed_root:
-                weight = bands.get(entity.seed_root)
+            weight = band_weight(term, entity.seed_root, bands)
             if weight is None:
                 raise UnknownFrequencyTerm(
                     f"frequency term {term or entity.seed_root!r} has no band weight"

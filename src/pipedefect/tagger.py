@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import Sentence, gold_token_types
 from .errors import LexiconFormatError
 from .lexicon import Lexicon
-from .network import TaggerModel, sentence_logits
+from .network import TaggerModel, batch_logits
 
 
 class Tag(IntEnum):
@@ -104,14 +104,56 @@ def dict_features(sentence: Sentence, lexicon: Lexicon) -> list[int]:
     return [int(tag) for tag in dictionary_tag(sentence, lexicon)]
 
 
+# Largest padded size (rows x longest row) of one forward pass.  The
+# pass's memory grows with it, about 30 KB a token at the default
+# dimensions, so a long document is tagged in several passes.
+MAX_BATCH_TOKENS = 256
+
+
+def _batches(sentences: list[Sentence]):
+    """Runs of consecutive sentences, each run within MAX_BATCH_TOKENS once
+    padded; a longer sentence runs alone."""
+    batch: list[Sentence] = []
+    longest = 0
+    for s in sentences:
+        longest = max(longest, len(s.tokens))
+        if batch and (len(batch) + 1) * longest > MAX_BATCH_TOKENS:
+            yield batch
+            batch, longest = [], len(s.tokens)
+        batch.append(s)
+    if batch:
+        yield batch
+
+
+def _predict_batch(sentences: list[Sentence], lexicon: Lexicon, model: TaggerModel):
+    shape = (len(sentences), max(len(s.tokens) for s in sentences))
+    ids = np.zeros(shape, dtype=np.int64)
+    feats = np.zeros(shape, dtype=np.int64)
+    mask = np.zeros(shape)
+    for k, s in enumerate(sentences):
+        n = len(s.tokens)
+        ids[k, :n] = [model.token_index(t.normalized) for t in s.tokens]
+        feats[k, :n] = dict_features(s, lexicon)
+        mask[k, :n] = 1.0
+    best = np.argmax(batch_logits(ids, feats, mask, model), axis=2).tolist()
+    return [[Tag(i) for i in row[: len(s.tokens)]] for row, s in zip(best, sentences)]
+
+
+def predict_document_tags(
+    sentences: list[Sentence], lexicon: Lexicon, model: TaggerModel
+) -> list[list[Tag]]:
+    """Tags for every sentence of a document, its sentences padded into one
+    forward pass (several for a document past MAX_BATCH_TOKENS): argmax
+    over each token's logits, ties to the lowest index.  A sentence with no
+    tokens gets []."""
+    tagged = [s for s in sentences if s.tokens]
+    tags = (t for batch in _batches(tagged) for t in _predict_batch(batch, lexicon, model))
+    return [next(tags) if s.tokens else [] for s in sentences]
+
+
 def predict_tags(sentence: Sentence, lexicon: Lexicon, model: TaggerModel) -> list[Tag]:
-    """Argmax over the per-token softmax; ties break to the lowest index."""
-    if not sentence.tokens:
-        return []
-    ids = [model.token_index(t.normalized) for t in sentence.tokens]
-    feats = dict_features(sentence, lexicon)
-    logits = sentence_logits(ids, feats, model)
-    return [Tag(int(i)) for i in np.argmax(logits, axis=1)]
+    """predict_document_tags of a one-sentence document."""
+    return predict_document_tags([sentence], lexicon, model)[0]
 
 
 def _intersects(span: tuple[int, int], scopes: list[tuple[int, int]]) -> bool:

@@ -22,6 +22,7 @@ from .network import (
     WORD_DIM,
     LstmParams,
     TaggerModel,
+    embed,
     init_model,
     lstm_direction,
 )
@@ -141,9 +142,7 @@ def batch_loss_and_grads(model: TaggerModel, ids, feats, tags, mask, compute_gra
     """Mean per-token cross-entropy over real (unmasked) tokens."""
     B, T = ids.shape
     hd = model.hidden_dim
-    Xw = model.word_emb[ids]  # (B, T, word_dim)
-    Xd = model.dict_emb[feats]  # (B, T, dict_dim)
-    X = np.concatenate([Xw, Xd], axis=2)
+    X = embed(ids, feats, model)
     Hf, cache_f = lstm_direction(X, mask, model.fwd, reverse=False)
     Hb, cache_b = lstm_direction(X, mask, model.bwd, reverse=True)
     H = np.concatenate([Hf, Hb], axis=2)

@@ -8,6 +8,7 @@ from pipedefect.errors import EmptySequence, ModelFormatError, NumericalError
 from pipedefect.network import (
     UNK,
     LstmParams,
+    batch_logits,
     bilstm_forward,
     init_model,
     load_model,
@@ -243,6 +244,31 @@ class TestSentenceLogits:
         assert np.array_equal(logits, np.zeros((2, 4)))
 
 
+class TestBatchLogits:
+    def test_padded_batch_matches_each_row_alone(self):
+        m = small_model(seed=6, vocab=("leak", "pipe", "joint", "root"))
+        rng = np.random.default_rng(4)
+        lengths = [5, 1, 7, 3]
+        T = max(lengths)
+        ids = np.zeros((len(lengths), T), dtype=np.int64)
+        feats = np.zeros((len(lengths), T), dtype=np.int64)
+        mask = np.zeros((len(lengths), T))
+        for k, n in enumerate(lengths):
+            ids[k, :n] = rng.integers(0, len(m.vocab), size=n)
+            feats[k, :n] = rng.integers(0, 4, size=n)
+            mask[k, :n] = 1.0
+        logits = batch_logits(ids, feats, mask, m)
+        assert logits.shape == (len(lengths), T, 4)
+        for k, n in enumerate(lengths):
+            alone = sentence_logits(ids[k, :n], feats[k, :n], m)
+            assert np.allclose(logits[k, :n], alone, rtol=0, atol=1e-12)
+
+    def test_empty_rejected(self):
+        m = small_model()
+        with pytest.raises(EmptySequence):
+            sentence_logits([], [], m)
+
+
 class TestModelFile:
     def test_roundtrip_exact(self, tmp_path):
         m = small_model(seed=9)
@@ -293,6 +319,28 @@ class TestModelFile:
         for nbytes in (136, 152):
             path.write_bytes(data[:prefix] + struct.pack("<Q", nbytes) + data[prefix + 8 :])
             with pytest.raises(ModelFormatError):
+                load_model(path)
+
+    def test_transposed_matrix_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(small_model(seed=9), path)
+        data = path.read_bytes()
+        # out_w is (10, 4); the swapped header keeps the payload size
+        path.write_bytes(data.replace(b"matrix out_w 10 4\n", b"matrix out_w 4 10\n", 1))
+        with pytest.raises(ModelFormatError, match="out_w"):
+            load_model(path)
+
+    def test_vocabulary_must_fit_word_emb(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(small_model(seed=9), path)
+        data = path.read_bytes()
+        assert b"vocab 3\n<unk>\nleak\npipe\n" in data
+        for old, new, named in (
+            (b"vocab 3\n<unk>\nleak\npipe\n", b"vocab 4\n<unk>\nleak\npipe\nvalve\n", "word_emb"),
+            (b"vocab 3\n<unk>\nleak\npipe\n", b"vocab 3\nleak\n<unk>\npipe\n", UNK),
+        ):
+            path.write_bytes(data.replace(old, new, 1))
+            with pytest.raises(ModelFormatError, match=named):
                 load_model(path)
 
     def test_check_finite(self):

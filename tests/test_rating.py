@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pipedefect.config import PipelineConfig, load_resources
 from pipedefect.corpus import parse_document
-from pipedefect.errors import InvalidWeight, UnknownFrequencyTerm
+from pipedefect.errors import ConfigError, InvalidWeight, UnknownFrequencyTerm
+from pipedefect.lexicon import save_lexicon
 from pipedefect.network import init_model
 from pipedefect.pipeline import BILSTM_TAGGER, rate_document
 from pipedefect.rating import (
@@ -191,3 +193,17 @@ class TestNetTaggedFrequency:
         assert entity["matched_term"] is None and entity["seed_root"] is None
         assert report.weights.frequencies == 0.1
         assert any("no lexicon entry" in note for note in report.notes)
+
+
+class TestBandsCheckedAtLoad:
+    def test_unbanded_frequency_terms_rejected_once(self, resources, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        save_lexicon(resources.lexicon, path)
+        load_resources(PipelineConfig(lexicon=path))  # the shipped lexicon is fully banded
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("sporadically\tFrequency\tseed\tsporadically\n")
+            fh.write("rarely ever\tFrequency\tsyn1\trarely\n")  # banded through its root
+            fh.write("now and then\tFrequency\tsyn1\tsporadically\n")
+        with pytest.raises(ConfigError) as err:
+            load_resources(PipelineConfig(lexicon=path))
+        assert str(err.value).endswith(": now and then, sporadically")

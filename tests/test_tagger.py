@@ -1,16 +1,22 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_network import reference_step
 
-from pipedefect.corpus import GoldEntity, Sentence, Token
+from pipedefect import network
+from pipedefect.corpus import GoldEntity, Sentence, Token, parse_document
 from pipedefect.network import init_model
+from pipedefect.pipeline import BILSTM_TAGGER, preprocess_document, tag_document
 from pipedefect.tagger import (
+    MAX_BATCH_TOKENS,
     PatternTable,
     Tag,
     dict_features,
     dictionary_tag,
     entity_text,
     extract_entities,
+    predict_document_tags,
     predict_tags,
     tags_from_gold_spans,
 )
@@ -68,6 +74,91 @@ class TestPredictTags:
     def test_empty_sentence(self, lexicon):
         model = init_model(["a"], seed=1, word_dim=4, dict_dim=3, hidden_dim=4)
         assert predict_tags(bare_sentence([]), lexicon, model) == []
+
+
+WORDS = ("frequently", "leaks", "pipe", "crack", "at", "midpoint", "roots", "qqq")
+# Two tags whose reference logits differ by less than this are a tie that
+# the order of floating-point sums may break either way.
+TIE_MARGIN = 1e-9
+
+
+def lively_model():
+    model = init_model(list(WORDS[:6]), seed=3, word_dim=5, dict_dim=3, hidden_dim=6)
+    model.out_w *= 20.0
+    return model
+
+
+def reference_logits(sentence, lexicon, model):
+    """Per-token logits from the one-step oracle, one sentence at a time."""
+    xs = [np.concatenate([model.word_emb[model.token_index(t.normalized)], model.dict_emb[f]])
+          for t, f in zip(sentence.tokens, dict_features(sentence, lexicon))]
+    hd = model.hidden_dim
+
+    def run(params, order):
+        h, c, out = np.zeros(hd), np.zeros(hd), {}
+        for t in order:
+            h, c = reference_step(xs[t], h, c, params)
+            out[t] = h
+        return out
+
+    fwd = run(model.fwd, range(len(xs)))
+    bwd = run(model.bwd, reversed(range(len(xs))))
+    return np.array([np.concatenate([fwd[t], bwd[t]]) @ model.out_w + model.out_b
+                     for t in range(len(xs))])
+
+
+class TestPredictDocumentTags:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12),
+                    min_size=1, max_size=6))
+    @example([["pipe", "leaks"], [], ["frequently"]])
+    @example([[]])
+    def test_matches_each_sentence_alone_and_the_oracle(self, lexicon, doc_words):
+        model = lively_model()
+        sentences = [bare_sentence(words) for words in doc_words]
+        batched = predict_document_tags(sentences, lexicon, model)
+        assert batched == [predict_tags(s, lexicon, model) for s in sentences]
+        for sentence, tags in zip(sentences, batched):
+            assert len(tags) == len(sentence.tokens)
+            if not tags:
+                continue
+            ref = reference_logits(sentence, lexicon, model)
+            chosen = ref[np.arange(len(tags)), [int(t) for t in tags]]
+            assert np.all(ref.max(axis=1) - chosen <= TIE_MARGIN)
+
+    @pytest.fixture
+    def batch_shapes(self, monkeypatch):
+        """(rows, steps) of every lstm_direction call."""
+        shapes = []
+        kernel = network.lstm_direction
+
+        def counting(X, mask, params, reverse):
+            shapes.append(X.shape[:2])
+            return kernel(X, mask, params, reverse)
+
+        monkeypatch.setattr(network, "lstm_direction", counting)
+        return shapes
+
+    def test_one_batch_per_document(self, resources, batch_shapes):
+        doc = parse_document("Defects: Roots at the midpoint. Pipe leaks frequently. "
+                             "Crack near the joint.", "batched")
+        preprocess_document(doc, resources)
+        assert len(doc.sentences) == 3
+        frames = tag_document(doc, resources, tagger=BILSTM_TAGGER, model=lively_model())
+        assert len(frames) == 3
+        assert [rows for rows, _ in batch_shapes] == [3, 3]
+
+    def test_long_document_runs_in_bounded_batches(self, lexicon, batch_shapes):
+        model = lively_model()
+        lengths = [3 + k % 10 for k in range(40)] + [MAX_BATCH_TOKENS + 9] + [5] * 20
+        sentences = [bare_sentence([WORDS[(k + j) % len(WORDS)] for j in range(n)])
+                     for k, n in enumerate(lengths)]
+        batched = predict_document_tags(sentences, lexicon, model)
+        assert len(batch_shapes) > 4
+        assert sum(rows for rows, _ in batch_shapes) == 2 * len(sentences)
+        assert (1, MAX_BATCH_TOKENS + 9) in batch_shapes
+        assert all(rows * steps <= MAX_BATCH_TOKENS for rows, steps in batch_shapes if rows > 1)
+        assert batched == [predict_tags(s, lexicon, model) for s in sentences]
 
 
 class TestExtractEntities:
