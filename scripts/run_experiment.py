@@ -71,10 +71,7 @@ def main():
     for tagger in ("dict", "bilstm"):
         argv = ["--config", str(args.workdir / f"config_{tagger}.ini")]
         run([*argv, "rate", corpus, "--tagger", tagger], f"rate [{tagger}]")
-        print(f"== evaluate [{tagger}]")
-        code = cli([*argv, "evaluate", str(args.workdir / f"out_{tagger}"), gold])
-        if code != 0:
-            sys.exit(f"evaluation for {tagger!r} failed with exit code {code}")
+        run([*argv, "evaluate", str(args.workdir / f"out_{tagger}"), gold], f"evaluate [{tagger}]")
 
     print(f"\nReports written under {args.workdir}/out_dict and {args.workdir}/out_bilstm")
 

@@ -247,6 +247,7 @@ def main(argv=None) -> int:
         cfg = config_mod.load_config(args.config) if args.config else config_mod.PipelineConfig()
         if args.seed is not None:
             cfg.seed = args.seed
+        config_mod.check_config(cfg)
         if args.command == "build-lexicon":
             return cmd_build_lexicon(cfg)
         if args.command == "generate":

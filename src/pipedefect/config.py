@@ -7,15 +7,16 @@ hyperparameters, so a run needs no config file at all.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .lexicon import Blacklist, SynonymGraph, load_lexicon, load_seeds
+from .lexicon import Blacklist, SynonymGraph, expand_synonyms, load_lexicon, load_seeds
 from .pipeline import PipelineResources, build_spell_vocabulary
 from .preprocess import NegationTriggerSet, load_phrase_file
-from .rating import band_weight
+from .rating import DEFAULT_FREQUENCY_BANDS, band_weight
 from .tagger import PatternTable
 from .training import TrainingConfig
 
@@ -57,38 +58,59 @@ class PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
+    """Read an INI config; a file that does not parse, or a numeric setting
+    that is not a number, raises ConfigError.  Ranges are check_config's."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     cfg = PipelineConfig()
-    base = Path(path).resolve().parent
-    for key in PipelineConfig._PATH_KEYS:
-        if parser.has_option("paths", key):
-            raw = parser.get("paths", key)
-            p = Path(raw)
-            setattr(cfg, key, p if p.is_absolute() else base / p)
-    if parser.has_section("run"):
-        cfg.seed = parser.getint("run", "seed", fallback=cfg.seed)
-        cfg.max_depth = parser.getint("run", "max_depth", fallback=cfg.max_depth)
-        cfg.split_ratio = parser.getfloat("run", "split_ratio", fallback=cfg.split_ratio)
-    if parser.has_section("hyperparameters"):
-        h = parser["hyperparameters"]
-        t = cfg.training
-        t.word_dim = h.getint("word_dim", t.word_dim)
-        t.dict_dim = h.getint("dict_dim", t.dict_dim)
-        t.hidden_dim = h.getint("hidden_dim", t.hidden_dim)
-        t.learning_rate = h.getfloat("learning_rate", t.learning_rate)
-        t.epochs = h.getint("epochs", t.epochs)
-        t.batch_size = h.getint("batch_size", t.batch_size)
+    numbers = (
+        ("run", cfg, {"seed": int, "max_depth": int, "split_ratio": float}),
+        ("hyperparameters", cfg.training, {
+            "word_dim": int, "dict_dim": int, "hidden_dim": int,
+            "learning_rate": float, "epochs": int, "batch_size": int,
+        }),
+    )
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        base = Path(path).resolve().parent
+        for key in PipelineConfig._PATH_KEYS:
+            if parser.has_option("paths", key):
+                p = Path(parser.get("paths", key))
+                setattr(cfg, key, p if p.is_absolute() else base / p)
+        for section, target, kinds in numbers:
+            for key, kind in kinds.items():
+                if parser.has_option(section, key):
+                    raw = parser.get(section, key)
+                    try:
+                        setattr(target, key, kind(raw))
+                    except ValueError as exc:
+                        raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return cfg
+
+
+def check_config(cfg: PipelineConfig) -> None:
+    """Raise ConfigError naming every setting outside its range, so a bad
+    value stops a run before any work starts."""
+    t = cfg.training
+    rules = [
+        ("seed", cfg.seed, cfg.seed >= 0, ">= 0"),
+        ("split_ratio", cfg.split_ratio, 0 < cfg.split_ratio < 1, "> 0 and < 1"),
+        ("max_depth", cfg.max_depth, cfg.max_depth >= 0, ">= 0"),
+        ("learning_rate", t.learning_rate,
+         math.isfinite(t.learning_rate) and t.learning_rate > 0, "finite and > 0"),
+    ] + [
+        (key, getattr(t, key), getattr(t, key) >= 1, ">= 1")
+        for key in ("epochs", "batch_size", "word_dim", "dict_dim", "hidden_dim")
+    ]
+    bad = [f"{key} = {value} must be {rule}" for key, value, ok, rule in rules if not ok]
+    if bad:
+        raise ConfigError("; ".join(bad))
 
 
 def load_resources(cfg: PipelineConfig, require_lexicon: bool = True) -> PipelineResources:
     """Load every runtime resource named by the config."""
-    for key in ("triggers", "terminators", "abbreviations", "basewords", "patterns"):
-        if not Path(getattr(cfg, key)).exists():
-            raise ConfigError(f"missing {key} file: {getattr(cfg, key)}")
     if Path(cfg.lexicon).exists():
         lexicon = load_lexicon(cfg.lexicon)
     elif require_lexicon:
@@ -111,7 +133,7 @@ def load_resources(cfg: PipelineConfig, require_lexicon: bool = True) -> Pipelin
         e.term
         for e in lexicon.entries.values()
         if e.category == "Frequency"
-        and band_weight(e.term, e.seed_root, resources.frequency_bands) is None
+        and band_weight(e.term, e.seed_root, DEFAULT_FREQUENCY_BANDS) is None
     )
     if unbanded:
         raise ConfigError(
@@ -122,11 +144,6 @@ def load_resources(cfg: PipelineConfig, require_lexicon: bool = True) -> Pipelin
 
 
 def build_default_lexicon(cfg: PipelineConfig):
-    from .lexicon import expand_synonyms
-
-    for key in ("seeds", "synonym_graph", "blacklists"):
-        if not Path(getattr(cfg, key)).exists():
-            raise ConfigError(f"missing {key} file: {getattr(cfg, key)}")
     seeds = load_seeds(cfg.seeds)
     graph = SynonymGraph.load(cfg.synonym_graph)
     blacklist = Blacklist.load(cfg.blacklists)

@@ -9,7 +9,7 @@ gold entities, so generator and engine agree by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Document, GoldEntity, GoldRecord, parse_document
 from .errors import LexiconRequired
@@ -18,6 +18,12 @@ from .rating import DEFAULT_FREQUENCY_BANDS, rate_frames
 from .tagger import Entity, EntityFrame
 
 ANNOTATOR_ID = "synthetic"
+
+NEGATION_PROB = 0.3
+EXTRA_SECTION_PROB = 0.2
+SECOND_FREQUENCY_PROB = 0.25
+DEFECT_COUNT_WEIGHTS = (0.15, 0.45, 0.40)  # 0 / 1 / 2
+LOCATION_CASE_WEIGHTS = (0.30, 0.40, 0.30)  # none / one / multiple
 
 # Filler words used by templates; all must be in the base spelling
 # vocabulary and none may be (part of the start of) a lexicon term.
@@ -32,14 +38,6 @@ _NEUTRAL_SENTENCES = (
 class GeneratorConfig:
     n_documents: int
     lexicon: Lexicon
-    negation_prob: float = 0.3
-    extra_section_prob: float = 0.2
-    second_frequency_prob: float = 0.25
-    defect_count_weights: tuple[float, float, float] = (0.15, 0.45, 0.40)  # 0 / 1 / 2
-    location_case_weights: tuple[float, float, float] = (0.30, 0.40, 0.30)  # none/one/multi
-    frequency_bands: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_FREQUENCY_BANDS)
-    )
 
 
 class _DocBuilder:
@@ -88,7 +86,7 @@ def _term_pools(config: GeneratorConfig):
         t for t, e in lex.entries.items() if e.category == "Location" and e.origin == "seed"
     )
     frequencies = sorted(
-        t for t in config.frequency_bands
+        t for t in DEFAULT_FREQUENCY_BANDS
         if t in lex.entries and lex.entries[t].category == "Frequency"
     )
     return defects, locations, frequencies
@@ -110,7 +108,7 @@ def generate_synthetic_corpus(
         builder = _build_document(config, rng, defect_pool, location_pool, frequency_pool)
         raw = builder.text
         doc = parse_document(raw, doc_id)
-        report = rate_frames(doc_id, builder.frames, bands=config.frequency_bands)
+        report = rate_frames(doc_id, builder.frames)
         entities = [GoldEntity(etype, span) for etype, span, _, _, _ in builder.entities]
         golds.append(
             GoldRecord(
@@ -127,15 +125,15 @@ def generate_synthetic_corpus(
 def _build_document(config, rng, defect_pool, location_pool, frequency_pool) -> _DocBuilder:
     b = _DocBuilder()
     b.add("Defects:")
-    n_defects = rng.choices((0, 1, 2), weights=config.defect_count_weights)[0]
-    loc_case = rng.choices(("none", "one", "multiple"), weights=config.location_case_weights)[0]
+    n_defects = rng.choices((0, 1, 2), weights=DEFECT_COUNT_WEIGHTS)[0]
+    loc_case = rng.choices(("none", "one", "multiple"), weights=LOCATION_CASE_WEIGHTS)[0]
     defects = rng.sample(defect_pool, k=max(n_defects, 1))[:n_defects]
     n_locations = {"none": 0, "one": 1, "multiple": 2}[loc_case]
     locations = rng.sample(location_pool, k=n_locations)
     # pick a band first so ratings 2..5 are evenly exercised
     by_band: dict[float, list[str]] = {}
     for term in frequency_pool:
-        by_band.setdefault(config.frequency_bands[term], []).append(term)
+        by_band.setdefault(DEFAULT_FREQUENCY_BANDS[term], []).append(term)
     frequency = None
     if rng.random() < 0.85:
         band = rng.choice(sorted(by_band))
@@ -176,7 +174,7 @@ def _build_document(config, rng, defect_pool, location_pool, frequency_pool) -> 
             b.add("Also ")
             second_freq = (
                 rng.choice(frequency_pool)
-                if rng.random() < config.second_frequency_prob
+                if rng.random() < SECOND_FREQUENCY_PROB
                 else None
             )
             if second_freq is not None:
@@ -190,13 +188,13 @@ def _build_document(config, rng, defect_pool, location_pool, frequency_pool) -> 
         b.add("Issue recorded at ")
         b.add_entity(locations[1], "LocationOfDefect", False, root(locations[1]))
         b.add(" as well.")
-    if rng.random() < config.negation_prob:
+    if rng.random() < NEGATION_PROB:
         negated = rng.choice(defect_pool)
         b.add(" ")
         b.start_sentence()
         b.add("No ")
         b.add_entity(negated, "Defect", True, root(negated))
         b.add(" found.")
-    if rng.random() < config.extra_section_prob:
+    if rng.random() < EXTRA_SECTION_PROB:
         b.add("\nSummary: Inspection record filed for review.")
     return b

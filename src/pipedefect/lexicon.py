@@ -13,7 +13,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import LexiconFormatError
+from .errors import ConfigError, LexiconFormatError
 
 log = logging.getLogger(__name__)
 
@@ -24,6 +24,28 @@ ORIGIN_MORPH = "morph"
 
 # Seeds whose noun form takes the -age suffix (leak -> leakage).
 AGE_SUFFIX_SEEDS = frozenset({"leak", "block", "seep", "spill"})
+
+
+def read_rows(path, n_fields: int, form: str):
+    """``(lineno, fields)`` for each row of a UTF-8 file of tab-separated
+    fields; ``#`` starts a comment and lines blank without it are skipped.
+
+    A row without ``n_fields`` fields raises LexiconFormatError naming
+    ``path:line`` and ``form``; an unreadable file raises ConfigError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise LexiconFormatError(f"{path}:{lineno}: expected '{form}'")
+        yield lineno, fields
 
 
 def origin_depth(origin: str) -> int:
@@ -72,15 +94,11 @@ class SynonymGraph:
     @classmethod
     def load(cls, path) -> "SynonymGraph":
         graph = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise LexiconFormatError(f"{path}:{lineno}: expected 3 fields")
-                graph.add_edge(parts[0].lower(), parts[2].lower(), parts[1])
+        for lineno, (a, relation, b) in read_rows(path, 3, "term<TAB>syn|ant<TAB>term"):
+            try:
+                graph.add_edge(a.lower(), b.lower(), relation)
+            except ValueError as exc:
+                raise LexiconFormatError(f"{path}:{lineno}: {exc}") from exc
         return graph
 
 
@@ -94,15 +112,8 @@ class Blacklist:
     @classmethod
     def load(cls, path) -> "Blacklist":
         per_seed: dict[str, set[str]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise LexiconFormatError(f"{path}:{lineno}: expected 2 fields")
-                per_seed.setdefault(parts[0].lower(), set()).add(parts[1].lower())
+        for _, (seed, term) in read_rows(path, 2, "seed<TAB>term"):
+            per_seed.setdefault(seed.lower(), set()).add(term.lower())
         return cls(per_seed)
 
 
@@ -216,6 +227,7 @@ def expand_synonyms(
     # (depth, origin_rank, seed_root) orders collision resolution
     candidates: list[tuple[int, int, str, LexiconEntry]] = []
     antonyms: dict[str, set[str]] = {}
+    seed_only: list[str] = []
     for seed, category in seeds:
         seed = seed.lower()
         banned = blacklist.banned(seed)
@@ -228,7 +240,7 @@ def expand_synonyms(
                     (0, 1, seed, LexiconEntry(variant, category, ORIGIN_MORPH, seed))
                 )
         if seed not in graph.nodes:
-            log.warning("seed %r not in synonym graph; kept as seed-only", seed)
+            seed_only.append(seed)
             continue
         depths, ants = _bfs_synonyms(seed, graph, banned, max_depth)
         if ants:
@@ -238,6 +250,11 @@ def expand_synonyms(
             candidates.append(
                 (depth, 2, seed, LexiconEntry(term, category, f"syn{depth}", seed))
             )
+    if seed_only:
+        log.warning(
+            "%d seeds not in synonym graph; kept as seed-only: %s",
+            len(seed_only), ", ".join(map(repr, seed_only)),
+        )
     lexicon = Lexicon()
     best: dict[str, tuple[int, int, str]] = {}
     for depth, rank, root, entry in sorted(candidates, key=lambda c: (c[3].term, c[:3])):
@@ -258,36 +275,23 @@ def save_lexicon(lexicon: Lexicon, path) -> None:
 
 def load_lexicon(path) -> Lexicon:
     lexicon = Lexicon()
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise LexiconFormatError(f"{path}:{lineno}: expected 4 fields")
-            term, category, origin, seed_root = parts
-            if term in seen:
-                raise LexiconFormatError(f"{path}:{lineno}: duplicate term {term!r}")
-            seen.add(term)
-            try:
-                lexicon.add(LexiconEntry(term, category, origin, seed_root))
-            except ValueError as exc:
-                raise LexiconFormatError(f"{path}:{lineno}: {exc}") from exc
+    form = "term<TAB>category<TAB>origin<TAB>seed_root"
+    for lineno, (term, category, origin, seed_root) in read_rows(path, 4, form):
+        if term in lexicon:
+            raise LexiconFormatError(f"{path}:{lineno}: duplicate term {term!r}")
+        try:
+            lexicon.add(LexiconEntry(term, category, origin, seed_root))
+        except ValueError as exc:
+            raise LexiconFormatError(f"{path}:{lineno}: {exc}") from exc
     return lexicon
 
 
 def load_seeds(path) -> list[tuple[str, str]]:
     """Seed file: ``term <TAB> category`` per line."""
     seeds = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in CATEGORIES:
-                raise LexiconFormatError(f"{path}:{lineno}: expected 'term<TAB>category'")
-            seeds.append((parts[0].lower(), parts[1]))
+    form = "term<TAB>category"
+    for lineno, (term, category) in read_rows(path, 2, form):
+        if category not in CATEGORIES:
+            raise LexiconFormatError(f"{path}:{lineno}: expected '{form}'")
+        seeds.append((term.lower(), category))
     return seeds

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Document, Sentence
 from .lexicon import Lexicon
@@ -12,7 +12,7 @@ from .preprocess import (
     SpellVocabulary,
     preprocess_section,
 )
-from .rating import DEFAULT_FREQUENCY_BANDS, RatingReport, rate_frames
+from .rating import RatingReport, rate_frames
 from .tagger import (
     EntityFrame,
     PatternTable,
@@ -33,17 +33,11 @@ class PipelineResources:
     abbreviations: tuple[str, ...]
     spell_vocab: SpellVocabulary
     patterns: PatternTable
-    frequency_bands: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_FREQUENCY_BANDS)
-    )
 
 
-def build_spell_vocabulary(
-    lexicon: Lexicon, base_words: set[str], max_edit_distance: int = 2
-) -> SpellVocabulary:
+def build_spell_vocabulary(lexicon: Lexicon, base_words: set[str]) -> SpellVocabulary:
     return SpellVocabulary(
-        known_terms=frozenset(lexicon.vocabulary() | {w.lower() for w in base_words}),
-        max_edit_distance=max_edit_distance,
+        known_terms=frozenset(lexicon.vocabulary() | {w.lower() for w in base_words})
     )
 
 
@@ -96,7 +90,7 @@ def rate_document(
     if not doc.sentences:
         preprocess_document(doc, resources)
     frames = tag_document(doc, resources, tagger=tagger, model=model)
-    report = rate_frames(doc.id, frames, bands=resources.frequency_bands)
+    report = rate_frames(doc.id, frames)
     for sent_idx, (sentence, frame) in enumerate(zip(doc.sentences, frames)):
         for entity in frame.all_entities():
             start_tok = sentence.tokens[entity.token_range[0]]

@@ -15,17 +15,17 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .corpus import Sentence, Token
+from .lexicon import read_rows
 
 SENTENCE_TERMINATORS = ".!?"
 
-DEFAULT_NEGATION_WINDOW = 5
+NEGATION_WINDOW = 5
 
 
 @dataclass(frozen=True)
 class NegationTriggerSet:
     pre_triggers: tuple[str, ...]
     scope_terminators: tuple[str, ...]
-    window: int = DEFAULT_NEGATION_WINDOW
 
     def __post_init__(self):
         for phrase in self.pre_triggers + self.scope_terminators:
@@ -103,13 +103,7 @@ def _deletions(word: str, depth: int) -> set[str]:
 
 def load_phrase_file(path) -> tuple[str, ...]:
     """One phrase per line, '#' starts a comment."""
-    phrases = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                phrases.append(line.lower())
-    return tuple(phrases)
+    return tuple(phrase.lower() for _, (phrase,) in read_rows(path, 1, "phrase"))
 
 
 def normalize_text(raw: str) -> str:
@@ -264,7 +258,7 @@ def detect_negation(
         tlen = _match_phrase(words, i, triggers.pre_triggers)
         if tlen:
             start = i + tlen
-            end = min(start + triggers.window, n)
+            end = min(start + NEGATION_WINDOW, n)
             j = start
             while j < end:
                 if _match_phrase(words, j, triggers.scope_terminators):

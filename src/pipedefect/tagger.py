@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Sentence, gold_token_types
 from .errors import LexiconFormatError
-from .lexicon import Lexicon
+from .lexicon import Lexicon, read_rows
 from .network import TaggerModel, batch_logits
 
 
@@ -75,15 +75,11 @@ class PatternTable:
     @classmethod
     def load(cls, path) -> "PatternTable":
         kinds: dict[str, set[str]] = {"size": set(), "distance": set()}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or parts[0] not in kinds:
-                    raise LexiconFormatError(f"{path}:{lineno}: expected 'size|distance<TAB>units'")
-                kinds[parts[0]].update(u.strip().lower() for u in parts[1].split(","))
+        form = "size|distance<TAB>units"
+        for lineno, (kind, units) in read_rows(path, 2, form):
+            if kind not in kinds:
+                raise LexiconFormatError(f"{path}:{lineno}: expected '{form}'")
+            kinds[kind].update(u.strip().lower() for u in units.split(","))
         return cls(frozenset(kinds["size"]), frozenset(kinds["distance"]))
 
 

@@ -28,6 +28,10 @@ from .network import (
 )
 from .tagger import Tag, dict_features
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainingConfig:
@@ -37,10 +41,6 @@ class TrainingConfig:
     learning_rate: float = 0.005
     epochs: int = 10
     batch_size: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    grad_clip: float | None = None
 
 
 @dataclass
@@ -175,12 +175,9 @@ def batch_loss_and_grads(model: TaggerModel, ids, feats, tags, mask, compute_gra
 
 
 class Adam:
-    def __init__(self, params: list[np.ndarray], lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[np.ndarray], lr):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -188,11 +185,11 @@ class Adam:
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
         for k, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            m_hat = self.m[k] / (1 - self.beta1**self.t)
-            v_hat = self.v[k] / (1 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[k] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[k] / (1 - ADAM_BETA2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(
@@ -213,13 +210,7 @@ def train(
         hidden_dim=config.hidden_dim,
     )
     encoded = encode_corpus(corpus, lexicon, model)
-    optimizer = Adam(
-        model.parameters(),
-        lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.epsilon,
-    )
+    optimizer = Adam(model.parameters(), lr=config.learning_rate)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     order = np.arange(len(encoded))
     losses = []
@@ -231,10 +222,6 @@ def train(
             batch = [encoded[k] for k in order[start : start + config.batch_size]]
             ids, feats, tags, mask = pad_batch(batch)
             loss, grads = batch_loss_and_grads(model, ids, feats, tags, mask)
-            if config.grad_clip is not None:
-                norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
-                if norm > config.grad_clip:
-                    grads = [g * (config.grad_clip / norm) for g in grads]
             optimizer.step(grads)
             n_real = mask.sum()
             total += loss * n_real

@@ -225,3 +225,76 @@ class TestConfigHandling:
         assert main([*argv, "--seed", "78", "generate", "--n", "4"]) == 0
         second = sorted(p.read_text() for p in (tmp_path / "corpus").glob("*.txt"))
         assert first != second
+
+
+# Each bad setting with the command it used to crash.
+BAD_SETTINGS = {
+    "no section header": ("seed = 11\n", [], "build-lexicon"),
+    "non-numeric seed": ("[run]\nseed = abc\n", [], "build-lexicon"),
+    "negative seed flag": ("", ["--seed", "-3"], "train"),
+    "split ratio above 1": ("[run]\nsplit_ratio = 1.5\n", [], "train"),
+    "negative max depth": ("[run]\nmax_depth = -1\n", [], "build-lexicon"),
+    "zero epochs": ("[hyperparameters]\nepochs = 0\n", [], "train"),
+    "zero batch size": ("[hyperparameters]\nbatch_size = 0\n", [], "train"),
+    "zero hidden dim": ("[hyperparameters]\nhidden_dim = 0\n", [], "train"),
+    "infinite learning rate": ("[hyperparameters]\nlearning_rate = inf\n", [], "train"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+def test_bad_setting_exits_2_before_any_work(case, workspace, tmp_path, capsys):
+    root, _ = workspace
+    text, flags, command = BAD_SETTINGS[case]
+    lexicon = root / "lexicon.tsv" if command == "train" else "lexicon.tsv"
+    config = tmp_path / "config.ini"
+    config.write_text(
+        f"{text}\n[paths]\nlexicon = {lexicon}\ncorpus_dir = {root / 'corpus'}\n"
+        f"gold_file = {root / 'gold.tsv'}\nmodel = tagger.model\nloss_log = loss.txt\n"
+    )
+    assert main(["--config", str(config), *flags, command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]
+
+
+DATA_KEYS = (
+    "seeds", "synonym_graph", "blacklists", "triggers", "terminators",
+    "abbreviations", "basewords", "patterns", "lexicon",
+)
+
+
+def _make_bad(kind, path):
+    if kind == "missing":
+        return
+    if kind == "not utf-8":
+        path.write_bytes("café\tDefect\n".encode("latin-1"))
+    else:
+        path.mkdir()
+
+
+# A missing lexicon file is not an error for generate: it builds the lexicon.
+@pytest.mark.parametrize(
+    "key, kind",
+    [(key, kind) for key in DATA_KEYS for kind in ("missing", "not utf-8", "directory")
+     if (key, kind) != ("lexicon", "missing")],
+)
+def test_unreadable_data_file_exits_2(key, kind, tmp_path, capsys):
+    _make_bad(kind, tmp_path / "bad")
+    paths = {"lexicon": "lexicon.tsv", "corpus_dir": "corpus", "gold_file": "gold.tsv", key: "bad"}
+    config = tmp_path / "config.ini"
+    config.write_text("[paths]\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()))
+    assert main(["--config", str(config), "generate", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "bad") in err
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("edge", ["leak\trelated\tseep", "leak\tsyn\tleak"])
+def test_bad_synonym_edge_exits_1_naming_its_line(edge, tmp_path, capsys):
+    graph = tmp_path / "graph.tsv"
+    graph.write_text(f"# edges\nleak\tsyn\tseep\n{edge}\n")
+    config = tmp_path / "config.ini"
+    config.write_text("[paths]\nsynonym_graph = graph.tsv\nlexicon = lexicon.tsv\n")
+    assert main(["--config", str(config), "build-lexicon"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {graph}:3: ") and "Traceback" not in err

@@ -11,9 +11,12 @@ from pipedefect.lexicon import (
     expand_morphology,
     expand_synonyms,
     load_lexicon,
+    load_seeds,
     origin_depth,
     save_lexicon,
 )
+from pipedefect.preprocess import load_phrase_file
+from pipedefect.tagger import PatternTable
 
 
 def graph_of(*edges):
@@ -93,6 +96,15 @@ class TestExpandSynonyms:
             lex = expand_synonyms([("zzz", "Defect")], g, Blacklist(), max_depth=2)
         assert "zzz" in lex
         assert any("zzz" in rec.message for rec in caplog.records)
+
+    def test_missing_seeds_warn_once(self, caplog):
+        g = graph_of(("x", "syn", "y"))
+        seeds = [("zzz", "Defect"), ("x", "Defect"), ("qqq", "Location")]
+        with caplog.at_level(logging.WARNING, logger="pipedefect.lexicon"):
+            expand_synonyms(seeds, g, Blacklist(), max_depth=2)
+        (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert "zzz" in record.message and "qqq" in record.message
+        assert "'x'" not in record.message
 
     def test_multiword_seed_no_morphology(self):
         g = SynonymGraph()
@@ -212,3 +224,36 @@ class TestSynonymGraph:
         g = graph_of(("a", "syn", "c"), ("a", "syn", "b"), ("a", "ant", "z"))
         assert g.neighbors("a", "syn") == ["b", "c"]
         assert g.neighbors("a", "ant") == ["z"]
+
+
+# Each loader, a reader that makes its result comparable, and two rows.
+DATA_FILES = {
+    "seeds": (load_seeds, ["leak\tDefect", "rarely\tFrequency"]),
+    "lexicon": (load_lexicon, ["leak\tDefect\tseed\tleak", "leaks\tDefect\tmorph\tleak"]),
+    "synonym_graph": (lambda p: vars(SynonymGraph.load(p)), ["leak\tsyn\tseep", "leak\tant\tseal"]),
+    "blacklists": (Blacklist.load, ["leak\tseal", "crack\tfissure"]),
+    "patterns": (PatternTable.load, ["size\tinch, mm", "distance\tfeet"]),
+    "phrases": (load_phrase_file, ["no", "free of"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATA_FILES))
+class TestDataFileRows:
+    def test_comments_and_blank_lines_skipped(self, name, tmp_path):
+        load, (first, second) = DATA_FILES[name]
+        plain = tmp_path / "plain.txt"
+        plain.write_text(f"{first}\n{second}\n", encoding="utf-8")
+        noisy = tmp_path / "noisy.txt"
+        noisy.write_text(
+            f"# header\n\n{first}  # inline comment\n   \n\t\n  {second}\n# end\n",
+            encoding="utf-8",
+        )
+        assert load(noisy) == load(plain)
+
+    def test_crlf_file_loads_like_lf(self, name, tmp_path):
+        load, (first, second) = DATA_FILES[name]
+        lf = tmp_path / "lf.txt"
+        lf.write_bytes(f"{first}\n{second}\n".encode())
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(f"{first}\r\n{second}\r\n".encode())
+        assert load(crlf) == load(lf)
