@@ -48,6 +48,14 @@ def _load_corpus_documents(corpus_dir: Path) -> dict[str, str]:
     return docs
 
 
+def _load_gold(gold_path) -> dict:
+    try:
+        text = Path(gold_path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read gold file {gold_path}: {exc}") from exc
+    return {r.document_id: r for r in parse_gold(text)}
+
+
 def cmd_build_lexicon(cfg) -> int:
     lexicon = config_mod.build_default_lexicon(cfg)
     Path(cfg.lexicon).parent.mkdir(parents=True, exist_ok=True)
@@ -82,7 +90,7 @@ def cmd_generate(cfg, n: int) -> int:
 def cmd_train(cfg) -> int:
     resources = config_mod.load_resources(cfg)
     raw_docs = _load_corpus_documents(Path(cfg.corpus_dir))
-    gold = {r.document_id: r for r in parse_gold(Path(cfg.gold_file).read_text(encoding="utf-8"))}
+    gold = _load_gold(cfg.gold_file)
     ids = sorted(set(raw_docs) & set(gold))
     if len(ids) < 2:
         raise ConfigError("train needs at least 2 documents with gold records")
@@ -127,9 +135,10 @@ def cmd_rate(cfg, input_path: Path, tagger: str) -> int:
     resources = config_mod.load_resources(cfg)
     model = None
     if tagger == BILSTM_TAGGER:
-        if not Path(cfg.model).exists():
-            raise ConfigError(f"missing model file {cfg.model} (run train)")
-        model = load_model(cfg.model)
+        try:
+            model = load_model(cfg.model)
+        except OSError as exc:
+            raise ConfigError(f"cannot read model file {cfg.model} (run train): {exc}") from exc
     if input_path.is_dir():
         files = sorted(input_path.glob("*.txt"))
     elif input_path.exists():
@@ -182,13 +191,19 @@ def _frames_from_report(payload: dict, n_sentences: int) -> list[EntityFrame]:
 
 def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
     resources = config_mod.load_resources(cfg)
-    gold = {r.document_id: r for r in parse_gold(gold_path.read_text(encoding="utf-8"))}
+    gold = _load_gold(gold_path)
     reports_dir = pred_path / "reports" if (pred_path / "reports").is_dir() else pred_path
     payloads = {}
     for path in sorted(reports_dir.glob("*.json")):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        payloads[payload["document_id"]] = payload
+        try:  # ValueError covers bad UTF-8 and bad JSON
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            doc_id = payload["document_id"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read report {path}: {exc!r}") from exc
+        if not isinstance(doc_id, str):
+            raise ConfigError(f"report {path}: document_id {doc_id!r} is not a string")
+        payloads[doc_id] = payload
     missing = sorted(set(payloads) - set(gold))
     if missing:
         raise ConfigError(f"no gold records for predicted ids: {', '.join(missing)}")
@@ -204,8 +219,11 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
             continue
         doc = preprocess_document(parse_document(raw_docs[doc_id], doc_id), resources)
         docs[doc_id] = doc
-        pred_frames[doc_id] = _frames_from_report(payload, len(doc.sentences))
-        pred_ratings[doc_id] = payload["rating"]
+        try:
+            pred_frames[doc_id] = _frames_from_report(payload, len(doc.sentences))
+            pred_ratings[doc_id] = payload["rating"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ConfigError(f"malformed report for {doc_id} in {reports_dir}: {exc!r}") from exc
     entity_rows = evaluate_entities(pred_frames, gold, docs)
     rating_rows = evaluate_ratings(pred_ratings, {i: g.rating for i, g in gold.items()})
     out_dir = Path(cfg.output_dir)

@@ -117,23 +117,44 @@ class Blacklist:
         return cls(per_seed)
 
 
+class PhraseIndex:
+    """First word -> the phrases (word tuples) that start with it, longest
+    first, so a match at a position costs one dict lookup plus a compare
+    per phrase sharing that word."""
+
+    def __init__(self, phrases=()):
+        self._by_first: dict[str, list[tuple[str, ...]]] = {}
+        for phrase in phrases:
+            self.add(phrase)
+
+    def add(self, phrase: str) -> None:
+        words = tuple(phrase.split())
+        bucket = self._by_first.setdefault(words[0], [])
+        if words not in bucket:
+            bucket.append(words)
+            bucket.sort(key=len, reverse=True)
+
+    def match(self, tokens: list[str], i: int) -> tuple[str, ...] | None:
+        """The longest phrase equal to ``tokens[i:]``'s first words, or None."""
+        for words in self._by_first.get(tokens[i], ()):
+            if len(words) == 1 or tuple(tokens[i : i + len(words)]) == words:
+                return words
+        return None
+
+
 class Lexicon:
     """Term -> entry map with a longest-match index over multiword terms."""
 
     def __init__(self, entries: dict[str, LexiconEntry] | None = None):
         self.entries: dict[str, LexiconEntry] = {}
         self.antonyms: dict[str, set[str]] = {}
-        self._index: dict[str, list[tuple[str, ...]]] = {}
+        self._index = PhraseIndex()
         for entry in (entries or {}).values():
             self.add(entry)
 
     def add(self, entry: LexiconEntry) -> None:
         self.entries[entry.term] = entry
-        words = tuple(entry.term.split())
-        bucket = self._index.setdefault(words[0], [])
-        if words not in bucket:
-            bucket.append(words)
-            bucket.sort(key=len, reverse=True)
+        self._index.add(entry.term)
 
     def __len__(self):
         return len(self.entries)
@@ -157,11 +178,7 @@ class Lexicon:
         i = 0
         n = len(tokens)
         while i < n:
-            hit = None
-            for words in self._index.get(tokens[i], []):
-                if tuple(tokens[i : i + len(words)]) == words:
-                    hit = words
-                    break
+            hit = self._index.match(tokens, i)
             if hit:
                 matches.append(((i, i + len(hit)), self.entries[" ".join(hit)]))
                 i += len(hit)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .corpus import Sentence, Token
-from .lexicon import read_rows
+from .lexicon import PhraseIndex, read_rows
 
 SENTENCE_TERMINATORS = ".!?"
 
@@ -29,8 +29,16 @@ class NegationTriggerSet:
 
     def __post_init__(self):
         for phrase in self.pre_triggers + self.scope_terminators:
-            if not phrase or phrase != phrase.lower():
+            if not phrase.split() or phrase != phrase.lower():
                 raise ValueError(f"trigger phrase must be non-empty lowercase: {phrase!r}")
+
+    @cached_property
+    def pre_index(self) -> PhraseIndex:
+        return PhraseIndex(self.pre_triggers)
+
+    @cached_property
+    def terminator_index(self) -> PhraseIndex:
+        return PhraseIndex(self.scope_terminators)
 
 
 @dataclass(frozen=True)
@@ -110,34 +118,36 @@ def normalize_text(raw: str) -> str:
     return _normalize_with_map(raw)[0]
 
 
+# Runs of kept characters: [^\W_] is exactly str.isalnum.
+_KEPT_RE = re.compile(rf"(?:[^\W_]|[{re.escape(SENTENCE_TERMINATORS)}])+")
+
+
 def _normalize_with_map(raw: str) -> tuple[str, list[int]]:
     """Normalize and keep, per output char, its source index in ``raw``.
 
     Characters outside letters/digits/whitespace/sentence punctuation are
     replaced by a space; whitespace runs collapse to a single space;
-    leading/trailing whitespace is dropped.  Case is preserved.
+    leading/trailing whitespace is dropped.  Case is preserved.  A space
+    maps to the first dropped character after the run it follows.
     """
     out: list[str] = []
     idx: list[int] = []
-    prev_space = True
-    for i, ch in enumerate(raw):
-        if ch.isalnum() or ch in SENTENCE_TERMINATORS:
-            out.append(ch)
-            idx.append(i)
-            prev_space = False
-        else:  # whitespace and special characters both become one space
-            if not prev_space:
-                out.append(" ")
-                idx.append(i)
-                prev_space = True
-    if out and out[-1] == " ":
-        out.pop()
-        idx.pop()
+    for m in _KEPT_RE.finditer(raw):
+        start, end = m.span()
+        if out:
+            out.append(" ")
+            idx.append(prev_end)
+        out.append(m.group())
+        idx.extend(range(start, end))
+        prev_end = end
     return "".join(out), idx
 
 
 def split_sentences(text: str, abbreviations: tuple[str, ...] = ()) -> list[str]:
     return [text[s:e] for s, e in split_sentence_spans(text, abbreviations)]
+
+
+_TERMINATOR_RE = re.compile(f"[{re.escape(SENTENCE_TERMINATORS)}]")
 
 
 def split_sentence_spans(
@@ -154,25 +164,21 @@ def split_sentence_spans(
     spans: list[tuple[int, int]] = []
     n = len(text)
     start = 0
-    i = 0
-    while i < n:
-        if text[i] in SENTENCE_TERMINATORS:
+    for m in _TERMINATOR_RE.finditer(text):
+        i = m.start()
+        k = i + 1
+        while k < n and text[k].isspace():
+            k += 1
+        if k < n and (k == i + 1 or not text[k].isupper()):
+            continue
+        if abbrev and i + 1 < n:
             j = i
             while j > start and not text[j - 1].isspace():
                 j -= 1
-            word = text[j : i + 1].lower()
-            if word in abbrev and i + 1 < n:
-                i += 1
+            if text[j : i + 1].lower() in abbrev:
                 continue
-            k = i + 1
-            while k < n and text[k].isspace():
-                k += 1
-            if k == n or (k > i + 1 and text[k].isupper()):
-                spans.append((start, i + 1))
-                start = k
-                i = k
-                continue
-        i += 1
+        spans.append((start, i + 1))
+        start = k
     if start < n:
         spans.append((start, n))
     return spans
@@ -181,19 +187,22 @@ def split_sentence_spans(
 _CHUNK_RE = re.compile(r"\S+")
 
 
-def tokenize(sentence: str) -> list[Token]:
-    """Whitespace tokenization; a trailing sentence terminator becomes its
-    own token."""
+def _chunks(sentence: str) -> list[tuple[str, int, int]]:
+    """``(surface, start, end)`` of each whitespace-separated chunk; a
+    trailing sentence terminator becomes its own chunk."""
     chunks = [(m.group(), m.start(), m.end()) for m in _CHUNK_RE.finditer(sentence)]
     if chunks:
         surf, s, e = chunks[-1]
         if len(surf) > 1 and surf[-1] in SENTENCE_TERMINATORS:
             chunks[-1] = (surf[:-1], s, e - 1)
             chunks.append((surf[-1], e - 1, e))
-    return [
-        Token(surface=surf, normalized=surf.lower(), char_span=(s, e))
-        for surf, s, e in chunks
-    ]
+    return chunks
+
+
+def tokenize(sentence: str) -> list[Token]:
+    """Whitespace tokenization; a trailing sentence terminator becomes its
+    own token."""
+    return [Token(surf, surf.lower(), (s, e)) for surf, s, e in _chunks(sentence)]
 
 
 def edit_distance(a: str, b: str, cap: int | None = None) -> int:
@@ -236,35 +245,24 @@ def correct_spelling(token: Token, vocab: SpellVocabulary) -> Token:
     return replace(token, normalized=best)
 
 
-def _match_phrase(words: list[str], i: int, phrases: tuple[str, ...]) -> int:
-    """Length in tokens of the longest phrase matching at position i, or 0."""
-    best = 0
-    for phrase in phrases:
-        parts = phrase.split()
-        if len(parts) > best and words[i : i + len(parts)] == parts:
-            best = len(parts)
-    return best
-
-
 def detect_negation(
     tokens: list[Token], triggers: NegationTriggerSet
 ) -> list[tuple[int, int]]:
     """Token-index scopes (start, end exclusive), sorted and merged."""
     words = [t.normalized for t in tokens]
     n = len(words)
+    pre, terminators = triggers.pre_index, triggers.terminator_index
     scopes: list[tuple[int, int]] = []
     i = 0
     while i < n:
-        tlen = _match_phrase(words, i, triggers.pre_triggers)
-        if tlen:
-            start = i + tlen
+        trigger = pre.match(words, i)
+        if trigger:
+            start = i + len(trigger)
             end = min(start + NEGATION_WINDOW, n)
-            j = start
-            while j < end:
-                if _match_phrase(words, j, triggers.scope_terminators):
+            for j in range(start, end):
+                if terminators.match(words, j):
                     end = j
                     break
-                j += 1
             if end > start:
                 scopes.append((start, end))
             i = start
@@ -291,17 +289,16 @@ def preprocess_section(
     norm, char_map = _normalize_with_map(body)
     sentences: list[Sentence] = []
     for s, e in split_sentence_spans(norm, abbreviations):
-        toks = tokenize(norm[s:e])
-        fixed: list[Token] = []
-        for tok in toks:
-            raw_start = body_offset + char_map[s + tok.char_span[0]]
-            raw_end = body_offset + char_map[s + tok.char_span[1] - 1] + 1
-            tok = replace(tok, raw_span=(raw_start, raw_end))
+        text = norm[s:e]
+        tokens: list[Token] = []
+        for surf, ts, te in _chunks(text):
+            raw_span = (body_offset + char_map[s + ts], body_offset + char_map[s + te - 1] + 1)
+            tok = Token(surf, surf.lower(), (ts, te), raw_span)
             if spell_vocab is not None:
                 tok = correct_spelling(tok, spell_vocab)
-            fixed.append(tok)
-        scopes = detect_negation(fixed, triggers)
+            tokens.append(tok)
+        scopes = detect_negation(tokens, triggers)
         sentences.append(
-            Sentence(text=norm[s:e], tokens=fixed, negation_scopes=scopes, section=section)
+            Sentence(text=text, tokens=tokens, negation_scopes=scopes, section=section)
         )
     return sentences

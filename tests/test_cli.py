@@ -85,6 +85,21 @@ class TestTrain:
         assert "latin1.txt" in capsys.readouterr().err
         assert not (tmp_path / "tagger.model").exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "not utf-8", "directory"])
+    def test_unreadable_gold_file_exits_2(self, kind, workspace, tmp_path, capsys):
+        root, _ = workspace
+        _make_bad(kind, tmp_path / "bad")
+        config = tmp_path / "config.ini"
+        config.write_text(
+            CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv"))
+            .replace("corpus_dir = corpus", f"corpus_dir = {root / 'corpus'}")
+            .replace("gold.tsv", "bad")
+        )
+        assert main(["--config", str(config), "train"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "bad") in err
+        assert not (tmp_path / "tagger.model").exists()
+
 
 class TestRate:
     def test_rate_corpus_with_dict_tagger(self, workspace):
@@ -132,6 +147,18 @@ class TestRate:
         argv = ["--config", str(config)]
         assert main([*argv, "rate", str(root / "corpus"), "--tagger", "bilstm"]) == 1
         assert "tagger.model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_model_exits_2(self, kind, workspace, tmp_path, capsys):
+        root, _ = workspace
+        _make_bad(kind, tmp_path / "tagger.model")
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv")))
+        argv = ["--config", str(config)]
+        assert main([*argv, "rate", str(root / "corpus"), "--tagger", "bilstm"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "tagger.model") in err
 
     def test_missing_input_path(self, workspace, tmp_path):
         _, argv = workspace
@@ -209,6 +236,39 @@ class TestEvaluate:
         argv = ["--config", str(config)]
         assert main([*argv, "evaluate", str(root / "out_eval"), str(root / "gold.tsv")]) == 2
         assert "latin1.txt" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("kind", ["missing", "not utf-8", "directory"])
+    def test_unreadable_gold_file_exits_2(self, kind, eval_workspace, tmp_path, capsys):
+        root, argv = eval_workspace
+        _make_bad(kind, tmp_path / "bad")
+        assert main([*argv, "evaluate", str(root / "out_eval"), str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "bad") in err
+
+    @pytest.mark.parametrize(
+        "text", ["{bad", "[1, 2]", '{"rating": 3}', '{"document_id": 7}', "\udcff"]
+    )
+    def test_malformed_report_exits_2_naming_it(self, text, eval_workspace, tmp_path, capsys):
+        root, argv = eval_workspace
+        for path in (root / "out_eval" / "reports").glob("*.json"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        (tmp_path / "zz.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main([*argv, "evaluate", str(tmp_path), str(root / "gold.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "zz.json") in err
+
+    @pytest.mark.parametrize(
+        "fields", [{}, {"rating": 3, "entities": [{"sentence": 99}]}]
+    )
+    def test_report_with_bad_fields_exits_2(self, fields, eval_workspace, tmp_path, capsys):
+        root, argv = eval_workspace
+        for path in (root / "out_eval" / "reports").glob("*.json"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        (tmp_path / "pipe0000.json").write_text(json.dumps({"document_id": "pipe0000", **fields}))
+        assert main([*argv, "evaluate", str(tmp_path), str(root / "gold.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed report for pipe0000")
 
 
 class TestConfigHandling:

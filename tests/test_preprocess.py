@@ -1,15 +1,22 @@
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pipedefect.corpus import Token
+from pipedefect.corpus import Sentence, Token
 from pipedefect.preprocess import (
+    NEGATION_WINDOW,
+    SENTENCE_TERMINATORS,
     NegationTriggerSet,
     SpellVocabulary,
+    _normalize_with_map,
     correct_spelling,
     detect_negation,
     edit_distance,
     normalize_text,
+    preprocess_section,
+    split_sentence_spans,
     split_sentences,
     tokenize,
 )
@@ -258,3 +265,199 @@ class TestDetectNegation:
             assert 0 <= s < e <= len(tokens)
             assert s >= prev_end
             prev_end = e
+
+
+# Test oracles: a character-by-character normalizer and splitter and a
+# linear phrase matcher, which the properties below compare the regex
+# scanners and the phrase index against.
+
+
+def oracle_normalize_with_map(raw):
+    out, idx = [], []
+    prev_space = True
+    for i, ch in enumerate(raw):
+        if ch.isalnum() or ch in SENTENCE_TERMINATORS:
+            out.append(ch)
+            idx.append(i)
+            prev_space = False
+        elif not prev_space:
+            out.append(" ")
+            idx.append(i)
+            prev_space = True
+    if out and out[-1] == " ":
+        out.pop()
+        idx.pop()
+    return "".join(out), idx
+
+
+def oracle_split_sentence_spans(text, abbreviations=()):
+    abbrev = {a.lower() for a in abbreviations}
+    spans = []
+    n = len(text)
+    start = 0
+    i = 0
+    while i < n:
+        if text[i] in SENTENCE_TERMINATORS:
+            j = i
+            while j > start and not text[j - 1].isspace():
+                j -= 1
+            if text[j : i + 1].lower() in abbrev and i + 1 < n:
+                i += 1
+                continue
+            k = i + 1
+            while k < n and text[k].isspace():
+                k += 1
+            if k == n or (k > i + 1 and text[k].isupper()):
+                spans.append((start, i + 1))
+                start = k
+                i = k
+                continue
+        i += 1
+    if start < n:
+        spans.append((start, n))
+    return spans
+
+
+def oracle_match_phrase(words, i, phrases):
+    """Length in tokens of the longest phrase matching at position i, or 0."""
+    best = 0
+    for phrase in phrases:
+        parts = phrase.split()
+        if len(parts) > best and words[i : i + len(parts)] == parts:
+            best = len(parts)
+    return best
+
+
+def oracle_detect_negation(tokens, triggers):
+    words = [t.normalized for t in tokens]
+    n = len(words)
+    scopes = []
+    i = 0
+    while i < n:
+        tlen = oracle_match_phrase(words, i, triggers.pre_triggers)
+        if not tlen:
+            i += 1
+            continue
+        start = i + tlen
+        end = min(start + NEGATION_WINDOW, n)
+        for j in range(start, end):
+            if oracle_match_phrase(words, j, triggers.scope_terminators):
+                end = j
+                break
+        if end > start:
+            scopes.append((start, end))
+        i = start
+    merged = []
+    for s, e in sorted(scopes):
+        if merged and s < merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
+        else:
+            merged.append((s, e))
+    return merged
+
+
+def oracle_lookup(lexicon, words):
+    terms = tuple(lexicon.entries)
+    matches = []
+    i = 0
+    while i < len(words):
+        length = oracle_match_phrase(words, i, terms)
+        if length:
+            matches.append(((i, i + length), lexicon.entries[" ".join(words[i : i + length])]))
+            i += length
+        else:
+            i += 1
+    return matches
+
+
+def oracle_preprocess_section(body, section, body_offset, spell_vocab, triggers, abbreviations):
+    norm, char_map = oracle_normalize_with_map(body)
+    sentences = []
+    for s, e in oracle_split_sentence_spans(norm, abbreviations):
+        tokens = []
+        for tok in tokenize(norm[s:e]):
+            raw_start = body_offset + char_map[s + tok.char_span[0]]
+            raw_end = body_offset + char_map[s + tok.char_span[1] - 1] + 1
+            tok = replace(tok, raw_span=(raw_start, raw_end))
+            if spell_vocab is not None:
+                tok = correct_spelling(tok, spell_vocab)
+            tokens.append(tok)
+        scopes = oracle_detect_negation(tokens, triggers)
+        sentences.append(Sentence(norm[s:e], tokens, scopes, section))
+    return sentences
+
+
+# Characters where str.isalnum, str.isspace, str.isupper and the regex
+# classes could disagree: underscore, non-ASCII digits and letters,
+# Unicode whitespace (including the \x1c-\x1f separators), terminators.
+_TRICKY = "_\u0663\u00b2\u2167\u00e9\u0130\u01c5 \t\n\x1c\x1f\u00a0\u2003\u2028\u3000.!?,#Ab1"
+_UNICODE_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(_TRICKY), st.characters(), st.sampled_from(["ft.", "Ft.", "\u0663."])
+    ),
+    max_size=40,
+).map("".join)
+_ABBREVIATIONS = st.sampled_from([(), ABBREVS, ("ft.", "\u0663.", "_.", "a")])
+
+# Overlapping multiword phrases: several phrases share a first word, and a
+# trigger can start a terminator or a lexicon term.
+SOUP_TRIGGERS = NegationTriggerSet(
+    pre_triggers=("no", "not", "no evidence of", "free of", "free", "absence of"),
+    scope_terminators=("but", "apart from", "apart", "yet", "no evidence"),
+)
+
+
+def _soup(lexicon, extra=()):
+    """Word lists drawn from whole phrases (lexicon terms, triggers,
+    terminators) and the single words of them, so that multiword phrases
+    and their prefixes both occur."""
+    phrases = set(lexicon.entries) | set(SOUP_TRIGGERS.pre_triggers)
+    phrases |= set(SOUP_TRIGGERS.scope_terminators)
+    pieces = sorted(phrases | {w for p in phrases for w in p.split()}) + [".", "Leak", *extra]
+    return st.lists(st.sampled_from(pieces), max_size=10).map(
+        lambda ps: [w for p in ps for w in p.split()]
+    )
+
+
+class TestScannersMatchOracles:
+    @settings(max_examples=200)
+    @given(_UNICODE_TEXT, _ABBREVIATIONS)
+    @example("Sag 10\u2003ft. Bc", ABBREVS)  # an abbreviation after Unicode whitespace
+    def test_normalize_and_split_on_arbitrary_unicode(self, raw, abbreviations):
+        assert _normalize_with_map(raw) == oracle_normalize_with_map(raw)
+        assert split_sentence_spans(raw, abbreviations) == oracle_split_sentence_spans(
+            raw, abbreviations
+        )
+        norm = normalize_text(raw)
+        assert split_sentence_spans(norm, abbreviations) == oracle_split_sentence_spans(
+            norm, abbreviations
+        )
+
+    @settings(max_examples=100)
+    @given(_UNICODE_TEXT, _ABBREVIATIONS)
+    def test_preprocess_section_on_arbitrary_unicode(self, resources, raw, abbreviations):
+        args = (raw, "Defects", 7, resources.spell_vocab, resources.triggers, abbreviations)
+        assert preprocess_section(*args) == oracle_preprocess_section(*args)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_negation_and_lookup_on_word_soup(self, lexicon, data):
+        words = data.draw(_soup(lexicon))
+        tokens = [Token(w, w.lower(), (0, len(w))) for w in words]
+        for triggers in (SOUP_TRIGGERS, TRIGGERS):
+            assert detect_negation(tokens, triggers) == oracle_detect_negation(tokens, triggers)
+        normalized = [t.normalized for t in tokens]
+        assert lexicon.lookup(normalized) == oracle_lookup(lexicon, normalized)
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_preprocess_section_on_word_soup(self, resources, data):
+        words = data.draw(_soup(resources.lexicon, ["!", "?", ",", "ft.", "No", "Free"]))
+        body = " ".join(words)
+        for triggers in (SOUP_TRIGGERS, resources.triggers):
+            args = (body, "Defects", 3, resources.spell_vocab, triggers, resources.abbreviations)
+            assert preprocess_section(*args) == oracle_preprocess_section(*args)
+
+    def test_whitespace_only_trigger_rejected(self):
+        with pytest.raises(ValueError):
+            NegationTriggerSet(pre_triggers=(" ",), scope_terminators=())
