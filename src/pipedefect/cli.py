@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from .corpus import parse_document, parse_gold, split_corpus
+from .corpus import ENTITY_TYPES, parse_document, parse_gold, split_corpus
 from .errors import ConfigError, PipeDefectError
 from .evaluation import (
     evaluate_entities,
@@ -30,6 +30,7 @@ from .pipeline import (
     preprocess_document,
     rate_document,
 )
+from .rating import ACTION_TEXT
 from .tagger import Entity, EntityFrame, tags_from_gold_spans
 from .training import train
 
@@ -174,19 +175,45 @@ def cmd_rate(cfg, input_path: Path, tagger: str) -> int:
     return 1 if files and failures == len(files) else 0
 
 
-def _frames_from_report(payload: dict, n_sentences: int) -> list[EntityFrame]:
-    frames = [EntityFrame() for _ in range(n_sentences)]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _frames_from_report(payload: dict, sentences) -> list[EntityFrame]:
+    """Entity frames of a report; ValueError names the first entity field
+    that does not fit the document's sentences."""
+    frames = [EntityFrame() for _ in sentences]
     for ent in payload.get("entities", []):
-        frames[ent["sentence"]].append(
+        sent, start, end = ent["sentence"], ent["token_start"], ent["token_end"]
+        if not (_is_int(sent) and 0 <= sent < len(sentences)):
+            raise ValueError(f"entity sentence {sent!r} is not in [0, {len(sentences)})")
+        n_tokens = len(sentences[sent].tokens)
+        if not (_is_int(start) and _is_int(end) and 0 <= start < end <= n_tokens):
+            raise ValueError(
+                f"entity tokens [{start!r}, {end!r}) do not fit the {n_tokens} tokens"
+                f" of sentence {sent}"
+            )
+        if ent["type"] not in ENTITY_TYPES:
+            raise ValueError(f"entity type {ent['type']!r} is not one of {ENTITY_TYPES}")
+        if not isinstance(ent["negated"], bool):
+            raise ValueError(f"entity negated {ent['negated']!r} is not a boolean")
+        frames[sent].append(
             Entity(
                 entity_type=ent["type"],
-                token_range=(ent["token_start"], ent["token_end"]),
+                token_range=(start, end),
                 negated=ent["negated"],
                 matched_lexicon_term=ent.get("matched_term"),
                 seed_root=ent.get("seed_root"),
             )
         )
     return frames
+
+
+def _rating_from_report(payload: dict) -> int:
+    rating = payload["rating"]
+    if not (_is_int(rating) and rating in ACTION_TEXT):
+        raise ValueError(f"rating {rating!r} is not one of {sorted(ACTION_TEXT)}")
+    return rating
 
 
 def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
@@ -220,9 +247,9 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
         doc = preprocess_document(parse_document(raw_docs[doc_id], doc_id), resources)
         docs[doc_id] = doc
         try:
-            pred_frames[doc_id] = _frames_from_report(payload, len(doc.sentences))
-            pred_ratings[doc_id] = payload["rating"]
-        except (KeyError, IndexError, TypeError) as exc:
+            pred_frames[doc_id] = _frames_from_report(payload, doc.sentences)
+            pred_ratings[doc_id] = _rating_from_report(payload)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed report for {doc_id} in {reports_dir}: {exc!r}") from exc
     entity_rows = evaluate_entities(pred_frames, gold, docs)
     rating_rows = evaluate_ratings(pred_ratings, {i: g.rating for i, g in gold.items()})

@@ -76,19 +76,19 @@ class SpellVocabulary:
     def _longest_term(self) -> int:
         return max(map(len, self.known_terms), default=0)
 
-    def candidates(self, word: str) -> set[str]:
-        """Known terms sharing a deletion with ``word``: a superset of the
-        terms within ``max_edit_distance`` of it.
+    def candidates(self, word: str, depth: int) -> set[str]:
+        """Known terms sharing a key with ``word``'s deletions of up to
+        ``depth`` characters: a superset of the terms within ``depth`` of it.
 
         A Levenshtein alignment of cost k deletes at most k characters from
         each side (a substitution is one deletion on each side), so every
-        term within the budget shares a deletion with the word.
+        term within ``depth <= max_edit_distance`` shares such a key.
         """
-        if len(word) > self._longest_term + self.max_edit_distance:
+        if len(word) > self._longest_term + depth:
             return set()
         index = self._delete_index
         found: set[str] = set()
-        for key in _deletions(word, self.max_edit_distance):
+        for key in _deletions(word, depth):
             hit = index.get(key)
             if hit is None:
                 continue
@@ -206,20 +206,43 @@ def tokenize(sentence: str) -> list[Token]:
 
 
 def edit_distance(a: str, b: str, cap: int | None = None) -> int:
-    """Levenshtein distance with an optional early-exit cap."""
+    """Levenshtein distance; with ``cap``, any distance above it reads
+    ``cap + 1``.
+
+    Bit-parallel (Myers 1999; Hyyrö 2003): bit i of the vertical delta
+    vectors ``pv``/``mv`` says whether row i + 1 of the current DP column
+    is one more/one less than row i, and ``peq`` holds, per character, the
+    positions of ``a`` where it occurs.  Python ints have no word size, so
+    one column costs a few integer operations for any length of ``a``.
+    """
     if a == b:
         return 0
     if cap is not None and abs(len(a) - len(b)) > cap:
         return cap + 1
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        if cap is not None and min(cur) > cap:
-            return cap + 1
-        prev = cur
-    return prev[-1]
+    if not a:
+        return len(b)
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    high = bit >> 1
+    pv, mv, dist = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            dist += 1
+        elif mh & high:
+            dist -= 1
+        ph = (ph << 1) | 1  # row 0 of the DP grows by one per column
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist if cap is None or dist <= cap else cap + 1
 
 
 def correct_spelling(token: Token, vocab: SpellVocabulary) -> Token:
@@ -235,14 +258,18 @@ def correct_spelling(token: Token, vocab: SpellVocabulary) -> Token:
         return token
     if len(word) < 3 or not any(ch.isalpha() for ch in word):
         return token
-    cap = vocab.max_edit_distance
-    best_dist, best = min(
-        ((edit_distance(word, term, cap=cap), term) for term in vocab.candidates(word)),
-        default=(cap + 1, None),
-    )
-    if best_dist > cap:
-        return token
-    return replace(token, normalized=best)
+    # Depth by depth: depth-d keys reach every term within distance d, ties
+    # included, so the first depth whose best candidate is within it is
+    # the answer, and no deeper key can find a closer or tied term.
+    for depth in range(1, vocab.max_edit_distance + 1):
+        candidates = vocab.candidates(word, depth)
+        dist, best = min(
+            ((edit_distance(word, term, cap=depth), term) for term in candidates),
+            default=(depth + 1, None),
+        )
+        if dist <= depth:
+            return replace(token, normalized=best)
+    return token
 
 
 def detect_negation(

@@ -270,6 +270,45 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed report for pipe0000")
 
+    # One bad value per rule; each entity change applies to the report's
+    # first entity.
+    @pytest.mark.parametrize(
+        "entity, rating",
+        [
+            ({"sentence": -1}, None),
+            ({"sentence": True}, None),
+            ({"sentence": "0"}, None),
+            ({"token_start": -1}, None),
+            ({"token_start": "0"}, None),
+            ({"token_end": 0}, None),
+            ({"token_end": 99}, None),
+            ({"token_end": 2.0}, None),
+            ({"type": "Pipe"}, None),
+            ({"negated": 0}, None),
+            ({}, 9),
+            ({}, "3"),
+            ({}, True),
+        ],
+    )
+    def test_report_value_out_of_range_exits_2(
+        self, entity, rating, eval_workspace, tmp_path, capsys
+    ):
+        root, argv = eval_workspace
+        reports = sorted((root / "out_eval" / "reports").glob("*.json"))
+        for path in reports:
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        payload = next(
+            p for p in (json.loads(r.read_text()) for r in reports) if p["entities"]
+        )
+        payload["entities"][0].update(entity)
+        if rating is not None:
+            payload["rating"] = rating
+        (tmp_path / f"{payload['document_id']}.json").write_text(json.dumps(payload))
+        assert main([*argv, "evaluate", str(tmp_path), str(root / "gold.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed report for {payload['document_id']} in ")
+        assert str(tmp_path) in err
+
 
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):

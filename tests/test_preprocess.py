@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pipedefect.corpus import Sentence, Token
+from pipedefect.corpus import SECTION_NAMES, Sentence, Token, parse_document
+from pipedefect.errors import PipeDefectError
+from pipedefect.pipeline import rate_document
 from pipedefect.preprocess import (
     NEGATION_WINDOW,
     SENTENCE_TERMINATORS,
@@ -111,6 +113,55 @@ class TestTokenize:
         assert covered == non_ws
 
 
+def oracle_edit_distance(a, b):
+    """Reference Levenshtein distance: the full dynamic-programming table."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+# Arbitrary Unicode (the empty string included), astral characters, and
+# strings past one 64-bit word from a three-letter alphabet.
+_ED_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="a\u00e9\U0001f600\U00010348", max_size=12),
+    st.text(alphabet="abc", min_size=60, max_size=140),
+)
+
+
+@st.composite
+def _edited(draw, word, edits, chars):
+    """``word`` after ``edits`` random insertions, deletions or
+    substitutions of characters drawn from ``chars``."""
+    out = list(word)
+    for _ in range(draw(edits)):
+        i = draw(st.integers(0, len(out)))
+        op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        c = draw(chars)
+        if op == "insert":
+            out.insert(i, c)
+        elif i < len(out):
+            if op == "delete":
+                del out[i]
+            else:
+                out[i] = c
+    return "".join(out)
+
+
+@st.composite
+def _string_pair(draw):
+    """Two independent strings, or a string and a few random edits of it,
+    so that long pairs within a small cap occur."""
+    a = draw(_ED_TEXT)
+    if draw(st.booleans()):
+        return a, draw(_ED_TEXT)
+    return a, draw(_edited(a, st.integers(0, 4), st.sampled_from("abc\U0001f600")))
+
+
 class TestEditDistance:
     def test_identity(self):
         assert edit_distance("leak", "leak") == 0
@@ -121,9 +172,25 @@ class TestEditDistance:
     def test_cap_exceeded(self):
         assert edit_distance("aaaa", "bbbb", cap=2) == 3
 
+    def test_cap_reads_cap_plus_one_above_it(self):
+        assert edit_distance("abcdef", "fedcba", cap=2) == 3
+        assert edit_distance("abcdef", "fedcba", cap=0) == 1
+
     @given(st.text(max_size=12), st.text(max_size=12))
     def test_symmetric(self, a, b):
         assert edit_distance(a, b) == edit_distance(b, a)
+
+    @settings(max_examples=200)
+    @given(_string_pair())
+    @example(("", ""))
+    @example(("", "\U0001f600"))
+    @example(("a" * 70, "a" * 69 + "b"))
+    def test_matches_dynamic_programming_table(self, pair):
+        a, b = pair
+        exact = oracle_edit_distance(a, b)
+        assert edit_distance(a, b) == exact
+        for cap in (0, 1, 2, 3):
+            assert edit_distance(a, b, cap=cap) == min(exact, cap + 1)
 
 
 def brute_force_correction(word, vocab):
@@ -134,7 +201,9 @@ def brute_force_correction(word, vocab):
     best = None
     best_dist = vocab.max_edit_distance + 1
     for term in vocab.known_terms:
-        d = edit_distance(word, term, cap=vocab.max_edit_distance)
+        if abs(len(word) - len(term)) > vocab.max_edit_distance:
+            continue  # the distance is at least the length gap
+        d = oracle_edit_distance(word, term)
         if d < best_dist or (d == best_dist and (best is None or term < best)):
             best = term
             best_dist = d
@@ -155,18 +224,8 @@ def _vocab_and_word(draw):
     if draw(st.booleans()):
         word = draw(st.text(alphabet="abc1", max_size=8))
     else:  # a few random edits away from a known term
-        chars = list(draw(st.sampled_from(sorted(terms))))
-        for _ in range(draw(st.integers(1, 3))):
-            i = draw(st.integers(0, len(chars)))
-            op = draw(st.sampled_from(["insert", "delete", "substitute"]))
-            if op == "insert":
-                chars.insert(i, draw(st.sampled_from("abcd")))
-            elif chars and i < len(chars):
-                if op == "delete":
-                    del chars[i]
-                else:
-                    chars[i] = draw(st.sampled_from("abcd"))
-        word = "".join(chars)
+        term = draw(st.sampled_from(sorted(terms)))
+        word = draw(_edited(term, st.integers(1, 3), st.sampled_from("abcd")))
     return vocab, word
 
 
@@ -208,8 +267,14 @@ class TestCorrectSpelling:
         tok = self.make(word)
         assert correct_spelling(tok, self.VOCAB).normalized == word
 
+    # "abcd": depth-1 keys reach only "abcdxy" (distance 2); the smaller
+    # "abaa", also at distance 2, shares only the depth-2 key "ab".
+    DEPTH_2_TIE = SpellVocabulary(frozenset({"abcdxy", "abaa"}), max_edit_distance=2)
+
     @settings(max_examples=500)
     @given(_vocab_and_word())
+    @example((DEPTH_2_TIE, "abcd"))
+    @example((SpellVocabulary(frozenset({"abcdxy", "abaa", "zbcd"})), "abcd"))
     def test_matches_brute_force_scan(self, case):
         vocab, word = case
         expected = brute_force_correction(word, vocab)
@@ -461,3 +526,40 @@ class TestScannersMatchOracles:
     def test_whitespace_only_trigger_rejected(self):
         with pytest.raises(ValueError):
             NegationTriggerSet(pre_triggers=(" ",), scope_terminators=())
+
+
+def _typo_documents(lexicon):
+    """Lexicon-word soup with one-edit typos, section headers and arbitrary
+    Unicode between the words."""
+    words = sorted({w for term in lexicon.entries for w in term.split()})
+    word = st.sampled_from(words + [".", "no", "10", "ft."])
+    typo_chars = st.one_of(st.sampled_from("aeiorstx"), st.characters())
+    piece = st.one_of(
+        word,
+        word.flatmap(lambda w: _edited(w, st.just(1), typo_chars)),
+        st.sampled_from(SECTION_NAMES).map(lambda n: f"\n{n}:"),
+        st.text(max_size=3),
+    )
+    return st.lists(piece, max_size=25).map(" ".join)
+
+
+class TestRateDocumentOnTypoSoup:
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_report_or_pipedefect_error(self, resources, data):
+        raw = data.draw(_typo_documents(resources.lexicon))
+        try:
+            doc = parse_document(raw, "fuzz")
+            report = rate_document(doc, resources)
+        except PipeDefectError:
+            return
+        for entity in report.entities:
+            start, end = entity["raw_span"]
+            assert 0 <= start < end <= len(doc.raw)
+        vocab = resources.spell_vocab
+        for sentence in doc.sentences:
+            for tok in sentence.tokens:
+                word = tok.surface.lower()
+                if tok.normalized != word:
+                    assert tok.normalized in vocab.known_terms
+                    assert oracle_edit_distance(word, tok.normalized) <= vocab.max_edit_distance
