@@ -1,10 +1,11 @@
 """Bi-LSTM sequence labeling network, implemented directly on numpy.
 
-One masked, batched direction pass (lstm_direction) holds the only copy of
-the gate equations; training runs it on padded batches of sentences and
-inference (batch_logits) on the padded sentences of one document.  Gate
-order inside the packed weight matrices is [input, forget, output,
-candidate].
+One batched direction pass (lstm_direction) holds the only copy of the gate
+equations; training runs it on padded batches of sentences and inference
+(batch_logits) on the padded sentences of one document.  It takes each
+row's input projections and steps only the rows still inside their
+sentence.  Gate order inside the packed weight matrices is [input, forget,
+output, candidate].
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +66,31 @@ class TaggerModel:
 
     def token_index(self, normalized: str) -> int:
         return self._token_ids.get(normalized, 0)
+
+    @cached_property
+    def input_projections(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both directions' input projections, split by input part: per
+        vocabulary word word_emb @ wx[:word_dim], (2, |V|, 4 * hidden), and
+        per dictionary feature dict_emb @ wx[word_dim:] + b, (2,
+        N_DICT_FEATURES, 4 * hidden), forward direction first.  A token's
+        projection x @ wx + b is the sum of its word's row and its
+        feature's row.
+
+        Built on the first inference and kept: |V| * 8 * hidden * 8 bytes,
+        19.2 KB a word at the default dimensions.  The arrays it is made
+        from become read-only, so an in-place update of them raises
+        ValueError instead of leaving the table stale (assigning new arrays
+        to the model does not rebuild it).
+        """
+        word_dim = self.word_emb.shape[1]
+        directions = (self.fwd, self.bwd)
+        words = np.empty((2, len(self.word_emb), 4 * self.hidden_dim))
+        for k, p in enumerate(directions):
+            np.matmul(self.word_emb, p.wx[:word_dim], out=words[k])  # no temporary copy
+        feats = np.stack([self.dict_emb @ p.wx[word_dim:] + p.b for p in directions])
+        for a in (self.word_emb, self.dict_emb, *(x for p in directions for x in (p.wx, p.b))):
+            a.flags.writeable = False
+        return words, feats
 
     def parameters(self) -> list[np.ndarray]:
         return [
@@ -122,53 +149,75 @@ def init_model(
 
 
 def embed(ids, feats, model: TaggerModel) -> np.ndarray:
-    """Input rows [word_emb[id], dict_emb[feature]] of a padded batch:
-    ids, feats (B, T) -> (B, T, input_dim)."""
-    return np.concatenate([model.word_emb[ids], model.dict_emb[feats]], axis=2)
+    """Input rows [word_emb[id], dict_emb[feature]]: ids, feats of any
+    shape S -> (*S, input_dim)."""
+    return np.concatenate([model.word_emb[ids], model.dict_emb[feats]], axis=-1)
 
 
-def lstm_direction(X, mask, params: LstmParams, reverse: bool):
-    """Masked recurrence over a padded batch, in one time direction.
+def first_rows(state, n: int) -> np.ndarray:
+    """The first n rows of a state, zero past its end: rows that have not
+    started yet enter with a zero state."""
+    if n <= len(state):
+        return state[:n]
+    return np.concatenate([state, np.zeros((n - len(state), state.shape[1]))])
 
-    X: (B, T, input_dim); mask: (B, T), 1.0 on real tokens.  A padded step
-    carries the previous state through unchanged.  The input projection
-    runs as one GEMM over every step before the time loop, and each step's
-    gate activations overwrite its slice of that projection, so the cache
-    holds views into it.  Returns the hidden states (B, T, hidden) and the
-    per-step cache for backprop.
+
+def lstm_direction(Z, mask, params: LstmParams, reverse: bool):
+    """Recurrence over a padded batch, in one time direction.
+
+    Z: (B, T, 4 * hidden) input projections x @ wx + b of each position;
+    mask: (B, T), 1.0 on real tokens, which fill the start of each row.
+    Rows are ordered longest first (stably) once, so at time t the rows
+    still inside their sentence are a prefix of that order, and the step
+    updates that prefix alone.  Z is read, never written.  A padded
+    position holds the row's last state going forward and zero going
+    backward, where a row that has not started keeps its zero state.
+
+    Returns the hidden states (B, T, hidden), in the caller's row order,
+    and the cache for backprop: the row order and, per step, the time,
+    the gate activations, the new cell and its tanh, and the previous
+    state, each for the prefix it stepped.
     """
-    B, T, D = X.shape
+    B, T, _ = Z.shape
     hd = params.hidden_dim
-    Z = (X.reshape(B * T, D) @ params.wx + params.b).reshape(B, T, 4 * hd)
+    lengths = np.count_nonzero(mask, axis=1)
+    rows = np.argsort(-lengths, kind="stable")
+    active = np.count_nonzero(lengths[:, None] > np.arange(T), axis=0)
     H = np.zeros((B, T, hd))
-    h = np.zeros((B, hd))
-    c = np.zeros((B, hd))
-    cache = []
+    h = c = np.zeros((0, hd))
+    steps = []
     for t in range(T - 1, -1, -1) if reverse else range(T):
-        m = mask[:, t : t + 1]
-        h_prev, c_prev = h, c
-        z = Z[:, t]
-        z += h_prev @ params.wh
+        n = active[t]
+        if n == 0:
+            continue
+        h_prev, c_prev = first_rows(h, n), first_rows(c, n)
+        z = h_prev @ params.wh
+        z += Z[rows[:n], t]
         ifo, g = z[:, : 3 * hd], z[:, 3 * hd :]
         np.reciprocal(1.0 + np.exp(-ifo), out=ifo)
         np.tanh(g, out=g)
         i, f, o = ifo[:, :hd], ifo[:, hd : 2 * hd], ifo[:, 2 * hd :]
-        c_raw = f * c_prev + i * g
-        tanh_c = np.tanh(c_raw)
-        h = m * (o * tanh_c) + (1.0 - m) * h_prev
-        c = m * c_raw + (1.0 - m) * c_prev
-        H[:, t] = h
-        cache.append((t, i, f, o, g, c_raw, tanh_c, h_prev, c_prev, m))
-    return H, cache
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        H[:n, t] = h
+        steps.append((t, i, f, o, g, c, tanh_c, h_prev, c_prev))
+    # one gather puts the rows back in the caller's order and, going
+    # forward, repeats each row's last state over its padding (a row with
+    # no tokens reads an unwritten, zero position)
+    pos = np.arange(T) if reverse else np.minimum(np.arange(T), lengths[:, None] - 1)
+    return H[np.argsort(rows)[:, None], pos], (rows, steps)
 
 
-def _hidden(X, mask, model: TaggerModel) -> np.ndarray:
+def _hidden(project, mask, model: TaggerModel) -> np.ndarray:
     """Forward and backward hidden states side by side, (B, T, 2 * hidden).
-    Each direction's cache is dropped as soon as its states are taken."""
+    project(k, params) gives direction k's input projections (B, T, 4 *
+    hidden), the forward direction's first; each direction's projections
+    and cache are dropped as soon as its states are taken."""
     return np.concatenate(
         [
-            lstm_direction(X, mask, model.fwd, reverse=False)[0],
-            lstm_direction(X, mask, model.bwd, reverse=True)[0],
+            lstm_direction(project(0, model.fwd), mask, model.fwd, reverse=False)[0],
+            lstm_direction(project(1, model.bwd), mask, model.bwd, reverse=True)[0],
         ],
         axis=2,
     )
@@ -182,19 +231,28 @@ def bilstm_forward(xs, model: TaggerModel) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise EmptySequence("bilstm_forward requires a non-empty (T, D) sequence")
-    return _hidden(xs[None], np.ones((1, xs.shape[0])), model)[0]
+    return _hidden(lambda k, p: xs[None] @ p.wx + p.b, np.ones((1, xs.shape[0])), model)[0]
 
 
 def batch_logits(ids, feats, mask, model: TaggerModel) -> np.ndarray:
     """Tag logits (B, T, N_TAGS) of a padded batch of sentences.
 
     ids, feats: (B, T) int arrays, 0 on padding; mask: (B, T), 1.0 on real
-    tokens.  Logits at padded positions are meaningless.
+    tokens, which fill the start of each row.  The input projections are
+    gathered from the model's per-vocabulary table.  Logits at padded
+    positions are meaningless.
     """
     B, T = ids.shape
     if T == 0:
         raise EmptySequence("batch_logits requires at least one token")
-    H = _hidden(embed(ids, feats, model), mask, model)
+    words, dict_rows = model.input_projections
+
+    def project(k, _):
+        Z = words[k][ids]
+        Z += dict_rows[k][feats]
+        return Z
+
+    H = _hidden(project, mask, model)
     return (H.reshape(B * T, -1) @ model.out_w + model.out_b).reshape(B, T, N_TAGS)
 
 

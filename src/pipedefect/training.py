@@ -1,8 +1,9 @@
-"""Training the Bi-LSTM tagger: batched BPTT, masked padding, Adam.
+"""Training the Bi-LSTM tagger: batched BPTT over padded batches, Adam.
 
-The forward pass is network.lstm_direction, the same masked kernel that
-inference runs; padded positions are frozen by the mask so they contribute
-neither to the recurrence nor to the loss.
+The forward pass is network.lstm_direction, the same kernel that inference
+runs; it steps only the rows still inside their sentence, and backprop
+walks the same shrinking prefix.  Padded positions contribute neither to
+the recurrence nor to the loss.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .network import (
     LstmParams,
     TaggerModel,
     embed,
+    first_rows,
     init_model,
     lstm_direction,
 )
@@ -97,54 +99,46 @@ def pad_batch(batch: list[EncodedSentence]):
     return ids, feats, tags, mask
 
 
-def _backprop_direction(X, dH, params: LstmParams, cache):
-    """Gradient of the masked recurrence; returns (dX, dWx, dWh, db)."""
-    B, T, D = X.shape
-    hd = params.hidden_dim
-    dX = np.zeros_like(X)
-    dWx = np.zeros_like(params.wx)
+def _backprop_direction(dH, params: LstmParams, cache):
+    """Gradient of lstm_direction, walking its steps backwards over the
+    same prefixes of rows: returns (dZ, dWh), dZ the gradient of its input
+    projections in the caller's row order.  dH is zero at padded positions,
+    as the masked loss makes it."""
+    rows, steps = cache
+    B, T, hd = dH.shape
+    dH = dH[rows]
+    dZ = np.zeros((B, T, 4 * hd))
     dWh = np.zeros_like(params.wh)
-    db = np.zeros_like(params.b)
-    dh_next = np.zeros((B, hd))
-    dc_next = np.zeros((B, hd))
-    for t, i, f, o, g, c_raw, tanh_c, h_prev, c_prev, m in reversed(cache):
-        dh_total = dH[:, t] + dh_next
-        dc_total = dc_next
-        dh_raw = m * dh_total
-        dh_prev = (1.0 - m) * dh_total
-        dc_raw = m * dc_total
-        dc_prev = (1.0 - m) * dc_total
-        do = dh_raw * tanh_c
-        dc_raw = dc_raw + dh_raw * o * (1.0 - tanh_c**2)
-        df = dc_raw * c_prev
-        di = dc_raw * g
-        dg = dc_raw * i
-        dc_prev = dc_prev + dc_raw * f
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg * (1.0 - g**2),
-            ],
-            axis=1,
-        )
-        dWx += X[:, t].T @ dz
+    dh_next = dc_next = np.zeros((0, hd))
+    for t, i, f, o, g, c, tanh_c, h_prev, c_prev in reversed(steps):
+        n = len(i)
+        dh = dH[:n, t] + first_rows(dh_next, n)
+        dc = first_rows(dc_next, n) + dh * o * (1.0 - tanh_c**2)
+        dz = dZ[:n, t]
+        dz[:, :hd] = dc * g * i * (1.0 - i)
+        dz[:, hd : 2 * hd] = dc * c_prev * f * (1.0 - f)
+        dz[:, 2 * hd : 3 * hd] = dh * tanh_c * o * (1.0 - o)
+        dz[:, 3 * hd :] = dc * i * (1.0 - g**2)
         dWh += h_prev.T @ dz
-        db += dz.sum(axis=0)
-        dX[:, t] = dz @ params.wx.T
-        dh_next = dz @ params.wh.T + dh_prev
-        dc_next = dc_prev
-    return dX, dWx, dWh, db
+        dh_next = dz @ params.wh.T
+        dc_next = dc * f
+    return dZ[np.argsort(rows)], dWh
 
 
 def batch_loss_and_grads(model: TaggerModel, ids, feats, tags, mask, compute_grads=True):
     """Mean per-token cross-entropy over real (unmasked) tokens."""
     B, T = ids.shape
     hd = model.hidden_dim
-    X = embed(ids, feats, model)
-    Hf, cache_f = lstm_direction(X, mask, model.fwd, reverse=False)
-    Hb, cache_b = lstm_direction(X, mask, model.bwd, reverse=True)
+    real = mask > 0
+    X = embed(ids[real], feats[real], model)  # input rows of the real tokens
+
+    def projection(params):
+        Z = np.zeros((B, T, 4 * hd))
+        Z[real] = X @ params.wx + params.b
+        return Z
+
+    Hf, cache_f = lstm_direction(projection(model.fwd), mask, model.fwd, reverse=False)
+    Hb, cache_b = lstm_direction(projection(model.bwd), mask, model.bwd, reverse=True)
     H = np.concatenate([Hf, Hb], axis=2)
     logits = H @ model.out_w + model.out_b
     logits = logits - logits.max(axis=2, keepdims=True)
@@ -162,15 +156,21 @@ def batch_loss_and_grads(model: TaggerModel, ids, feats, tags, mask, compute_gra
     d_out_w = flat_H.T @ flat_dlogits
     d_out_b = flat_dlogits.sum(axis=0)
     dH = dlogits @ model.out_w.T
-    dXf, dfwx, dfwh, dfb = _backprop_direction(X, dH[:, :, :hd], model.fwd, cache_f)
-    dXb, dbwx, dbwh, dbb = _backprop_direction(X, dH[:, :, hd:], model.bwd, cache_b)
-    dX = dXf + dXb
+    dZf, dfwh = _backprop_direction(dH[:, :, :hd], model.fwd, cache_f)
+    dZb, dbwh = _backprop_direction(dH[:, :, hd:], model.bwd, cache_b)
+    dZf, dZb = dZf[real], dZb[real]
+    dX = dZf @ model.fwd.wx.T + dZb @ model.bwd.wx.T
     word_dim = model.word_emb.shape[1]
     d_word = np.zeros_like(model.word_emb)
     d_dict = np.zeros_like(model.dict_emb)
-    np.add.at(d_word, ids.ravel(), dX[:, :, :word_dim].reshape(B * T, word_dim))
-    np.add.at(d_dict, feats.ravel(), dX[:, :, word_dim:].reshape(B * T, -1))
-    grads = [d_word, d_dict, dfwx, dfwh, dfb, dbwx, dbwh, dbb, d_out_w, d_out_b]
+    np.add.at(d_word, ids[real], dX[:, :word_dim])
+    np.add.at(d_dict, feats[real], dX[:, word_dim:])
+    grads = [
+        d_word, d_dict,
+        X.T @ dZf, dfwh, dZf.sum(axis=0),
+        X.T @ dZb, dbwh, dZb.sum(axis=0),
+        d_out_w, d_out_b,
+    ]
     return loss, grads
 
 

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pipedefect.errors import EmptySequence, ModelFormatError, NumericalError
 from pipedefect.network import (
@@ -39,8 +41,9 @@ def reference_step(x, h_prev, c_prev, params: LstmParams):
 def run_one(xs, params: LstmParams):
     """lstm_direction over one unpadded sequence: hidden states and cells."""
     xs = np.asarray(xs, dtype=float)
-    H, cache = lstm_direction(xs[None], np.ones((1, len(xs))), params, reverse=False)
-    cells = [step[5][0] for step in cache]  # c_raw, in time order
+    Z = xs[None] @ params.wx + params.b
+    H, (_, steps) = lstm_direction(Z, np.ones((1, len(xs))), params, reverse=False)
+    cells = [step[5][0] for step in steps]  # c_raw, in time order
     return H[0], np.array(cells)
 
 
@@ -92,7 +95,7 @@ class TestEmbed:
         rows = np.array([np.concatenate([m.word_emb[i], m.dict_emb[f]])
                          for i, f in zip(ids, feats)])
         expected = bilstm_forward(rows, m) @ m.out_w + m.out_b
-        assert np.array_equal(sentence_logits(ids, feats, m), expected)
+        assert np.allclose(sentence_logits(ids, feats, m), expected, rtol=0, atol=1e-12)
 
     def test_unk_token_maps_to_row_zero(self):
         m = small_model()
@@ -220,14 +223,84 @@ class TestLstmDirection:
         X = rng.normal(size=(3, 4, m.input_dim))
         mask = np.array([[1.0] * n + [0.0] * (4 - n) for n in lengths])
         for params, reverse in ((m.fwd, False), (m.bwd, True)):
-            H, _ = lstm_direction(X, mask, params, reverse)
+            Z = X @ params.wx + params.b
+            H, _ = lstm_direction(Z, mask, params, reverse)
             for k, n in enumerate(lengths):
-                alone, _ = lstm_direction(X[k : k + 1, :n], np.ones((1, n)), params, reverse)
+                alone, _ = lstm_direction(Z[k : k + 1, :n], np.ones((1, n)), params, reverse)
                 assert np.allclose(H[k, :n], alone[0], rtol=0, atol=1e-12)
                 # a padded step carries the state of the step before it in time
                 carried = H[k, n - 1] if not reverse else np.zeros(m.hidden_dim)
                 for t in range(n, 4):
                     assert np.array_equal(H[k, t], carried)
+
+
+class TestShrinkingPrefix:
+    """lstm_direction steps only the rows still inside their sentence, over
+    batches in any row order, with ties and length-1 rows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    @example([1, 5, 1, 5, 12, 2], 0)
+    @example([1], 1)
+    def test_matches_the_step_oracle_per_sequence(self, lengths, seed):
+        m = small_model(seed=8, vocab=("leak", "pipe", "joint", "root"))
+        rng = np.random.default_rng(seed)
+        B, T = len(lengths), max(lengths)
+        ids = np.zeros((B, T), dtype=np.int64)
+        feats = np.zeros((B, T), dtype=np.int64)
+        mask = np.zeros((B, T))
+        for k, n in enumerate(lengths):
+            ids[k, :n] = rng.integers(0, len(m.vocab), size=n)
+            feats[k, :n] = rng.integers(0, 4, size=n)
+            mask[k, :n] = 1.0
+        X = np.concatenate([m.word_emb[ids], m.dict_emb[feats]], axis=2)
+        for params, reverse in ((m.fwd, False), (m.bwd, True)):
+            H, _ = lstm_direction(X @ params.wx + params.b, mask, params, reverse)
+            for k, n in enumerate(lengths):
+                h = c = np.zeros(m.hidden_dim)
+                for t in reversed(range(n)) if reverse else range(n):
+                    h, c = reference_step(X[k, t], h, c, params)
+                    assert np.allclose(H[k, t], h, rtol=0, atol=1e-12)
+                # a padded position holds the last state going forward, zero going backward
+                padded = H[k, n - 1] if not reverse else np.zeros(m.hidden_dim)
+                for t in range(n, T):
+                    assert np.array_equal(H[k, t], padded)
+        logits = batch_logits(ids, feats, mask, m)
+        for k, n in enumerate(lengths):
+            alone = sentence_logits(ids[k, :n], feats[k, :n], m)
+            assert np.allclose(logits[k, :n], alone, rtol=0, atol=1e-12)
+
+
+class TestInputProjections:
+    def test_word_row_plus_feature_row_is_the_projection(self):
+        m = small_model(seed=12)
+        words, dict_rows = m.input_projections
+        for k, params in enumerate((m.fwd, m.bwd)):
+            for i in range(len(m.vocab)):
+                for f in range(4):
+                    x = np.concatenate([m.word_emb[i], m.dict_emb[f]])
+                    assert np.allclose(words[k, i] + dict_rows[k, f], x @ params.wx + params.b,
+                                       rtol=0, atol=1e-12)
+
+    def test_built_on_first_inference_not_at_load(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(small_model(seed=9), path)
+        m = load_model(path)
+        assert "input_projections" not in vars(m)
+        sentence_logits([1, 2], [0, 1], m)
+        assert "input_projections" in vars(m)
+
+    def test_weights_behind_the_table_become_read_only(self):
+        m = small_model(seed=13)
+        m.fwd.wx[0, 0] += 0.01  # writable before the first inference
+        before = sentence_logits([1, 2, 0], [0, 1, 3], m)
+        for array in (m.word_emb, m.dict_emb, m.fwd.wx, m.fwd.b, m.bwd.wx, m.bwd.b):
+            with pytest.raises(ValueError):
+                array[0] += 1.0
+        assert np.array_equal(sentence_logits([1, 2, 0], [0, 1, 3], m), before)
+        m.out_w[0, 0] += 1.0
+        m.out_b[0] += 1.0
+        assert not np.array_equal(sentence_logits([1, 2, 0], [0, 1, 3], m), before)
 
 
 class TestSentenceLogits:

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from pipedefect.corpus import SECTION_NAMES, Sentence, Token, parse_document
 from pipedefect.errors import PipeDefectError
-from pipedefect.pipeline import rate_document
+from pipedefect.network import init_model
+from pipedefect.pipeline import BILSTM_TAGGER, rate_document
 from pipedefect.preprocess import (
     NEGATION_WINDOW,
     SENTENCE_TERMINATORS,
@@ -563,3 +564,28 @@ class TestRateDocumentOnTypoSoup:
                 if tok.normalized != word:
                     assert tok.normalized in vocab.known_terms
                     assert oracle_edit_distance(word, tok.normalized) <= vocab.max_edit_distance
+
+
+@pytest.fixture(scope="module")
+def tiny_bilstm(lexicon):
+    """A small seeded model over the lexicon's words, its output weights
+    scaled up so that it tags every category."""
+    words = sorted({w for term in lexicon.entries for w in term.split()})
+    model = init_model(words, seed=4, word_dim=4, dict_dim=3, hidden_dim=5)
+    model.out_w *= 20.0
+    return model
+
+
+class TestRateDocumentWithBilstmOnSoup:
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_report_or_pipedefect_error(self, resources, tiny_bilstm, data):
+        raw = data.draw(_typo_documents(resources.lexicon))
+        try:
+            doc = parse_document(raw, "fuzz")
+            report = rate_document(doc, resources, tagger=BILSTM_TAGGER, model=tiny_bilstm)
+        except PipeDefectError:
+            return
+        for entity in report.entities:
+            start, end = entity["raw_span"]
+            assert 0 <= start < end <= len(doc.raw)

@@ -132,9 +132,9 @@ class TestPredictDocumentTags:
         shapes = []
         kernel = network.lstm_direction
 
-        def counting(X, mask, params, reverse):
-            shapes.append(X.shape[:2])
-            return kernel(X, mask, params, reverse)
+        def counting(Z, mask, params, reverse):
+            shapes.append(Z.shape[:2])
+            return kernel(Z, mask, params, reverse)
 
         monkeypatch.setattr(network, "lstm_direction", counting)
         return shapes

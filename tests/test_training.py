@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from pipedefect.errors import AlignmentError, NumericalError
-from pipedefect.network import init_model, sentence_logits
-from pipedefect.tagger import Tag, dict_features, dictionary_tag
+from pipedefect.generate import GeneratorConfig, generate_synthetic_corpus
+from pipedefect.network import init_model, load_model, save_model, sentence_logits
+from pipedefect.pipeline import preprocess_document
+from pipedefect.tagger import (
+    Tag,
+    dict_features,
+    dictionary_tag,
+    predict_document_tags,
+    tags_from_gold_spans,
+)
 from pipedefect.training import (
+    EncodedSentence,
     TrainingConfig,
     batch_loss_and_grads,
     build_vocab,
@@ -95,6 +104,36 @@ class TestLossAndGradients:
                                          compute_grads=False)
         assert abs(loss_a - loss_b) <= 1e-12
 
+    def test_unsorted_batch_matches_central_differences_everywhere(self):
+        # Every real position has a word of its own, so each word_emb row's
+        # gradient is the gradient at one position.  A sentence's last token
+        # is where it leaves the forward prefix and enters the backward one.
+        lengths = [4, 7, 1, 5, 2]
+        model = init_model([f"w{k:02d}" for k in range(sum(lengths))], seed=3,
+                           word_dim=3, dict_dim=2, hidden_dim=3)
+        rng = np.random.Generator(np.random.PCG64(11))
+        first_ids = np.cumsum([1] + lengths[:-1])
+        batch = [EncodedSentence(token_ids=list(range(start, start + n)),
+                                 dict_feats=[int(f) for f in rng.integers(0, 4, n)],
+                                 tag_ids=[int(t) for t in rng.integers(0, 4, n)])
+                 for start, n in zip(first_ids, lengths)]
+        ids, feats, tags, mask = pad_batch(batch)
+        _, grads = batch_loss_and_grads(model, ids, feats, tags, mask)
+        step = 1e-6
+        for k, (param, grad) in enumerate(zip(model.parameters(), grads)):
+            flat = param.reshape(-1)
+            numeric = np.empty(flat.size)
+            for j in range(flat.size):
+                original = flat[j]
+                flat[j] = original + step
+                up, _ = batch_loss_and_grads(model, ids, feats, tags, mask, compute_grads=False)
+                flat[j] = original - step
+                down, _ = batch_loss_and_grads(model, ids, feats, tags, mask, compute_grads=False)
+                flat[j] = original
+                numeric[j] = (up - down) / (2 * step)
+            assert np.allclose(grad.reshape(-1), numeric, rtol=1e-6, atol=1e-9), k
+        assert np.all(np.abs(grads[0][first_ids + np.array(lengths) - 1]) > 1e-6)
+
 
 class TestTrain:
     def test_single_sentence_loss_strictly_decreases(self, tiny_corpus, lexicon):
@@ -109,6 +148,23 @@ class TestTrain:
         assert a.epoch_losses == b.epoch_losses
         for pa, pb in zip(a.model.parameters(), b.model.parameters()):
             assert np.array_equal(pa, pb)
+
+    def test_trained_and_reloaded_models_tag_alike(self, resources, tmp_path):
+        docs, golds = generate_synthetic_corpus(
+            GeneratorConfig(n_documents=12, lexicon=resources.lexicon), seed=8)
+        corpus = []
+        for doc, gold in zip(docs, golds):
+            preprocess_document(doc, resources)
+            corpus.extend(zip(doc.sentences, tags_from_gold_spans(doc.sentences, gold.entities)))
+        config = TrainingConfig(word_dim=8, dict_dim=4, hidden_dim=6, learning_rate=0.05,
+                                epochs=5, batch_size=10)
+        trained = train(corpus, resources.lexicon, config, seed=4).model
+        save_model(trained, tmp_path / "m.model")
+        reloaded = load_model(tmp_path / "m.model")
+        tagged = [predict_document_tags(doc.sentences, resources.lexicon, trained) for doc in docs]
+        assert any(Tag.O != t for doc_tags in tagged for tags in doc_tags for t in tags)
+        assert tagged == [predict_document_tags(doc.sentences, resources.lexicon, reloaded)
+                          for doc in docs]
 
     def test_empty_corpus_rejected(self, lexicon):
         with pytest.raises(AlignmentError):
