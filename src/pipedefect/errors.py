@@ -49,10 +49,6 @@ class AlignmentError(PipeDefectError):
     pass
 
 
-class UnknownFrequencyTerm(PipeDefectError):
-    pass
-
-
 class InvalidWeight(PipeDefectError):
     pass
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidWeight, UnknownFrequencyTerm
+from .errors import InvalidWeight
 from .tagger import Entity, EntityFrame
 
 FREQUENCY_WEIGHTS = (0.1, 0.25, 0.50, 0.75, 0.99)
@@ -83,12 +83,6 @@ def _active(entities: list[Entity]) -> list[Entity]:
     return [e for e in entities if not e.negated]
 
 
-def _unmatched(entity: Entity) -> bool:
-    """A span no lexicon entry matched.  The Bi-LSTM can tag one; there is
-    no term to look up a band for."""
-    return not entity.matched_lexicon_term and not entity.seed_root
-
-
 def weight_location(frames: list[EntityFrame]) -> float:
     """Exactly one non-negated location in the document -> 0.9, else 1.0."""
     count = sum(len(_active(f.locations)) for f in frames)
@@ -103,27 +97,28 @@ def band_weight(term: str | None, seed_root: str | None, bands: dict[str, float]
     return weight
 
 
+def _band(entity: Entity, bands: dict[str, float]) -> float | None:
+    """The band of a frequency span, None if it has none: the Bi-LSTM can
+    tag a span no lexicon entry matched, or one that matched a Defect or
+    Location entry.  load_resources has already checked that every
+    Frequency lexicon term has a band, so a band-less span is a mis-tag."""
+    return band_weight(entity.matched_lexicon_term, entity.seed_root, bands)
+
+
 def weight_frequency(
     frames: list[EntityFrame],
     bands: dict[str, float] = DEFAULT_FREQUENCY_BANDS,
 ) -> float:
     """Maximum band over non-negated frequency terms; none present -> 0.1.
 
-    Spans without a lexicon entry are skipped; a lexicon term without a
-    band is a configuration fault and raises.
+    Spans without a band are skipped (rate_frames notes each).
     """
     best = 0.1
     for frame in frames:
         for entity in _active(frame.frequencies):
-            if _unmatched(entity):
-                continue
-            term = entity.matched_lexicon_term
-            weight = band_weight(term, entity.seed_root, bands)
-            if weight is None:
-                raise UnknownFrequencyTerm(
-                    f"frequency term {term or entity.seed_root!r} has no band weight"
-                )
-            best = max(best, weight)
+            weight = _band(entity, bands)
+            if weight is not None:
+                best = max(best, weight)
     return best
 
 
@@ -173,11 +168,13 @@ def rate_frames(
     if rating.gap_row:
         report.notes.append("weight triple outside the rating table; defaulted to rating 1")
     for sent_idx, frame in enumerate(frames):
-        for entity in frame.frequencies:
-            if not entity.negated and _unmatched(entity):
-                start, end = entity.token_range
-                report.notes.append(
-                    f"frequency span at sentence {sent_idx} tokens {start}-{end} "
-                    "has no lexicon entry; skipped"
-                )
+        for entity in _active(frame.frequencies):
+            if _band(entity, bands) is not None:
+                continue
+            start, end = entity.token_range
+            term = entity.matched_lexicon_term or entity.seed_root
+            why = f"({term!r}) has no frequency band" if term else "has no lexicon entry"
+            report.notes.append(
+                f"frequency span at sentence {sent_idx} tokens {start}-{end} {why}; skipped"
+            )
     return report

@@ -5,6 +5,7 @@ import pytest
 from pipedefect.config import PipelineConfig, load_resources
 from pipedefect.corpus import split_corpus
 from pipedefect.generate import GeneratorConfig, generate_synthetic_corpus
+from pipedefect.network import init_model
 from pipedefect.pipeline import preprocess_document
 from pipedefect.preprocess import preprocess_section
 
@@ -19,6 +20,16 @@ def resources():
 @pytest.fixture(scope="session")
 def lexicon(resources):
     return resources.lexicon
+
+
+@pytest.fixture(scope="module")
+def tiny_bilstm(lexicon):
+    """A small seeded model over the lexicon's words, its output weights
+    scaled up so that it tags every category."""
+    words = sorted({w for term in lexicon.entries for w in term.split()})
+    model = init_model(words, seed=4, word_dim=4, dict_dim=3, hidden_dim=5)
+    model.out_w *= 20.0
+    return model
 
 
 @pytest.fixture(scope="session")

@@ -236,14 +236,25 @@ class TestLstmDirection:
 
 class TestShrinkingPrefix:
     """lstm_direction steps only the rows still inside their sentence, over
-    batches in any row order, with ties and length-1 rows."""
+    batches in any row order, with ties and length-1 rows, and sums the
+    recurrent product over row quarters of wh in alternating order: hidden
+    sizes below 4 leave some quarters empty, and sizes not divisible by 4
+    make them unequal."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
-    @example([1, 5, 1, 5, 12, 2], 0)
-    @example([1], 1)
-    def test_matches_the_step_oracle_per_sequence(self, lengths, seed):
-        m = small_model(seed=8, vocab=("leak", "pipe", "joint", "root"))
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+    )
+    @example([1, 5, 1, 5, 12, 2], 0, 5)
+    @example([1], 1, 5)
+    @example([3, 7, 2], 2, 1)  # an odd number of steps ends on the forward order
+    @example([2, 6, 6, 1], 3, 2)  # an even number ends on the reversed order
+    @example([4, 1, 9], 4, 3)
+    @example([8, 3], 5, 8)
+    def test_matches_the_step_oracle_per_sequence(self, lengths, seed, hidden_dim):
+        m = small_model(seed=8, vocab=("leak", "pipe", "joint", "root"), hidden_dim=hidden_dim)
         rng = np.random.default_rng(seed)
         B, T = len(lengths), max(lengths)
         ids = np.zeros((B, T), dtype=np.int64)

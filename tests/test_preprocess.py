@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from pipedefect.corpus import SECTION_NAMES, Sentence, Token, parse_document
 from pipedefect.errors import PipeDefectError
-from pipedefect.network import init_model
 from pipedefect.pipeline import BILSTM_TAGGER, rate_document
 from pipedefect.preprocess import (
     NEGATION_WINDOW,
@@ -564,16 +563,6 @@ class TestRateDocumentOnTypoSoup:
                 if tok.normalized != word:
                     assert tok.normalized in vocab.known_terms
                     assert oracle_edit_distance(word, tok.normalized) <= vocab.max_edit_distance
-
-
-@pytest.fixture(scope="module")
-def tiny_bilstm(lexicon):
-    """A small seeded model over the lexicon's words, its output weights
-    scaled up so that it tags every category."""
-    words = sorted({w for term in lexicon.entries for w in term.split()})
-    model = init_model(words, seed=4, word_dim=4, dict_dim=3, hidden_dim=5)
-    model.out_w *= 20.0
-    return model
 
 
 class TestRateDocumentWithBilstmOnSoup:

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipedefect.config import PipelineConfig, load_resources
 from pipedefect.corpus import parse_document
-from pipedefect.errors import ConfigError, InvalidWeight, UnknownFrequencyTerm
+from pipedefect.errors import ConfigError, InvalidWeight
+from pipedefect.generate import GeneratorConfig, generate_synthetic_corpus
 from pipedefect.lexicon import save_lexicon
 from pipedefect.network import init_model
 from pipedefect.pipeline import BILSTM_TAGGER, rate_document
@@ -75,10 +76,16 @@ class TestWeightFrequency:
         frames = [frame_with(frequency("frequently", negated=True))]
         assert weight_frequency(frames) == 0.1
 
-    def test_unknown_term_rejected(self):
+    def test_unknown_term_skipped_and_noted(self):
+        # load_resources checks every Frequency lexicon term for a band, so
+        # a band-less term here is a tagger's mis-tag, not a configuration fault
         bogus = Entity("FrequencyOfDefects", (0, 1), False, "sometimes", None)
-        with pytest.raises(UnknownFrequencyTerm):
-            weight_frequency([frame_with(bogus)])
+        assert weight_frequency([frame_with(bogus)]) == 0.1
+        assert weight_frequency([frame_with(bogus, frequency("rarely"))]) == 0.25
+        report = rate_frames("doc", [frame_with(bogus, defect("crack"))])
+        assert report.weights.frequencies == 0.1
+        note = "frequency span at sentence 0 tokens 0-1 ('sometimes') has no frequency band; skipped"
+        assert note in report.notes
 
     def test_seed_root_fallback(self):
         # a synonym ("seldom") resolves through its seed root when the
@@ -194,6 +201,16 @@ class TestNetTaggedFrequency:
         assert report.weights.frequencies == 0.1
         assert any("no lexicon entry" in note for note in report.notes)
 
+    def test_lexicon_term_of_another_type_is_skipped_and_noted(self, resources, tiny_bilstm):
+        # the tiny model tags "leaks", a Defect lexicon term, as frequency
+        doc = parse_document("Pipe leaks at the joint.", "net")
+        report = rate_document(doc, resources, tagger=BILSTM_TAGGER, model=tiny_bilstm)
+        (entity,) = report.entities
+        assert (entity["type"], entity["matched_term"]) == ("FrequencyOfDefects", "leaks")
+        assert report.weights.frequencies == 0.1
+        note = "frequency span at sentence 0 tokens 0-6 ('leaks') has no frequency band; skipped"
+        assert note in report.notes
+
 
 class TestBandsCheckedAtLoad:
     def test_unbanded_frequency_terms_rejected_once(self, resources, tmp_path):
@@ -207,3 +224,20 @@ class TestBandsCheckedAtLoad:
         with pytest.raises(ConfigError) as err:
             load_resources(PipelineConfig(lexicon=path))
         assert str(err.value).endswith(": now and then, sporadically")
+
+
+class TestNegatedMentionNeverRaisesRating:
+    """NegEx invariant, c09 generalised: a sentence negating any lexicon
+    term, appended to any generated document, never raises its rating."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_dictionary_tagger(self, resources, seed, data):
+        term = data.draw(st.sampled_from(sorted(resources.lexicon.entries)))
+        (doc,), _ = generate_synthetic_corpus(
+            GeneratorConfig(n_documents=1, lexicon=resources.lexicon), seed=seed
+        )
+        base = rate_document(parse_document(doc.raw, doc.id), resources)
+        raw = f"{doc.raw} No {term} found."
+        extended = rate_document(parse_document(raw, doc.id), resources)
+        assert extended.rating.value <= base.rating.value, raw
