@@ -24,7 +24,6 @@ from .network import (
     LstmParams,
     TaggerModel,
     embed,
-    first_rows,
     init_model,
     lstm_direction,
 )
@@ -103,25 +102,29 @@ def _backprop_direction(dH, params: LstmParams, cache):
     """Gradient of lstm_direction, walking its steps backwards over the
     same prefixes of rows: returns (dZ, dWh), dZ the gradient of its input
     projections in the caller's row order.  dH is zero at padded positions,
-    as the masked loss makes it."""
+    as the masked loss makes it.  Only the rows that carried a state into
+    a step pass a gradient back through wh and the forget gate, so a
+    direction's first step makes no recurrent product."""
     rows, steps = cache
     B, T, hd = dH.shape
-    dH = dH[rows]
+    dH = dH[rows]  # a copy: each step adds the carried gradient in place
     dZ = np.zeros((B, T, 4 * hd))
     dWh = np.zeros_like(params.wh)
     dh_next = dc_next = np.zeros((0, hd))
     for t, i, f, o, g, c, tanh_c, h_prev, c_prev in reversed(steps):
-        n = len(i)
-        dh = dH[:n, t] + first_rows(dh_next, n)
-        dc = first_rows(dc_next, n) + dh * o * (1.0 - tanh_c**2)
+        n, k = len(i), len(h_prev)
+        dh = dH[:n, t]
+        dh[: len(dh_next)] += dh_next
+        dc = dh * o * (1.0 - tanh_c**2)
+        dc[: len(dc_next)] += dc_next
         dz = dZ[:n, t]
         dz[:, :hd] = dc * g * i * (1.0 - i)
-        dz[:, hd : 2 * hd] = dc * c_prev * f * (1.0 - f)
+        dz[:k, hd : 2 * hd] = dc[:k] * c_prev * f[:k] * (1.0 - f[:k])
         dz[:, 2 * hd : 3 * hd] = dh * tanh_c * o * (1.0 - o)
         dz[:, 3 * hd :] = dc * i * (1.0 - g**2)
-        dWh += h_prev.T @ dz
-        dh_next = dz @ params.wh.T
-        dc_next = dc * f
+        if k:
+            dWh += h_prev.T @ dz[:k]
+            dh_next, dc_next = dz[:k] @ params.wh.T, dc[:k] * f[:k]
     return dZ[np.argsort(rows)], dWh
 
 

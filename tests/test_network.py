@@ -234,12 +234,43 @@ class TestLstmDirection:
                     assert np.array_equal(H[k, t], carried)
 
 
+class TestZeroStateSkip:
+    """A row entering a step with a zero state takes no product with wh, so
+    with wh all NaN every state that follows no earlier step stays finite,
+    and equals the state a zero wh gives."""
+
+    @staticmethod
+    def with_wh(params: LstmParams, value: float) -> LstmParams:
+        return LstmParams(params.wx, np.full_like(params.wh, value), params.b)
+
+    def test_length_one_rows_never_read_wh(self):
+        m = small_model(seed=14)
+        Z = np.random.default_rng(5).normal(size=(4, 1, 4 * m.hidden_dim))
+        for params, reverse in ((m.fwd, False), (m.bwd, True)):
+            H, _ = lstm_direction(Z, np.ones((4, 1)), self.with_wh(params, np.nan), reverse)
+            assert np.all(np.isfinite(H))
+
+    def test_each_rows_first_step_never_reads_wh(self):
+        m = small_model(seed=15)
+        lengths = [3, 1, 5, 2, 5, 4]
+        T = max(lengths)
+        Z = np.random.default_rng(6).normal(size=(len(lengths), T, 4 * m.hidden_dim))
+        mask = np.array([[1.0] * n + [0.0] * (T - n) for n in lengths])
+        for params, reverse in ((m.fwd, False), (m.bwd, True)):
+            H, _ = lstm_direction(Z, mask, self.with_wh(params, np.nan), reverse)
+            zero_wh, _ = lstm_direction(Z, mask, self.with_wh(params, 0.0), reverse)
+            for k, n in enumerate(lengths):
+                first = n - 1 if reverse else 0
+                assert np.all(np.isfinite(H[k, first])), (reverse, k)
+                assert np.array_equal(H[k, first], zero_wh[k, first])
+
+
 class TestShrinkingPrefix:
     """lstm_direction steps only the rows still inside their sentence, over
     batches in any row order, with ties and length-1 rows, and sums the
-    recurrent product over row quarters of wh in alternating order: hidden
-    sizes below 4 leave some quarters empty, and sizes not divisible by 4
-    make them unequal."""
+    recurrent product over row blocks of wh in alternating order: hidden
+    sizes below network.N_BLOCKS leave some blocks empty, and sizes not
+    divisible by it make them unequal."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -426,6 +457,25 @@ class TestModelFile:
             path.write_bytes(data.replace(old, new, 1))
             with pytest.raises(ModelFormatError, match=named):
                 load_model(path)
+
+    def test_every_truncation_and_sampled_byte_change_loads_or_is_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(small_model(seed=10, word_dim=2, dict_dim=2, hidden_dim=2, vocab=("leak",)),
+                   path)
+        data = path.read_bytes()
+        rng = np.random.Generator(np.random.PCG64(12))
+        changed = []
+        for pos, delta in zip(rng.integers(0, len(data), 600), rng.integers(1, 256, 600)):
+            buf = bytearray(data)
+            buf[pos] = (buf[pos] + delta) % 256
+            changed.append(bytes(buf))
+        for variant in [data[:cut] for cut in range(len(data))] + changed:
+            path.write_bytes(variant)
+            try:
+                model = load_model(path)
+            except (ModelFormatError, NumericalError):
+                continue
+            assert all(np.all(np.isfinite(p)) for p in model.parameters())
 
     def test_check_finite(self):
         m = small_model()
