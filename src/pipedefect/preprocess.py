@@ -114,97 +114,6 @@ def load_phrase_file(path) -> tuple[str, ...]:
     return tuple(phrase.lower() for _, (phrase,) in read_rows(path, 1, "phrase"))
 
 
-def normalize_text(raw: str) -> str:
-    return _normalize_with_map(raw)[0]
-
-
-# Runs of kept characters: [^\W_] is exactly str.isalnum.
-_KEPT_RE = re.compile(rf"(?:[^\W_]|[{re.escape(SENTENCE_TERMINATORS)}])+")
-
-
-def _normalize_with_map(raw: str) -> tuple[str, list[int]]:
-    """Normalize and keep, per output char, its source index in ``raw``.
-
-    Characters outside letters/digits/whitespace/sentence punctuation are
-    replaced by a space; whitespace runs collapse to a single space;
-    leading/trailing whitespace is dropped.  Case is preserved.  A space
-    maps to the first dropped character after the run it follows.
-    """
-    out: list[str] = []
-    idx: list[int] = []
-    for m in _KEPT_RE.finditer(raw):
-        start, end = m.span()
-        if out:
-            out.append(" ")
-            idx.append(prev_end)
-        out.append(m.group())
-        idx.extend(range(start, end))
-        prev_end = end
-    return "".join(out), idx
-
-
-def split_sentences(text: str, abbreviations: tuple[str, ...] = ()) -> list[str]:
-    return [text[s:e] for s, e in split_sentence_spans(text, abbreviations)]
-
-
-_TERMINATOR_RE = re.compile(f"[{re.escape(SENTENCE_TERMINATORS)}]")
-
-
-def split_sentence_spans(
-    text: str, abbreviations: tuple[str, ...] = ()
-) -> list[tuple[int, int]]:
-    """Sentence spans over normalized text.
-
-    A terminator splits when followed by whitespace and a capital letter,
-    or at end of text.  A terminator ending an abbreviation from the
-    exception list (matched with its dot, e.g. "ft.") never splits except
-    at end of text.
-    """
-    abbrev = {a.lower() for a in abbreviations}
-    spans: list[tuple[int, int]] = []
-    n = len(text)
-    start = 0
-    for m in _TERMINATOR_RE.finditer(text):
-        i = m.start()
-        k = i + 1
-        while k < n and text[k].isspace():
-            k += 1
-        if k < n and (k == i + 1 or not text[k].isupper()):
-            continue
-        if abbrev and i + 1 < n:
-            j = i
-            while j > start and not text[j - 1].isspace():
-                j -= 1
-            if text[j : i + 1].lower() in abbrev:
-                continue
-        spans.append((start, i + 1))
-        start = k
-    if start < n:
-        spans.append((start, n))
-    return spans
-
-
-_CHUNK_RE = re.compile(r"\S+")
-
-
-def _chunks(sentence: str) -> list[tuple[str, int, int]]:
-    """``(surface, start, end)`` of each whitespace-separated chunk; a
-    trailing sentence terminator becomes its own chunk."""
-    chunks = [(m.group(), m.start(), m.end()) for m in _CHUNK_RE.finditer(sentence)]
-    if chunks:
-        surf, s, e = chunks[-1]
-        if len(surf) > 1 and surf[-1] in SENTENCE_TERMINATORS:
-            chunks[-1] = (surf[:-1], s, e - 1)
-            chunks.append((surf[-1], e - 1, e))
-    return chunks
-
-
-def tokenize(sentence: str) -> list[Token]:
-    """Whitespace tokenization; a trailing sentence terminator becomes its
-    own token."""
-    return [Token(surf, surf.lower(), (s, e)) for surf, s, e in _chunks(sentence)]
-
-
 def edit_distance(a: str, b: str, cap: int | None = None) -> int:
     """Levenshtein distance; with ``cap``, any distance above it reads
     ``cap + 1``.
@@ -304,6 +213,10 @@ def detect_negation(
     return merged
 
 
+# Runs of kept characters: [^\W_] is exactly str.isalnum.
+_KEPT_RE = re.compile(rf"(?:[^\W_]|[{re.escape(SENTENCE_TERMINATORS)}])+")
+
+
 def preprocess_section(
     body: str,
     section: str,
@@ -312,20 +225,53 @@ def preprocess_section(
     triggers: NegationTriggerSet,
     abbreviations: tuple[str, ...] = (),
 ) -> list[Sentence]:
-    """Full per-section pipeline; token raw spans point into the document."""
-    norm, char_map = _normalize_with_map(body)
+    """Full per-section pipeline; token raw spans point into the document.
+
+    One scan over the runs of kept characters (letters, digits, sentence
+    terminators) in ``body``; every other character is dropped and case is
+    preserved.  Each run is one token, and a sentence's text is its runs
+    joined by single spaces.  A sentence ends after a run ending in a
+    terminator when the next run starts with a capital letter, unless the
+    run is on the abbreviation exception list (matched with its dot, e.g.
+    "ft."), and at the end of the body.  A terminator ending the last run
+    of a sentence becomes its own token.
+    """
+    abbrev = {a.lower() for a in abbreviations}
+    groups: list[list[tuple[str, int]]] = []  # (run, start in body) per sentence
+    run = ""
+    for m in _KEPT_RE.finditer(body):
+        prev, run = run, m.group()
+        if not prev or (
+            prev[-1] in SENTENCE_TERMINATORS and run[0].isupper() and prev.lower() not in abbrev
+        ):
+            group: list[tuple[str, int]] = []
+            groups.append(group)
+        group.append((run, m.start()))
     sentences: list[Sentence] = []
-    for s, e in split_sentence_spans(norm, abbreviations):
-        text = norm[s:e]
+    for group in groups:
+        text = " ".join(run for run, _ in group)
+        last, last_start = group[-1]
+        split = len(last) > 1 and last[-1] in SENTENCE_TERMINATORS
+        if split:
+            group[-1] = (last[:-1], last_start)
         tokens: list[Token] = []
-        for surf, ts, te in _chunks(text):
-            raw_span = (body_offset + char_map[s + ts], body_offset + char_map[s + te - 1] + 1)
-            tok = Token(surf, surf.lower(), (ts, te), raw_span)
-            if spell_vocab is not None:
-                tok = correct_spelling(tok, spell_vocab)
-            tokens.append(tok)
-        scopes = detect_negation(tokens, triggers)
+        pos = 0
+        for surf, start in group:
+            end = pos + len(surf)
+            raw = body_offset + start
+            tokens.append(Token(surf, surf.lower(), (pos, end), (raw, raw + len(surf))))
+            pos = end + 1
+        if split:  # the terminator, right after the shortened last run
+            raw += len(surf)
+            tokens.append(Token(last[-1], last[-1], (end, end + 1), (raw, raw + 1)))
+        if spell_vocab is not None:
+            tokens = [correct_spelling(tok, spell_vocab) for tok in tokens]
         sentences.append(
-            Sentence(text=text, tokens=tokens, negation_scopes=scopes, section=section)
+            Sentence(
+                text=text,
+                tokens=tokens,
+                negation_scopes=detect_negation(tokens, triggers),
+                section=section,
+            )
         )
     return sentences

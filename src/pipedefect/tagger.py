@@ -79,7 +79,10 @@ class PatternTable:
         for lineno, (kind, units) in read_rows(path, 2, form):
             if kind not in kinds:
                 raise LexiconFormatError(f"{path}:{lineno}: expected '{form}'")
-            kinds[kind].update(u.strip().lower() for u in units.split(","))
+            words = [u.strip().lower() for u in units.split(",")]
+            if "" in words:
+                raise LexiconFormatError(f"{path}:{lineno}: empty unit in {units!r}")
+            kinds[kind].update(words)
         return cls(frozenset(kinds["size"]), frozenset(kinds["distance"]))
 
 
@@ -152,8 +155,8 @@ def predict_tags(sentence: Sentence, lexicon: Lexicon, model: TaggerModel) -> li
     return predict_document_tags([sentence], lexicon, model)[0]
 
 
-def _intersects(span: tuple[int, int], scopes: list[tuple[int, int]]) -> bool:
-    return any(span[0] < e and s < span[1] for s, e in scopes)
+def _intersects(start: int, end: int, scopes: list[tuple[int, int]]) -> bool:
+    return any(start < e and s < end for s, e in scopes)
 
 
 def extract_entities(
@@ -162,67 +165,54 @@ def extract_entities(
     patterns: PatternTable | None = None,
     lexicon: Lexicon | None = None,
 ) -> EntityFrame:
-    """Maximal same-tag runs plus number+unit pattern matches.
+    """Maximal same-tag runs plus number+unit pattern matches, in one pass.
 
     Pattern matches only claim tokens tagged O so the two sources never
-    overlap.  Entities crossing a negation scope are flagged negated.
+    overlap.  Entities crossing a negation scope are flagged negated.  Each
+    bucket lists run entities before pattern entities.
     """
-    tokens = sentence.tokens
+    words = [t.normalized for t in sentence.tokens]
     scopes = sentence.negation_scopes
     frame = EntityFrame()
-    i = 0
+    buckets = {Tag.DEFECT: frame.defects, Tag.LOCATION: frame.locations,
+               Tag.FREQUENCY: frame.frequencies}
+    distances: list[Entity] = []  # pattern locations, after the run locations
     n = len(tags)
+    i = 0
     while i < n:
-        if tags[i] == Tag.O:
-            i += 1
+        tag = tags[i]
+        if tag:
+            j = i + 1
+            while j < n and tags[j] == tag:
+                j += 1
+            term = root = None
+            if lexicon is not None:
+                entry = lexicon.entries.get(" ".join(words[i:j]))
+                if entry is None:
+                    # a run can cover several adjacent matches; keep the first
+                    hits = lexicon.lookup(words[i:j])
+                    entry = hits[0][1] if hits else None
+                if entry is not None:
+                    term, root = entry.term, entry.seed_root
+            buckets[tag].append(
+                Entity(TAG_TO_ENTITY_TYPE[tag], (i, j), _intersects(i, j, scopes), term, root)
+            )
+            i = j
             continue
-        j = i
-        while j < n and tags[j] == tags[i]:
-            j += 1
-        term = None
-        root = None
-        if lexicon is not None:
-            text = " ".join(t.normalized for t in tokens[i:j])
-            entry = lexicon.entries.get(text)
-            if entry is None:
-                # a run can cover several adjacent matches; keep the first
-                hits = lexicon.lookup([t.normalized for t in tokens[i:j]])
-                entry = hits[0][1] if hits else None
-            if entry is not None:
-                term = entry.term
-                root = entry.seed_root
-        frame.append(
-            Entity(
-                entity_type=TAG_TO_ENTITY_TYPE[tags[i]],
-                token_range=(i, j),
-                negated=_intersects((i, j), scopes),
-                matched_lexicon_term=term,
-                seed_root=root,
-            )
-        )
-        i = j
-    if patterns is not None:
-        for i in range(n - 1):
-            if tags[i] != Tag.O or tags[i + 1] != Tag.O:
-                continue
-            if not _NUMBER_RE.match(tokens[i].normalized):
-                continue
-            unit = tokens[i + 1].normalized.rstrip(".")
+        # \d is any Unicode decimal digit, which is what str.isdecimal tests
+        if (patterns is not None and i + 1 < n and not tags[i + 1]
+                and words[i][:1].isdecimal() and _NUMBER_RE.match(words[i])):
+            unit = words[i + 1].rstrip(".")
             if unit in patterns.distance_units:
-                etype = "LocationOfDefect"
-            elif unit in patterns.size_units:
-                etype = "SizeOfDefect"
-            else:
-                continue
-            frame.append(
-                Entity(
-                    entity_type=etype,
-                    token_range=(i, i + 2),
-                    negated=_intersects((i, i + 2), scopes),
-                    matched_lexicon_term=None,
-                    seed_root=None,
+                distances.append(
+                    Entity("LocationOfDefect", (i, i + 2), _intersects(i, i + 2, scopes))
                 )
-            )
+            elif unit in patterns.size_units:
+                frame.sizes.append(
+                    Entity("SizeOfDefect", (i, i + 2), _intersects(i, i + 2, scopes))
+                )
+        i += 1
+    frame.locations += distances
     return frame
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,15 +12,10 @@ from pipedefect.preprocess import (
     SENTENCE_TERMINATORS,
     NegationTriggerSet,
     SpellVocabulary,
-    _normalize_with_map,
     correct_spelling,
     detect_negation,
     edit_distance,
-    normalize_text,
     preprocess_section,
-    split_sentence_spans,
-    split_sentences,
-    tokenize,
 )
 
 ABBREVS = ("ft.", "in.", "no.")
@@ -31,8 +26,24 @@ TRIGGERS = NegationTriggerSet(
 )
 
 
+def sentences(body, abbreviations=()):
+    """The sentences of one section body, without spelling correction."""
+    return preprocess_section(body, "Defects", 0, None, TRIGGERS, abbreviations)
+
+
+def normalize_text(raw):
+    return " ".join(s.text for s in sentences(raw))
+
+
+def split_sentences(text, abbreviations=()):
+    return [s.text for s in sentences(text, abbreviations)]
+
+
 def toks(text):
-    return tokenize(normalize_text(text))
+    """The tokens of a body of at most one sentence."""
+    found = sentences(text)
+    assert len(found) <= 1
+    return found[0].tokens if found else []
 
 
 class TestNormalize:
@@ -86,29 +97,31 @@ class TestSplitSentences:
 
 class TestTokenize:
     def test_trailing_terminator_split(self):
-        assert [t.surface for t in tokenize("Frequent leaks.")] == ["Frequent", "leaks", "."]
+        assert [t.surface for t in toks("Frequent leaks.")] == ["Frequent", "leaks", "."]
 
     def test_spans(self):
-        spans = [t.char_span for t in tokenize("10 feet away")]
+        spans = [t.char_span for t in toks("10 feet away")]
         assert spans == [(0, 2), (3, 7), (8, 12)]
 
     def test_empty(self):
-        assert tokenize("") == []
+        assert toks("") == []
 
     def test_lone_terminator(self):
-        assert [t.surface for t in tokenize(".")] == ["."]
+        assert [t.surface for t in toks(".")] == ["."]
 
     def test_normalized_lowercase(self):
-        assert [t.normalized for t in tokenize("No Leaks")] == ["no", "leaks"]
+        assert [t.normalized for t in toks("No Leaks")] == ["no", "leaks"]
 
     @given(st.text(alphabet="ab1 .", max_size=60))
     def test_spans_reconstruct_sentence(self, text):
-        for tok in tokenize(text):
-            s, e = tok.char_span
-            assert text[s:e] == tok.surface
         covered = set()
-        for tok in tokenize(text):
-            covered.update(range(*tok.char_span))
+        for sentence in sentences(text):
+            for tok in sentence.tokens:
+                s, e = tok.char_span
+                assert sentence.text[s:e] == tok.surface
+                s, e = tok.raw_span
+                assert text[s:e] == tok.surface
+                covered.update(range(s, e))
         non_ws = {i for i, ch in enumerate(text) if not ch.isspace()}
         assert covered == non_ws
 
@@ -332,9 +345,10 @@ class TestDetectNegation:
             prev_end = e
 
 
-# Test oracles: a character-by-character normalizer and splitter and a
-# linear phrase matcher, which the properties below compare the regex
-# scanners and the phrase index against.
+# Test oracles: a character-by-character normalizer and splitter, a
+# whitespace chunker and a linear phrase matcher, which the properties
+# below compare the run scanner of preprocess_section and the phrase index
+# against.  The oracle preprocess_section shares no code with the scanner.
 
 
 def oracle_normalize_with_map(raw):
@@ -381,6 +395,18 @@ def oracle_split_sentence_spans(text, abbreviations=()):
     if start < n:
         spans.append((start, n))
     return spans
+
+
+def oracle_chunks(sentence):
+    """``(surface, start, end)`` of each whitespace-separated chunk; a
+    trailing sentence terminator becomes its own chunk."""
+    chunks = [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", sentence)]
+    if chunks:
+        surf, s, e = chunks[-1]
+        if len(surf) > 1 and surf[-1] in SENTENCE_TERMINATORS:
+            chunks[-1] = (surf[:-1], s, e - 1)
+            chunks.append((surf[-1], e - 1, e))
+    return chunks
 
 
 def oracle_match_phrase(words, i, phrases):
@@ -440,10 +466,10 @@ def oracle_preprocess_section(body, section, body_offset, spell_vocab, triggers,
     sentences = []
     for s, e in oracle_split_sentence_spans(norm, abbreviations):
         tokens = []
-        for tok in tokenize(norm[s:e]):
-            raw_start = body_offset + char_map[s + tok.char_span[0]]
-            raw_end = body_offset + char_map[s + tok.char_span[1] - 1] + 1
-            tok = replace(tok, raw_span=(raw_start, raw_end))
+        for surf, ts, te in oracle_chunks(norm[s:e]):
+            raw_start = body_offset + char_map[s + ts]
+            raw_end = body_offset + char_map[s + te - 1] + 1
+            tok = Token(surf, surf.lower(), (ts, te), (raw_start, raw_end))
             if spell_vocab is not None:
                 tok = correct_spelling(tok, spell_vocab)
             tokens.append(tok)
@@ -488,15 +514,16 @@ class TestScannersMatchOracles:
     @settings(max_examples=200)
     @given(_UNICODE_TEXT, _ABBREVIATIONS)
     @example("Sag 10\u2003ft. Bc", ABBREVS)  # an abbreviation after Unicode whitespace
+    @example("Crack.. Roots", ABBREVS)
+    @example(". . . Sag", ABBREVS)
+    @example("Sag at 10 ft.", ABBREVS)
+    @example("Sag 10 ft. Crack", ABBREVS)
+    @example("Leak. \u01c5ebris", ABBREVS)  # a title-case letter is not upper case
+    @example("Leak.\u2003Crack", ABBREVS)
     def test_normalize_and_split_on_arbitrary_unicode(self, raw, abbreviations):
-        assert _normalize_with_map(raw) == oracle_normalize_with_map(raw)
-        assert split_sentence_spans(raw, abbreviations) == oracle_split_sentence_spans(
-            raw, abbreviations
-        )
-        norm = normalize_text(raw)
-        assert split_sentence_spans(norm, abbreviations) == oracle_split_sentence_spans(
-            norm, abbreviations
-        )
+        for body in (raw, oracle_normalize_with_map(raw)[0]):
+            args = (body, "Defects", 7, None, TRIGGERS, abbreviations)
+            assert preprocess_section(*args) == oracle_preprocess_section(*args)
 
     @settings(max_examples=100)
     @given(_UNICODE_TEXT, _ABBREVIATIONS)

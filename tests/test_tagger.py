@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,11 @@ from pipedefect.corpus import GoldEntity, Sentence, Token, parse_document
 from pipedefect.network import init_model
 from pipedefect.pipeline import BILSTM_TAGGER, preprocess_document, tag_document
 from pipedefect.tagger import (
+    _NUMBER_RE,
     MAX_BATCH_TOKENS,
+    TAG_TO_ENTITY_TYPE,
+    Entity,
+    EntityFrame,
     PatternTable,
     Tag,
     dict_features,
@@ -226,6 +232,112 @@ class TestExtractEntities:
         assert len(frame.all_entities()) == runs
 
 
+def reference_extract_entities(sentence, tags, patterns=None, lexicon=None):
+    """Two-pass reference: maximal same-tag runs, then number+unit pairs."""
+
+    def intersects(span, scopes):
+        return any(span[0] < e and s < span[1] for s, e in scopes)
+
+    tokens = sentence.tokens
+    scopes = sentence.negation_scopes
+    frame = EntityFrame()
+    i = 0
+    n = len(tags)
+    while i < n:
+        if tags[i] == Tag.O:
+            i += 1
+            continue
+        j = i
+        while j < n and tags[j] == tags[i]:
+            j += 1
+        term = None
+        root = None
+        if lexicon is not None:
+            text = " ".join(t.normalized for t in tokens[i:j])
+            entry = lexicon.entries.get(text)
+            if entry is None:
+                hits = lexicon.lookup([t.normalized for t in tokens[i:j]])
+                entry = hits[0][1] if hits else None
+            if entry is not None:
+                term = entry.term
+                root = entry.seed_root
+        frame.append(
+            Entity(TAG_TO_ENTITY_TYPE[tags[i]], (i, j), intersects((i, j), scopes), term, root)
+        )
+        i = j
+    if patterns is not None:
+        for i in range(n - 1):
+            if tags[i] != Tag.O or tags[i + 1] != Tag.O:
+                continue
+            if not _NUMBER_RE.match(tokens[i].normalized):
+                continue
+            unit = tokens[i + 1].normalized.rstrip(".")
+            if unit in patterns.distance_units:
+                etype = "LocationOfDefect"
+            elif unit in patterns.size_units:
+                etype = "SizeOfDefect"
+            else:
+                continue
+            frame.append(Entity(etype, (i, i + 2), intersects((i, i + 2), scopes)))
+    return frame
+
+
+# Numbers the pattern regex must accept or reject: \d is any Unicode
+# decimal digit ("\u0663", Arabic-Indic three), but not "\u00b2".
+NUMBERS = ["10", "3.5", "0.", ".5", "1.2.3", "\u0663", "\u0663.\u0665", "\u00b2", "3\u00b2", "x1"]
+UNITS = sorted(PATTERNS.size_units | PATTERNS.distance_units)
+
+
+@st.composite
+def _tagged_sentence(draw, lexicon):
+    """Words from lexicon terms and their single words, numbers and units
+    with and without a trailing dot, under any tags and negation scopes.
+    Number+unit pairs and runs of whole terms are drawn as one piece, so
+    that one tag per piece often covers them."""
+    terms = sorted(lexicon.entries)
+    words = sorted(set(terms) | {w for term in terms for w in term.split()})
+    number = st.sampled_from(NUMBERS)
+    unit = st.sampled_from(UNITS + [u + "." for u in UNITS])
+    piece = st.one_of(
+        st.sampled_from(words),
+        st.lists(st.sampled_from(terms), min_size=2, max_size=3).map(" ".join),
+        number,
+        unit,
+        st.tuples(number, unit).map(" ".join),
+        st.just("."),
+    )
+    pieces = [p.split() for p in draw(st.lists(piece, max_size=10))]
+    tokens = [w for p in pieces for w in p]
+    n = len(tokens)
+    tag = st.sampled_from([Tag.O, Tag.O, Tag.O, *Tag])  # O most often: a pattern needs two
+    if draw(st.booleans()):
+        tags = draw(st.lists(tag, min_size=n, max_size=n))
+    else:  # one tag per piece
+        piece_tags = draw(st.lists(tag, min_size=len(pieces), max_size=len(pieces)))
+        tags = [t for p, t in zip(pieces, piece_tags) for _ in p]
+    starts = draw(st.lists(st.tuples(st.integers(0, n), st.integers(1, 5)), max_size=3))
+    scopes = [(s, min(s + k, n)) for s, k in starts if s < n]
+    return bare_sentence(tokens, scopes), tags
+
+
+class TestExtractEntitiesMatchesReference:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_same_frames(self, lexicon, data):
+        sentence, tags = data.draw(_tagged_sentence(lexicon))
+        lex = data.draw(st.sampled_from([None, lexicon]))
+        assert extract_entities(sentence, tags, PATTERNS, lex) == reference_extract_entities(
+            sentence, tags, PATTERNS, lex
+        )
+
+    def test_non_ascii_digits(self):
+        sentence = bare_sentence(["\u0663", "ft", "\u00b2", "ft", "\u0663.\u0665", "in."])
+        tags = [Tag.O] * 6
+        frame = extract_entities(sentence, tags, patterns=PATTERNS)
+        assert frame == reference_extract_entities(sentence, tags, patterns=PATTERNS)
+        assert [e.token_range for e in frame.all_entities()] == [(4, 6), (0, 2)]
+
+
 class TestTagsFromGoldSpans:
     def test_spans_map_to_tags(self, resources):
         from pipedefect.corpus import parse_document
@@ -264,6 +376,8 @@ class TestPatternTable:
         from pipedefect.errors import LexiconFormatError
 
         path = tmp_path / "patterns.txt"
-        path.write_text("weight\tkg\n")
-        with pytest.raises(LexiconFormatError):
-            PatternTable.load(path)
+        # an unknown kind, and an empty unit from a trailing or doubled comma
+        for row in ("weight\tkg", "distance\tft, feet,", "size\tinch,,mm"):
+            path.write_text(f"# units\n{row}\n")
+            with pytest.raises(LexiconFormatError, match=f"^{re.escape(str(path))}:2: "):
+                PatternTable.load(path)
