@@ -11,7 +11,7 @@ token window, or the sentence end, whichever comes first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .corpus import Sentence, Token
@@ -51,18 +51,33 @@ class SpellVocabulary:
             raise ValueError("max_edit_distance must be 1 or 2")
 
     @cached_property
-    def _delete_index(self) -> dict[str, str | tuple[str, ...]]:
-        """Symmetric-delete index (Garbe's SymSpell): every deletion of up
-        to ``max_edit_distance`` characters of each known term -> that term,
-        or a tuple of terms when several produce the same deletion.
+    def _one_delete_index(self) -> dict[str, list[tuple[str, int]]]:
+        """Each known term with one character deleted -> the (term,
+        position of the deleted character) pairs that give it.
 
         Built on the first search, so runs that never search never pay for
-        it.  Most deletions come from one term, so a bare string is stored
-        for those instead of a one-element container.
+        it.  A repeated letter gives the same key at several positions, and
+        each position is kept.
+        """
+        index: dict[str, list[tuple[str, int]]] = {}
+        for term in self.known_terms:
+            for i in range(len(term)):
+                index.setdefault(term[:i] + term[i + 1 :], []).append((term, i))
+        return index
+
+    @cached_property
+    def _delete_index(self) -> dict[str, str | tuple[str, ...]]:
+        """Symmetric-delete index (Garbe's SymSpell): every deletion of up
+        to two characters of each known term -> that term, or a tuple of
+        terms when several produce the same deletion.
+
+        Built on the first search that reaches two edits.  Most deletions
+        come from one term, so a bare string is stored for those instead of
+        a one-element container.
         """
         index: dict[str, str | tuple[str, ...]] = {}
         for term in self.known_terms:
-            for key in _deletions(term, self.max_edit_distance):
+            for key in _deletions(term, 2):
                 hit = index.get(key)
                 if hit is None:
                     index[key] = term
@@ -75,28 +90,6 @@ class SpellVocabulary:
     @cached_property
     def _longest_term(self) -> int:
         return max(map(len, self.known_terms), default=0)
-
-    def candidates(self, word: str, depth: int) -> set[str]:
-        """Known terms sharing a key with ``word``'s deletions of up to
-        ``depth`` characters: a superset of the terms within ``depth`` of it.
-
-        A Levenshtein alignment of cost k deletes at most k characters from
-        each side (a substitution is one deletion on each side), so every
-        term within ``depth <= max_edit_distance`` shares such a key.
-        """
-        if len(word) > self._longest_term + depth:
-            return set()
-        index = self._delete_index
-        found: set[str] = set()
-        for key in _deletions(word, depth):
-            hit = index.get(key)
-            if hit is None:
-                continue
-            if isinstance(hit, str):
-                found.add(hit)
-            else:
-                found.update(hit)
-        return found
 
 
 def _deletions(word: str, depth: int) -> set[str]:
@@ -165,20 +158,60 @@ def correct_spelling(token: Token, vocab: SpellVocabulary) -> Token:
     word = token.normalized
     if word in vocab.known_terms:
         return token
-    if len(word) < 3 or not any(ch.isalpha() for ch in word):
+    if len(word) < 3 or not any(map(str.isalpha, word)):
         return token
-    # Depth by depth: depth-d keys reach every term within distance d, ties
-    # included, so the first depth whose best candidate is within it is
-    # the answer, and no deeper key can find a closer or tied term.
-    for depth in range(1, vocab.max_edit_distance + 1):
-        candidates = vocab.candidates(word, depth)
-        dist, best = min(
-            ((edit_distance(word, term, cap=depth), term) for term in candidates),
-            default=(depth + 1, None),
-        )
-        if dist <= depth:
-            return replace(token, normalized=best)
-    return token
+    if len(word) > vocab._longest_term + vocab.max_edit_distance:
+        return token  # the distance is at least the length gap
+    # One edit away, exactly and without a distance check: with dels[i] the
+    # word minus its character i, a term is one edit away when the word is
+    # the term minus one character (an insertion), dels[i] is the term (a
+    # deletion), or the term minus its character i is dels[i] too (a
+    # substitution at i).  The same key at another position, as "ab" and
+    # "ba" give "b", is not one edit.
+    dels = [word[:i] + word[i + 1 :] for i in range(len(word))]
+    index, known = vocab._one_delete_index, vocab.known_terms
+    found = [term for term, _ in index.get(word, ())]
+    for i, key in enumerate(dels):
+        if key in known:
+            found.append(key)
+        for term, pos in index.get(key, ()):
+            if pos == i:
+                found.append(term)
+    if found:
+        best = min(found)
+    elif vocab.max_edit_distance == 2:
+        best = _two_edit_term(word, dels, vocab)
+    else:
+        best = None
+    if best is None:
+        return token
+    return Token(token.surface, best, token.char_span, token.raw_span)
+
+
+def _two_edit_term(word: str, dels: list[str], vocab: SpellVocabulary) -> str | None:
+    """The smallest term two edits from ``word``, given that none is closer.
+
+    A Levenshtein alignment of cost k deletes at most k characters from
+    each side (a substitution is one deletion on each side), so every term
+    within two edits shares a key with the word's deletions of up to two
+    characters: the word, ``dels``, and each dels[i] minus its character
+    j >= i (j < i would repeat a pair of positions).
+    """
+    pairs = (key[:j] + key[j + 1 :] for i, key in enumerate(dels) for j in range(i, len(key)))
+    index = vocab._delete_index
+    candidates: set[str] = set()
+    for key in (word, *dels, *pairs):
+        hit = index.get(key)
+        if hit is None:
+            continue
+        if isinstance(hit, str):
+            candidates.add(hit)
+        else:
+            candidates.update(hit)
+    for term in sorted(candidates):
+        if edit_distance(word, term, cap=2) <= 2:
+            return term
+    return None
 
 
 def detect_negation(
@@ -214,7 +247,7 @@ def detect_negation(
 
 
 # Runs of kept characters: [^\W_] is exactly str.isalnum.
-_KEPT_RE = re.compile(rf"(?:[^\W_]|[{re.escape(SENTENCE_TERMINATORS)}])+")
+KEPT_RUN_RE = re.compile(rf"(?:[^\W_]|[{re.escape(SENTENCE_TERMINATORS)}])+")
 
 
 def preprocess_section(
@@ -239,7 +272,7 @@ def preprocess_section(
     abbrev = {a.lower() for a in abbreviations}
     groups: list[list[tuple[str, int]]] = []  # (run, start in body) per sentence
     run = ""
-    for m in _KEPT_RE.finditer(body):
+    for m in KEPT_RUN_RE.finditer(body):
         prev, run = run, m.group()
         if not prev or (
             prev[-1] in SENTENCE_TERMINATORS and run[0].isupper() and prev.lower() not in abbrev
@@ -265,7 +298,11 @@ def preprocess_section(
             raw += len(surf)
             tokens.append(Token(last[-1], last[-1], (end, end + 1), (raw, raw + 1)))
         if spell_vocab is not None:
-            tokens = [correct_spelling(tok, spell_vocab) for tok in tokens]
+            known = spell_vocab.known_terms
+            tokens = [
+                tok if tok.normalized in known else correct_spelling(tok, spell_vocab)
+                for tok in tokens
+            ]
         sentences.append(
             Sentence(
                 text=text,

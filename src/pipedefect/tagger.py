@@ -18,6 +18,7 @@ from .corpus import Sentence, gold_token_types
 from .errors import LexiconFormatError
 from .lexicon import Lexicon, read_rows
 from .network import TaggerModel, batch_logits
+from .preprocess import KEPT_RUN_RE
 
 
 class Tag(IntEnum):
@@ -82,6 +83,13 @@ class PatternTable:
             words = [u.strip().lower() for u in units.split(",")]
             if "" in words:
                 raise LexiconFormatError(f"{path}:{lineno}: empty unit in {units!r}")
+            for unit in words:
+                # a token is one kept run, and its trailing dot is stripped
+                # before the unit lookup
+                if not KEPT_RUN_RE.fullmatch(unit) or unit.endswith("."):
+                    raise LexiconFormatError(
+                        f"{path}:{lineno}: unit {unit!r} can never match a token"
+                    )
             kinds[kind].update(words)
         return cls(frozenset(kinds["size"]), frozenset(kinds["distance"]))
 

@@ -1,9 +1,12 @@
+import random
 import re
+import string
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pipedefect import preprocess
 from pipedefect.corpus import SECTION_NAMES, Sentence, Token, parse_document
 from pipedefect.errors import PipeDefectError
 from pipedefect.pipeline import BILSTM_TAGGER, rate_document
@@ -288,10 +291,63 @@ class TestCorrectSpelling:
     @given(_vocab_and_word())
     @example((DEPTH_2_TIE, "abcd"))
     @example((SpellVocabulary(frozenset({"abcdxy", "abaa", "zbcd"})), "abcd"))
+    # one edit: the word is the term minus one character (an insertion),
+    # the word minus one character is the term (a deletion), and both minus
+    # the same position agree (a substitution)
+    @example((SpellVocabulary(frozenset({"abcab"}), max_edit_distance=1), "abab"))
+    @example((SpellVocabulary(frozenset({"abab"}), max_edit_distance=1), "abcab"))
+    @example((SpellVocabulary(frozenset({"abcab"}), max_edit_distance=1), "abbab"))
+    # adjacent transpositions share a deletion at different positions and
+    # are two edits: "bac" and "abc" both give "ac" and "bc"
+    @example((SpellVocabulary(frozenset({"ab"}), max_edit_distance=1), "ba"))
+    @example((SpellVocabulary(frozenset({"ab"}), max_edit_distance=2), "ba"))
+    @example((SpellVocabulary(frozenset({"abc"}), max_edit_distance=1), "bac"))
+    @example((SpellVocabulary(frozenset({"abc", "aaa"}), max_edit_distance=2), "bac"))
+    # repeated letters give one key at several positions
+    @example((SpellVocabulary(frozenset({"abb"}), max_edit_distance=1), "aab"))
+    @example((SpellVocabulary(frozenset({"abb"}), max_edit_distance=2), "aab"))
+    # a tie between the three one-edit branches
+    @example((SpellVocabulary(frozenset({"abcd", "bbc", "bc"}), max_edit_distance=1), "abc"))
     def test_matches_brute_force_scan(self, case):
         vocab, word = case
         expected = brute_force_correction(word, vocab)
         assert correct_spelling(self.make(word), vocab).normalized == expected
+
+    def test_one_edit_needs_no_distance_check(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("edit_distance called for a one-edit word")
+
+        monkeypatch.setattr(preprocess, "edit_distance", refuse)
+        for word, term in (("leas", "leaks"), ("leakss", "leaks"), ("lexks", "leaks")):
+            assert correct_spelling(self.make(word), self.VOCAB).normalized == term
+
+    def test_matches_brute_force_on_shipped_vocabulary(self, resources):
+        """A seeded sample of one- and two-edit variants of the shipped
+        vocabulary: insertions, deletions, substitutions, adjacent
+        transpositions and doubled letters."""
+        vocab = resources.spell_vocab
+        terms = sorted(vocab.known_terms)
+        rng = random.Random(14)
+
+        def vary(word):
+            i = rng.randrange(len(word))
+            op = rng.choice(["insert", "delete", "substitute", "transpose", "double"])
+            if op == "insert":
+                return word[:i] + rng.choice(string.ascii_lowercase) + word[i:]
+            if op == "delete":
+                return word[:i] + word[i + 1 :]
+            if op == "substitute":
+                return word[:i] + rng.choice(string.ascii_lowercase) + word[i + 1 :]
+            if op == "transpose" and i + 1 < len(word):
+                return word[:i] + word[i + 1] + word[i] + word[i + 2 :]
+            return word[:i] + word[i] + word[i:]
+
+        for _ in range(300):
+            word = rng.choice(terms)
+            for _ in range(rng.randint(1, 2)):
+                word = vary(word) if word else "x"
+            expected = brute_force_correction(word, vocab)
+            assert correct_spelling(self.make(word), vocab).normalized == expected, word
 
     def test_length_cutoff_keeps_words_within_budget(self):
         vocab = SpellVocabulary(frozenset({"leak"}), max_edit_distance=2)

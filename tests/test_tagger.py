@@ -376,8 +376,12 @@ class TestPatternTable:
         from pipedefect.errors import LexiconFormatError
 
         path = tmp_path / "patterns.txt"
-        # an unknown kind, and an empty unit from a trailing or doubled comma
-        for row in ("weight\tkg", "distance\tft, feet,", "size\tinch,,mm"):
+        # an unknown kind, an empty unit from a trailing or doubled comma,
+        # and units no token can match: one the scanner splits, and one
+        # whose dot the unit lookup strips
+        rows = ("weight\tkg", "distance\tft, feet,", "size\tinch,,mm",
+                "size\tinch,sq in", "distance\tft.,feet")
+        for row in rows:
             path.write_text(f"# units\n{row}\n")
             with pytest.raises(LexiconFormatError, match=f"^{re.escape(str(path))}:2: "):
                 PatternTable.load(path)
