@@ -5,6 +5,12 @@ rating table; no arithmetic combines them.  Negated entities are excluded
 from all three weights, so "no leaks" never raises a rating.  The rating
 table has no row for defects observed with the lowest frequency band;
 that combination maps to rating 1 and is flagged (gap_row) for auditing.
+
+WeightTriple, DefectRating and RatingReport are built for every document,
+so like the corpus records they are slotted and not frozen (a frozen
+dataclass costs nearly three times as much to build).  ``rate_frames``
+and ``pipeline.rate_document`` finish a report before returning it, and
+nothing changes a record afterwards.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ ACTION_TEXT = {
 _FREQUENCY_TO_RATING = {0.25: 2, 0.50: 3, 0.75: 4, 0.99: 5}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WeightTriple:
     frequencies: float
     location: float
@@ -63,14 +69,14 @@ class WeightTriple:
             raise InvalidWeight(f"w_defect {self.defect} not in {DEFECT_WEIGHTS}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DefectRating:
     value: int
     action_text: str
     gap_row: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class RatingReport:
     document_id: str
     weights: WeightTriple

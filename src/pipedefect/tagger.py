@@ -4,6 +4,11 @@ The tag scheme is IO with four indices: O plus one tag per keyword entity
 category.  Numeric size/distance mentions ("10 feet") are not taggable in
 this scheme; a pattern table turns number+unit token pairs into
 SizeOfDefect or distance-style LocationOfDefect entities instead.
+
+Entity and EntityFrame are built for every sentence, so like the corpus
+records they are slotted and not frozen (a frozen dataclass costs
+nearly three times as much to build): ``extract_entities`` fills a frame
+and nothing changes it or its entities afterwards.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ TAG_TO_ENTITY_TYPE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Entity:
     entity_type: str
     token_range: tuple[int, int]  # end-exclusive token indices
@@ -46,7 +51,7 @@ class Entity:
     seed_root: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityFrame:
     defects: list[Entity] = field(default_factory=list)
     sizes: list[Entity] = field(default_factory=list)

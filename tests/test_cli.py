@@ -397,3 +397,26 @@ def test_bad_synonym_edge_exits_1_naming_its_line(edge, tmp_path, capsys):
     assert main(["--config", str(config), "build-lexicon"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {graph}:3: ") and "Traceback" not in err
+
+
+# Tokens are kept runs: an abbreviation is matched against one whole run
+# ending in a terminator, and each word of a negation phrase against one run.
+@pytest.mark.parametrize(
+    "key, phrase",
+    [
+        ("abbreviations", "approx"),
+        ("abbreviations", "no ."),
+        ("triggers", "don't"),
+        ("terminators", "however,"),
+    ],
+)
+def test_unmatchable_phrase_exits_1_naming_its_line(key, phrase, tmp_path, capsys):
+    phrases = tmp_path / "phrases.txt"
+    phrases.write_text(f"# phrases\nft.\n{phrase}\n")
+    config = tmp_path / "config.ini"
+    paths = {key: "phrases.txt", "lexicon": "lexicon.tsv", "corpus_dir": "corpus"}
+    config.write_text("[paths]\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()))
+    assert main(["--config", str(config), "generate", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {phrases}:3: {phrase!r}") and "Traceback" not in err
+    assert not (tmp_path / "corpus").exists()

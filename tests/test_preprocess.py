@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 import string
@@ -312,6 +313,17 @@ class TestCorrectSpelling:
         vocab, word = case
         expected = brute_force_correction(word, vocab)
         assert correct_spelling(self.make(word), vocab).normalized == expected
+
+    @given(_vocab_and_word())
+    @example((VOCAB, "Laeks"))
+    def test_argument_left_unchanged(self, case):
+        """A correction is a new Token; otherwise the argument comes back."""
+        vocab, word = case
+        tok = self.make(word)
+        before = copy.copy(tok)
+        out = correct_spelling(tok, vocab)
+        assert tok == before
+        assert (out is tok) == (out.normalized == tok.normalized)
 
     def test_one_edit_needs_no_distance_check(self, monkeypatch):
         def refuse(*args, **kwargs):

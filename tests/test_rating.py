@@ -1,18 +1,27 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipedefect.config import PipelineConfig, load_resources
-from pipedefect.corpus import parse_document
+from pipedefect.corpus import Document, Sentence, Token, parse_document
 from pipedefect.errors import ConfigError, InvalidWeight
 from pipedefect.generate import GeneratorConfig, generate_synthetic_corpus
 from pipedefect.lexicon import save_lexicon
 from pipedefect.network import init_model
-from pipedefect.pipeline import BILSTM_TAGGER, rate_document
+from pipedefect.pipeline import (
+    BILSTM_TAGGER,
+    DICT_TAGGER,
+    preprocess_document,
+    rate_document,
+)
 from pipedefect.rating import (
     ACTION_TEXT,
     DEFAULT_FREQUENCY_BANDS,
     FREQUENCY_WEIGHTS,
+    DefectRating,
+    RatingReport,
     WeightTriple,
     assign_rating,
     rate_frames,
@@ -241,3 +250,109 @@ class TestNegatedMentionNeverRaisesRating:
         raw = f"{doc.raw} No {term} found."
         extended = rate_document(parse_document(raw, doc.id), resources)
         assert extended.rating.value <= base.rating.value, raw
+
+
+def _token():
+    return Token("Crack", "crack", (3, 8), (12, 17))
+
+
+def _sentence():
+    return Sentence("No Crack", [Token("No", "no", (0, 2), (9, 11)), _token()], [(1, 2)], "Defects")
+
+
+def _entity():
+    return Entity("Defect", (1, 2), True, "crack", "crack")
+
+
+def _weights():
+    return WeightTriple(0.99, 0.9, 0.8)
+
+
+def _rating():
+    return DefectRating(1, ACTION_TEXT[1], gap_row=True)
+
+
+_TOKEN_REPR = "Token(surface='Crack', normalized='crack', char_span=(3, 8), raw_span=(12, 17))"
+_SENTENCE_REPR = (
+    "Sentence(text='No Crack', tokens=[Token(surface='No', normalized='no', char_span=(0, 2),"
+    f" raw_span=(9, 11)), {_TOKEN_REPR}], negation_scopes=[(1, 2)], section='Defects')"
+)
+_ENTITY_REPR = (
+    "Entity(entity_type='Defect', token_range=(1, 2), negated=True,"
+    " matched_lexicon_term='crack', seed_root='crack')"
+)
+_WEIGHTS_REPR = "WeightTriple(frequencies=0.99, location=0.9, defect=0.8)"
+_RATING_REPR = "DefectRating(value=1, action_text='Reassess in ten years', gap_row=True)"
+
+# One sample of each record the rating path builds per document, and its
+# repr: the benchmark fingerprints reports by repr.
+RECORDS = {
+    "Token": (_token, _TOKEN_REPR),
+    "Sentence": (_sentence, _SENTENCE_REPR),
+    "Document": (
+        lambda: Document("d1", "Defects: No Crack", {"Defects": " No Crack"},
+                         {"Defects": (8, 17)}, [_sentence()]),
+        "Document(id='d1', raw='Defects: No Crack', sections={'Defects': ' No Crack'},"
+        f" section_spans={{'Defects': (8, 17)}}, sentences=[{_SENTENCE_REPR}])",
+    ),
+    "Entity": (_entity, _ENTITY_REPR),
+    "EntityFrame": (
+        lambda: EntityFrame(
+            defects=[_entity()], locations=[Entity("LocationOfDefect", (3, 5), False)]
+        ),
+        f"EntityFrame(defects=[{_ENTITY_REPR}], sizes=[], locations=[Entity("
+        "entity_type='LocationOfDefect', token_range=(3, 5), negated=False,"
+        " matched_lexicon_term=None, seed_root=None)], frequencies=[])",
+    ),
+    "WeightTriple": (_weights, _WEIGHTS_REPR),
+    "DefectRating": (_rating, _RATING_REPR),
+    "RatingReport": (
+        lambda: RatingReport("d1", _weights(), _rating(), notes=["negated entities excluded"]),
+        f"RatingReport(document_id='d1', weights={_WEIGHTS_REPR}, rating={_RATING_REPR},"
+        " entities=[], notes=['negated entities excluded'])",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestRecordContract:
+    """The per-document records are slotted and not frozen, since a frozen
+    dataclass costs several times as much to build, with fields, equality
+    and repr unchanged."""
+
+    def test_slotted(self, name):
+        build, _ = RECORDS[name]
+        assert not hasattr(build(), "__dict__")
+
+    def test_not_frozen_so_unhashable(self, name):
+        build, _ = RECORDS[name]
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(build())
+
+    def test_value_equality(self, name):
+        build, _ = RECORDS[name]
+        record = build()
+        assert record == build()
+        assert record == copy.deepcopy(record)
+
+    def test_repr(self, name):
+        build, expected = RECORDS[name]
+        assert repr(build()) == expected
+
+
+@pytest.mark.parametrize("tagger", [DICT_TAGGER, BILSTM_TAGGER])
+def test_rating_leaves_preprocessed_document_unchanged(resources, tiny_bilstm, tagger):
+    """The records are mutable, so nothing on the rating path may change
+    them: rating a preprocessed document twice gives equal reports and
+    leaves its sentences as they were."""
+    docs, _ = generate_synthetic_corpus(
+        GeneratorConfig(n_documents=50, lexicon=resources.lexicon), seed=15
+    )
+    model = tiny_bilstm if tagger == BILSTM_TAGGER else None
+    for doc in docs:
+        preprocess_document(doc, resources)
+        before = copy.deepcopy(doc.sentences)
+        first = rate_document(doc, resources, tagger=tagger, model=model)
+        second = rate_document(doc, resources, tagger=tagger, model=model)
+        assert first == second, doc.id
+        assert doc.sentences == before, doc.id
