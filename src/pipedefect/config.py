@@ -15,12 +15,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .lexicon import Blacklist, SynonymGraph, expand_synonyms, load_lexicon, load_seeds
 from .pipeline import PipelineResources, build_spell_vocabulary
-from .preprocess import (
-    ABBREVIATION_FORM,
-    NEGATION_PHRASE_FORM,
-    NegationTriggerSet,
-    load_phrase_file,
-)
+from .preprocess import NegationTriggerSet, load_phrase_file
 from .rating import DEFAULT_FREQUENCY_BANDS, band_weight
 from .tagger import PatternTable
 from .training import TrainingConfig
@@ -123,14 +118,14 @@ def load_resources(cfg: PipelineConfig, require_lexicon: bool = True) -> Pipelin
     else:
         lexicon = build_default_lexicon(cfg)
     triggers = NegationTriggerSet(
-        pre_triggers=load_phrase_file(cfg.triggers, NEGATION_PHRASE_FORM),
-        scope_terminators=load_phrase_file(cfg.terminators, NEGATION_PHRASE_FORM),
+        pre_triggers=load_phrase_file(cfg.triggers),
+        scope_terminators=load_phrase_file(cfg.terminators),
     )
     base_words = set(load_phrase_file(cfg.basewords))
     resources = PipelineResources(
         lexicon=lexicon,
         triggers=triggers,
-        abbreviations=load_phrase_file(cfg.abbreviations, ABBREVIATION_FORM),
+        abbreviations=load_phrase_file(cfg.abbreviations, "abbreviation"),
         spell_vocab=build_spell_vocabulary(lexicon, base_words),
         patterns=PatternTable.load(cfg.patterns),
     )

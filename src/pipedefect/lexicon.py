@@ -10,6 +10,7 @@ same-category term.
 from __future__ import annotations
 
 import logging
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -46,6 +47,45 @@ def read_rows(path, n_fields: int, form: str):
         if len(fields) != n_fields:
             raise LexiconFormatError(f"{path}:{lineno}: expected '{form}'")
         yield lineno, fields
+
+
+SENTENCE_TERMINATORS = ".!?"
+
+# Runs of kept characters: [^\W_] is exactly str.isalnum.  Preprocessing
+# makes each run one token, so a data-file term can match text only when
+# each of its words is one run.
+_KEPT_CHAR = rf"(?:[^\W_]|[{re.escape(SENTENCE_TERMINATORS)}])"
+KEPT_RUN_RE = re.compile(rf"{_KEPT_CHAR}+")
+
+# check_term's rules: the pattern a term must match in full, and what it
+# states.  The sentence splitter compares an abbreviation with a whole run
+# ending in a terminator; the unit lookup strips a token's trailing dots.
+_TERM_RULES = {
+    "term": (
+        re.compile(rf"{_KEPT_CHAR}+(?:\s+{_KEPT_CHAR}+)*"),
+        "words that are each one run of letters, digits and '.!?'",
+    ),
+    "abbreviation": (
+        re.compile(rf"{_KEPT_CHAR}*[{re.escape(SENTENCE_TERMINATORS)}]"),
+        "one run of letters, digits and '.!?' ending in one of '.!?'",
+    ),
+    "unit": (
+        re.compile(rf"{_KEPT_CHAR}+(?<!\.)"),
+        "one run of letters, digits and '.!?' not ending in '.'",
+    ),
+}
+
+
+def check_term(path, lineno: int, term: str, rule: str) -> str:
+    """``term`` if it matches ``rule`` ("term", "abbreviation" or "unit");
+    otherwise no token can match it, and LexiconFormatError names
+    ``path:line``."""
+    pattern, expected = _TERM_RULES[rule]
+    if not pattern.fullmatch(term):
+        raise LexiconFormatError(
+            f"{path}:{lineno}: {term!r} can never match a token: expected {expected}"
+        )
+    return term
 
 
 def origin_depth(origin: str) -> int:
@@ -95,8 +135,9 @@ class SynonymGraph:
     def load(cls, path) -> "SynonymGraph":
         graph = cls()
         for lineno, (a, relation, b) in read_rows(path, 3, "term<TAB>syn|ant<TAB>term"):
+            a, b = (check_term(path, lineno, t.lower(), "term") for t in (a, b))
             try:
-                graph.add_edge(a.lower(), b.lower(), relation)
+                graph.add_edge(a, b, relation)
             except ValueError as exc:
                 raise LexiconFormatError(f"{path}:{lineno}: {exc}") from exc
         return graph
@@ -112,8 +153,10 @@ class Blacklist:
     @classmethod
     def load(cls, path) -> "Blacklist":
         per_seed: dict[str, set[str]] = {}
-        for _, (seed, term) in read_rows(path, 2, "seed<TAB>term"):
-            per_seed.setdefault(seed.lower(), set()).add(term.lower())
+        for lineno, (seed, term) in read_rows(path, 2, "seed<TAB>term"):
+            per_seed.setdefault(seed.lower(), set()).add(
+                check_term(path, lineno, term.lower(), "term")
+            )
         return cls(per_seed)
 
 
@@ -296,6 +339,7 @@ def load_lexicon(path) -> Lexicon:
     for lineno, (term, category, origin, seed_root) in read_rows(path, 4, form):
         if term in lexicon:
             raise LexiconFormatError(f"{path}:{lineno}: duplicate term {term!r}")
+        check_term(path, lineno, term, "term")
         try:
             lexicon.add(LexiconEntry(term, category, origin, seed_root))
         except ValueError as exc:
@@ -310,5 +354,5 @@ def load_seeds(path) -> list[tuple[str, str]]:
     for lineno, (term, category) in read_rows(path, 2, form):
         if category not in CATEGORIES:
             raise LexiconFormatError(f"{path}:{lineno}: expected '{form}'")
-        seeds.append((term.lower(), category))
+        seeds.append((check_term(path, lineno, term.lower(), "term"), category))
     return seeds

@@ -1,10 +1,11 @@
 """Bi-LSTM sequence labeling network, implemented directly on numpy.
 
 One batched direction pass (lstm_direction) holds the only copy of the gate
-equations; training runs it on padded batches of sentences and inference
-(batch_logits) on the padded sentences of one document.  It takes each
-row's input projections and steps only the rows still inside their
-sentence.  A step adds the recurrent product h @ wh only into the rows
+equations; training runs it on a batch of sentences and inference
+(batch_logits) on the sentences of one document, in the same layout: one
+packed stream of the sentences' real tokens, one after another, plus the
+number of tokens in each.  Nothing is padded.  It steps only the sentences
+still running.  A step adds the recurrent product h @ wh only into the rows
 that carry a state from the step before, so a direction's first step and a
 row entering the backward direction at zero never read wh.  While a step
 carries few rows, it reads wh in row blocks, views of wh and not copies,
@@ -167,53 +168,46 @@ def embed(ids, feats, model: TaggerModel) -> np.ndarray:
     return np.concatenate([model.word_emb[ids], model.dict_emb[feats]], axis=-1)
 
 
-def lstm_direction(Z, mask, params: LstmParams, reverse: bool):
-    """Recurrence over a padded batch, in one time direction.
+def lstm_direction(Z, lengths, params: LstmParams, reverse: bool):
+    """Recurrence over a packed stream of sentences, in one time direction.
 
-    Z: (B, T, 4 * hidden) input projections x @ wx + b of each position;
-    mask: (B, T), 1.0 on real tokens, which fill the start of each row.
-    Rows are ordered longest first (stably) once, so at time t the rows
-    still inside their sentence are a prefix of that order, and the step
-    updates that prefix alone.  Z is read, never written: the projections
-    of the real tokens are gathered once, in step order, and each step's
-    gate arithmetic runs in place on its slice of that copy.
+    Z: (N, 4 * hidden) input projections x @ wx + b, each sentence's tokens
+    one after another; lengths: tokens per sentence, summing to N (a
+    sentence may have none).  Sentences are ordered longest first (stably)
+    once, so at each step the ones still running are a prefix of that
+    order, and the step updates that prefix alone.  Z is read, never
+    written: it is gathered once into step order, and each step's gate
+    arithmetic runs in place on its slice of that copy.
 
     The recurrent product h @ wh is added only into the rows that carry a
     state from the step before: none at a direction's first step and,
-    going backward, none into a shorter row at the step where it starts
-    with a zero state.  Up to BLOCK_ROWS carried rows, the product is summed
-    over N_BLOCKS row blocks of wh, whose order reverses after every such
-    step: wh (2.88 MB at the default 300 hidden units) does not fit a 2 MB
-    L2 cache, but each step then starts on the blocks the step before read
-    last, which are still there.  The blocks are views of wh, not copies.
-    Above BLOCK_ROWS rows the partial products cost more than they save,
-    and the step takes one h @ wh.  A padded position holds the row's last
-    state going forward and zero going backward, where a row that has not
-    started keeps its zero state.
+    going backward, none into a shorter sentence at the step where it
+    starts with a zero state.  Up to BLOCK_ROWS carried rows, the product
+    is summed over N_BLOCKS row blocks of wh, whose order reverses after
+    every such step: wh (2.88 MB at the default 300 hidden units) does not
+    fit a 2 MB L2 cache, but each step then starts on the blocks the step
+    before read last, which are still there.  The blocks are views of wh,
+    not copies.  Above BLOCK_ROWS rows the partial products cost more than
+    they save, and the step takes one h @ wh.
 
-    Returns the hidden states (B, T, hidden), in the caller's row order,
-    and the cache for backprop: the row order and, per step, the time,
-    the gate activations, the new cell and its tanh, each for the prefix
-    it stepped, and the previous state of the rows that carried one.
+    Returns the hidden states (N, hidden), in Z's order, and the cache for
+    backprop: the step order (the Z row of each stepped token) and, per
+    step, the gate activations, the new cell and its tanh, each for the
+    prefix it stepped, and the previous state of the rows that carried one.
     """
-    B, T, _ = Z.shape
     hd = params.hidden_dim
-    lengths = np.count_nonzero(mask, axis=1)
+    lengths = np.asarray(lengths, dtype=np.int64)
     rows = np.argsort(-lengths, kind="stable")
-    times = np.arange(T)[::-1] if reverse else np.arange(T)
-    inside = lengths[rows] > times[:, None]  # (T, B): steps in order, rows sorted
+    times = np.arange(lengths.max(initial=0))[:: -1 if reverse else 1]
+    inside = lengths[rows] > times[:, None]  # (steps, sentences), sentences sorted
     at, rank = np.nonzero(inside)
-    # the real tokens' projections, each step's rows contiguous
-    Zs = np.split(Z[rows[rank], times[at]], np.cumsum(np.count_nonzero(inside, axis=1))[:-1])
+    order = (np.cumsum(lengths) - lengths)[rows[rank]] + times[at]
+    Zs = np.split(Z[order], np.cumsum(np.count_nonzero(inside, axis=1))[:-1])
     blocks = [slice(hd * q // N_BLOCKS, hd * (q + 1) // N_BLOCKS) for q in range(N_BLOCKS)]
-    H = np.zeros((B, T, hd))
     h = c = np.zeros((0, hd))
-    steps = []
-    for t, z in zip(times, Zs):
-        n = len(z)
-        if n == 0:
-            continue
-        k = min(len(h), n)  # rows carrying a state; any others enter at zero
+    hs, steps = [], []
+    for z in Zs:
+        k = min(len(h), len(z))  # rows carrying a state; any others enter at zero
         h_prev, c_prev = h[:k], c[:k]
         if k > BLOCK_ROWS:
             z[:k] += h_prev @ params.wh
@@ -232,26 +226,24 @@ def lstm_direction(Z, mask, params: LstmParams, reverse: bool):
         c[:k] += f[:k] * c_prev
         tanh_c = np.tanh(c)
         h = o * tanh_c
-        H[:n, t] = h
-        steps.append((t, i, f, o, g, c, tanh_c, h_prev, c_prev))
-    # one gather puts the rows back in the caller's order and, going
-    # forward, repeats each row's last state over its padding (a row with
-    # no tokens reads an unwritten, zero position)
-    pos = np.arange(T) if reverse else np.minimum(np.arange(T), lengths[:, None] - 1)
-    return H[np.argsort(rows)[:, None], pos], (rows, steps)
+        hs.append(h)
+        steps.append((i, f, o, g, c, tanh_c, h_prev, c_prev))
+    H = np.empty((len(Z), hd))
+    H[order] = np.concatenate(hs)
+    return H, (order, steps)
 
 
-def _hidden(project, mask, model: TaggerModel) -> np.ndarray:
-    """Forward and backward hidden states side by side, (B, T, 2 * hidden).
-    project(k, params) gives direction k's input projections (B, T, 4 *
+def _hidden(project, lengths, model: TaggerModel) -> np.ndarray:
+    """Forward and backward hidden states side by side, (N, 2 * hidden).
+    project(k, params) gives direction k's input projections (N, 4 *
     hidden), the forward direction's first; each direction's projections
     and cache are dropped as soon as its states are taken."""
     return np.concatenate(
         [
-            lstm_direction(project(0, model.fwd), mask, model.fwd, reverse=False)[0],
-            lstm_direction(project(1, model.bwd), mask, model.bwd, reverse=True)[0],
+            lstm_direction(project(0, model.fwd), lengths, model.fwd, reverse=False)[0],
+            lstm_direction(project(1, model.bwd), lengths, model.bwd, reverse=True)[0],
         ],
-        axis=2,
+        axis=1,
     )
 
 
@@ -263,20 +255,16 @@ def bilstm_forward(xs, model: TaggerModel) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise EmptySequence("bilstm_forward requires a non-empty (T, D) sequence")
-    return _hidden(lambda k, p: xs[None] @ p.wx + p.b, np.ones((1, xs.shape[0])), model)[0]
+    return _hidden(lambda k, p: xs @ p.wx + p.b, [len(xs)], model)
 
 
-def batch_logits(ids, feats, mask, model: TaggerModel) -> np.ndarray:
-    """Tag logits (B, T, N_TAGS) of a padded batch of sentences.
+def batch_logits(ids, feats, lengths, model: TaggerModel) -> np.ndarray:
+    """Tag logits (N, N_TAGS) of a packed stream of sentences.
 
-    ids, feats: (B, T) int arrays, 0 on padding; mask: (B, T), 1.0 on real
-    tokens, which fill the start of each row.  The input projections are
-    gathered from the model's per-vocabulary table.  Logits at padded
-    positions are meaningless.
+    ids, feats: (N,) ints, each sentence's tokens one after another;
+    lengths: tokens per sentence.  The input projections are gathered from
+    the model's per-vocabulary table.
     """
-    B, T = ids.shape
-    if T == 0:
-        raise EmptySequence("batch_logits requires at least one token")
     words, dict_rows = model.input_projections
 
     def project(k, _):
@@ -284,15 +272,15 @@ def batch_logits(ids, feats, mask, model: TaggerModel) -> np.ndarray:
         Z += dict_rows[k][feats]
         return Z
 
-    H = _hidden(project, mask, model)
-    return (H.reshape(B * T, -1) @ model.out_w + model.out_b).reshape(B, T, N_TAGS)
+    return _hidden(project, lengths, model) @ model.out_w + model.out_b
 
 
 def sentence_logits(token_indices, dict_features, model: TaggerModel) -> np.ndarray:
-    """Tag logits (T, N_TAGS) of one sentence."""
-    ids = np.asarray(token_indices, dtype=np.int64)[None]
-    feats = np.asarray(dict_features, dtype=np.int64)[None]
-    return batch_logits(ids, feats, np.ones(ids.shape), model)[0]
+    """Tag logits (T, N_TAGS) of one sentence: batch_logits of a stream
+    holding it alone."""
+    if not len(token_indices):
+        raise EmptySequence("sentence_logits requires at least one token")
+    return batch_logits(token_indices, dict_features, [len(token_indices)], model)
 
 
 # ---------------------------------------------------------------------------

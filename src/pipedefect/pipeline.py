@@ -66,7 +66,8 @@ def tag_document(
     model: TaggerModel | None = None,
 ) -> list[EntityFrame]:
     """Per-sentence entity frames for a preprocessed document.  The Bi-LSTM
-    tags all of the document's sentences in one padded batch."""
+    tags all of the document's sentences in one packed stream of their
+    tokens (several past tagger.MAX_BATCH_TOKENS real tokens)."""
     if tagger == BILSTM_TAGGER:
         if model is None:
             raise ValueError("bilstm tagger requires a trained model")

@@ -10,33 +10,13 @@ token window, or the sentence end, whichever comes first.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
 from .corpus import Sentence, Token
-from .errors import LexiconFormatError
-from .lexicon import PhraseIndex, read_rows
-
-SENTENCE_TERMINATORS = ".!?"
+from .lexicon import KEPT_RUN_RE, SENTENCE_TERMINATORS, PhraseIndex, check_term, read_rows
 
 NEGATION_WINDOW = 5
-
-# Runs of kept characters: [^\W_] is exactly str.isalnum.
-_KEPT_CHAR = rf"(?:[^\W_]|[{re.escape(SENTENCE_TERMINATORS)}])"
-KEPT_RUN_RE = re.compile(rf"{_KEPT_CHAR}+")
-
-# Each kept run is one token, so a negation phrase matches only when each
-# of its words is one run.  preprocess_section compares an abbreviation
-# with a whole run ending in a terminator.
-NEGATION_PHRASE_FORM = (
-    re.compile(rf"{_KEPT_CHAR}+(?:\s+{_KEPT_CHAR}+)*"),
-    "words that are each one run of letters, digits and '.!?'",
-)
-ABBREVIATION_FORM = (
-    re.compile(rf"{_KEPT_CHAR}*[{re.escape(SENTENCE_TERMINATORS)}]"),
-    "one run of letters, digits and '.!?' ending in one of '.!?'",
-)
 
 
 @dataclass(frozen=True)
@@ -119,22 +99,13 @@ def _deletions(word: str, depth: int) -> set[str]:
     return found
 
 
-def load_phrase_file(path, form: tuple[re.Pattern, str] | None = None) -> tuple[str, ...]:
-    """One phrase per line, '#' starts a comment, lowercased.
-
-    ``form`` is a pattern every phrase must match in full and the rule it
-    states, such as ABBREVIATION_FORM; a phrase that breaks it raises
-    LexiconFormatError naming ``path:line``.
-    """
-    phrases = []
-    for lineno, (phrase,) in read_rows(path, 1, "phrase"):
-        phrase = phrase.lower()
-        if form is not None and not form[0].fullmatch(phrase):
-            raise LexiconFormatError(
-                f"{path}:{lineno}: {phrase!r} can never match a token: expected {form[1]}"
-            )
-        phrases.append(phrase)
-    return tuple(phrases)
+def load_phrase_file(path, rule: str = "term") -> tuple[str, ...]:
+    """One phrase per line, '#' starts a comment, lowercased; each must
+    pass lexicon.check_term's ``rule``."""
+    return tuple(
+        check_term(path, lineno, phrase.lower(), rule)
+        for lineno, (phrase,) in read_rows(path, 1, "phrase")
+    )
 
 
 def edit_distance(a: str, b: str, cap: int | None = None) -> int:

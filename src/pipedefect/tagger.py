@@ -21,9 +21,8 @@ import numpy as np
 
 from .corpus import Sentence, gold_token_types
 from .errors import LexiconFormatError
-from .lexicon import Lexicon, read_rows
+from .lexicon import Lexicon, check_term, read_rows
 from .network import TaggerModel, batch_logits
-from .preprocess import KEPT_RUN_RE
 
 
 class Tag(IntEnum):
@@ -85,17 +84,9 @@ class PatternTable:
         for lineno, (kind, units) in read_rows(path, 2, form):
             if kind not in kinds:
                 raise LexiconFormatError(f"{path}:{lineno}: expected '{form}'")
-            words = [u.strip().lower() for u in units.split(",")]
-            if "" in words:
-                raise LexiconFormatError(f"{path}:{lineno}: empty unit in {units!r}")
-            for unit in words:
-                # a token is one kept run, and its trailing dot is stripped
-                # before the unit lookup
-                if not KEPT_RUN_RE.fullmatch(unit) or unit.endswith("."):
-                    raise LexiconFormatError(
-                        f"{path}:{lineno}: unit {unit!r} can never match a token"
-                    )
-            kinds[kind].update(words)
+            kinds[kind].update(
+                check_term(path, lineno, u.strip().lower(), "unit") for u in units.split(",")
+            )
         return cls(frozenset(kinds["size"]), frozenset(kinds["distance"]))
 
 
@@ -116,51 +107,33 @@ def dict_features(sentence: Sentence, lexicon: Lexicon) -> list[int]:
     return [int(tag) for tag in dictionary_tag(sentence, lexicon)]
 
 
-# Largest padded size (rows x longest row) of one forward pass.  The
-# pass's memory grows with it, about 30 KB a token at the default
-# dimensions, so a long document is tagged in several passes.
+# Most real tokens in one forward pass.  The pass's memory grows with
+# them, about 30 KB a token at the default dimensions, so a long document
+# is tagged in several passes.
 MAX_BATCH_TOKENS = 256
-
-
-def _batches(sentences: list[Sentence]):
-    """Runs of consecutive sentences, each run within MAX_BATCH_TOKENS once
-    padded; a longer sentence runs alone."""
-    batch: list[Sentence] = []
-    longest = 0
-    for s in sentences:
-        longest = max(longest, len(s.tokens))
-        if batch and (len(batch) + 1) * longest > MAX_BATCH_TOKENS:
-            yield batch
-            batch, longest = [], len(s.tokens)
-        batch.append(s)
-    if batch:
-        yield batch
-
-
-def _predict_batch(sentences: list[Sentence], lexicon: Lexicon, model: TaggerModel):
-    shape = (len(sentences), max(len(s.tokens) for s in sentences))
-    ids = np.zeros(shape, dtype=np.int64)
-    feats = np.zeros(shape, dtype=np.int64)
-    mask = np.zeros(shape)
-    for k, s in enumerate(sentences):
-        n = len(s.tokens)
-        ids[k, :n] = [model.token_index(t.normalized) for t in s.tokens]
-        feats[k, :n] = dict_features(s, lexicon)
-        mask[k, :n] = 1.0
-    best = np.argmax(batch_logits(ids, feats, mask, model), axis=2).tolist()
-    return [[Tag(i) for i in row[: len(s.tokens)]] for row, s in zip(best, sentences)]
 
 
 def predict_document_tags(
     sentences: list[Sentence], lexicon: Lexicon, model: TaggerModel
 ) -> list[list[Tag]]:
-    """Tags for every sentence of a document, its sentences padded into one
-    forward pass (several for a document past MAX_BATCH_TOKENS): argmax
-    over each token's logits, ties to the lowest index.  A sentence with no
-    tokens gets []."""
-    tagged = [s for s in sentences if s.tokens]
-    tags = (t for batch in _batches(tagged) for t in _predict_batch(batch, lexicon, model))
-    return [next(tags) if s.tokens else [] for s in sentences]
+    """Tags for every sentence of a document: argmax over each token's
+    logits, ties to the lowest index.  The sentences' tokens run as one
+    packed stream, cut into several passes before a sentence that would
+    take a pass past MAX_BATCH_TOKENS (a longer sentence runs alone).  A
+    sentence with no tokens rides in the stream and gets []."""
+    tags: list[list[Tag]] = []
+    ids: list[int] = []
+    feats: list[int] = []
+    lengths: list[int] = []
+    for k, s in enumerate(sentences):
+        ids += [model.token_index(t.normalized) for t in s.tokens]
+        feats += dict_features(s, lexicon)
+        lengths.append(len(s.tokens))
+        if k + 1 == len(sentences) or len(ids) + len(sentences[k + 1].tokens) > MAX_BATCH_TOKENS:
+            best = iter(np.argmax(batch_logits(ids, feats, lengths, model), axis=1).tolist())
+            tags += [[Tag(next(best)) for _ in range(n)] for n in lengths]
+            ids, feats, lengths = [], [], []
+    return tags
 
 
 def predict_tags(sentence: Sentence, lexicon: Lexicon, model: TaggerModel) -> list[Tag]:

@@ -1,9 +1,11 @@
-"""Training the Bi-LSTM tagger: batched BPTT over padded batches, Adam.
+"""Training the Bi-LSTM tagger: batched BPTT, Adam.
 
-The forward pass is network.lstm_direction, the same kernel that inference
-runs; it steps only the rows still inside their sentence, and backprop
-walks the same shrinking prefix.  Padded positions contribute neither to
-the recurrence nor to the loss.
+pad_batch pads a batch's int arrays to its longest sentence, and
+batch_loss_and_grads packs their real tokens into one stream once: the
+forward pass is network.lstm_direction on that stream, the same kernel and
+layout that inference runs, and the loss and backprop see real tokens
+only.  The kernel steps only the sentences still running, and backprop
+walks the same shrinking prefix.
 """
 
 from __future__ import annotations
@@ -82,42 +84,36 @@ def encode_corpus(
 
 
 def pad_batch(batch: list[EncodedSentence]):
-    """Pad to the longest sentence; returns int arrays plus a float mask."""
-    B = len(batch)
-    T = max(len(s.token_ids) for s in batch)
-    ids = np.zeros((B, T), dtype=np.int64)
-    feats = np.zeros((B, T), dtype=np.int64)
-    tags = np.zeros((B, T), dtype=np.int64)
-    mask = np.zeros((B, T))
+    """Pad to the longest sentence: int arrays ids, feats, tags and a mask,
+    1 on real tokens."""
+    padded = np.zeros((4, len(batch), max(len(s.token_ids) for s in batch)), dtype=np.int64)
     for k, s in enumerate(batch):
         n = len(s.token_ids)
-        ids[k, :n] = s.token_ids
-        feats[k, :n] = s.dict_feats
-        tags[k, :n] = s.tag_ids
-        mask[k, :n] = 1.0
-    return ids, feats, tags, mask
+        padded[:3, k, :n] = s.token_ids, s.dict_feats, s.tag_ids
+        padded[3, k, :n] = 1
+    return tuple(padded)
 
 
 def _backprop_direction(dH, params: LstmParams, cache):
     """Gradient of lstm_direction, walking its steps backwards over the
     same prefixes of rows: returns (dZ, dWh), dZ the gradient of its input
-    projections in the caller's row order.  dH is zero at padded positions,
-    as the masked loss makes it.  Only the rows that carried a state into
-    a step pass a gradient back through wh and the forget gate, so a
+    projections in the stream's order.  Only the rows that carried a state
+    into a step pass a gradient back through wh and the forget gate, so a
     direction's first step makes no recurrent product."""
-    rows, steps = cache
-    B, T, hd = dH.shape
-    dH = dH[rows]  # a copy: each step adds the carried gradient in place
-    dZ = np.zeros((B, T, 4 * hd))
+    order, steps = cache
+    hd = params.hidden_dim
+    bounds = np.cumsum([len(step[0]) for step in steps])[:-1]
+    dZ = np.zeros((len(order), 4 * hd))
     dWh = np.zeros_like(params.wh)
     dh_next = dc_next = np.zeros((0, hd))
-    for t, i, f, o, g, c, tanh_c, h_prev, c_prev in reversed(steps):
-        n, k = len(i), len(h_prev)
-        dh = dH[:n, t]
+    # dH[order] is a copy: each step adds the carried gradient in place
+    for (i, f, o, g, c, tanh_c, h_prev, c_prev), dh, dz in zip(
+        reversed(steps), reversed(np.split(dH[order], bounds)), reversed(np.split(dZ, bounds))
+    ):
+        k = len(h_prev)
         dh[: len(dh_next)] += dh_next
         dc = dh * o * (1.0 - tanh_c**2)
         dc[: len(dc_next)] += dc_next
-        dz = dZ[:n, t]
         dz[:, :hd] = dc * g * i * (1.0 - i)
         dz[:k, hd : 2 * hd] = dc[:k] * c_prev * f[:k] * (1.0 - f[:k])
         dz[:, 2 * hd : 3 * hd] = dh * tanh_c * o * (1.0 - o)
@@ -125,54 +121,47 @@ def _backprop_direction(dH, params: LstmParams, cache):
         if k:
             dWh += h_prev.T @ dz[:k]
             dh_next, dc_next = dz[:k] @ params.wh.T, dc[:k] * f[:k]
-    return dZ[np.argsort(rows)], dWh
+    return dZ[np.argsort(order)], dWh
 
 
 def batch_loss_and_grads(model: TaggerModel, ids, feats, tags, mask, compute_grads=True):
-    """Mean per-token cross-entropy over real (unmasked) tokens."""
-    B, T = ids.shape
+    """Mean per-token cross-entropy over real tokens.
+
+    ids, feats, tags, mask: (B, T) int arrays as pad_batch makes them, the
+    mask nonzero on real tokens, which fill the start of each row.  The
+    real tokens are packed into one stream before the network runs.
+    """
     hd = model.hidden_dim
     real = mask > 0
-    X = embed(ids[real], feats[real], model)  # input rows of the real tokens
-
-    def projection(params):
-        Z = np.zeros((B, T, 4 * hd))
-        Z[real] = X @ params.wx + params.b
-        return Z
-
-    Hf, cache_f = lstm_direction(projection(model.fwd), mask, model.fwd, reverse=False)
-    Hb, cache_b = lstm_direction(projection(model.bwd), mask, model.bwd, reverse=True)
-    H = np.concatenate([Hf, Hb], axis=2)
+    ids, feats, tags = ids[real], feats[real], tags[real]
+    lengths = np.count_nonzero(real, axis=1)
+    X = embed(ids, feats, model)  # input rows of the real tokens
+    Hf, cache_f = lstm_direction(X @ model.fwd.wx + model.fwd.b, lengths, model.fwd, reverse=False)
+    Hb, cache_b = lstm_direction(X @ model.bwd.wx + model.bwd.b, lengths, model.bwd, reverse=True)
+    H = np.concatenate([Hf, Hb], axis=1)
     logits = H @ model.out_w + model.out_b
-    logits = logits - logits.max(axis=2, keepdims=True)
+    logits = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
-    probs = exp / exp.sum(axis=2, keepdims=True)
-    n_real = mask.sum()
+    probs = exp / exp.sum(axis=1, keepdims=True)
     gold = np.eye(N_TAGS)[tags]
-    logp = np.log(np.clip((probs * gold).sum(axis=2), 1e-300, None))
-    loss = -(logp * mask).sum() / n_real
+    loss = -np.log(np.clip((probs * gold).sum(axis=1), 1e-300, None)).mean()
     if not compute_grads:
         return loss, None
-    dlogits = (probs - gold) * mask[:, :, None] / n_real
-    flat_H = H.reshape(B * T, 2 * hd)
-    flat_dlogits = dlogits.reshape(B * T, N_TAGS)
-    d_out_w = flat_H.T @ flat_dlogits
-    d_out_b = flat_dlogits.sum(axis=0)
+    dlogits = (probs - gold) / len(tags)
     dH = dlogits @ model.out_w.T
-    dZf, dfwh = _backprop_direction(dH[:, :, :hd], model.fwd, cache_f)
-    dZb, dbwh = _backprop_direction(dH[:, :, hd:], model.bwd, cache_b)
-    dZf, dZb = dZf[real], dZb[real]
+    dZf, dfwh = _backprop_direction(dH[:, :hd], model.fwd, cache_f)
+    dZb, dbwh = _backprop_direction(dH[:, hd:], model.bwd, cache_b)
     dX = dZf @ model.fwd.wx.T + dZb @ model.bwd.wx.T
     word_dim = model.word_emb.shape[1]
     d_word = np.zeros_like(model.word_emb)
     d_dict = np.zeros_like(model.dict_emb)
-    np.add.at(d_word, ids[real], dX[:, :word_dim])
-    np.add.at(d_dict, feats[real], dX[:, word_dim:])
+    np.add.at(d_word, ids, dX[:, :word_dim])
+    np.add.at(d_dict, feats, dX[:, word_dim:])
     grads = [
         d_word, d_dict,
         X.T @ dZf, dfwh, dZf.sum(axis=0),
         X.T @ dZb, dbwh, dZb.sum(axis=0),
-        d_out_w, d_out_b,
+        H.T @ dlogits, dlogits.sum(axis=0),
     ]
     return loss, grads
 

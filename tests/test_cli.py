@@ -399,6 +399,27 @@ def test_bad_synonym_edge_exits_1_naming_its_line(edge, tmp_path, capsys):
     assert err.startswith(f"error: {graph}:3: ") and "Traceback" not in err
 
 
+# A term is matched against tokens, and each token is one kept run, so a
+# seed or an expanded term with a hyphen or an apostrophe can never match.
+@pytest.mark.parametrize(
+    "key, rows",
+    [
+        ("seeds", "leak\tDefect\njoint-offset\tDefect\n"),
+        ("synonym_graph", "leak\tsyn\tseep\nleak\tsyn\tdrip-leak\n"),
+        ("blacklists", "leak\tescape\nleak\tdon't\n"),
+    ],
+)
+def test_unmatchable_term_exits_1_naming_its_line(key, rows, tmp_path, capsys):
+    data = tmp_path / "data.tsv"
+    data.write_text(f"# terms\n{rows}")
+    config = tmp_path / "config.ini"
+    config.write_text(f"[paths]\n{key} = data.tsv\nlexicon = lexicon.tsv\n")
+    assert main(["--config", str(config), "build-lexicon"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:3: ") and "Traceback" not in err
+    assert not (tmp_path / "lexicon.tsv").exists()
+
+
 # Tokens are kept runs: an abbreviation is matched against one whole run
 # ending in a terminator, and each word of a negation phrase against one run.
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from pipedefect.lexicon import (
     origin_depth,
     save_lexicon,
 )
-from pipedefect.preprocess import ABBREVIATION_FORM, NEGATION_PHRASE_FORM, load_phrase_file
+from pipedefect.preprocess import load_phrase_file
 from pipedefect.tagger import PatternTable
 
 
@@ -233,9 +233,9 @@ DATA_FILES = {
     "synonym_graph": (lambda p: vars(SynonymGraph.load(p)), ["leak\tsyn\tseep", "leak\tant\tseal"]),
     "blacklists": (Blacklist.load, ["leak\tseal", "crack\tfissure"]),
     "patterns": (PatternTable.load, ["size\tinch, mm", "distance\tfeet"]),
-    "phrases": (load_phrase_file, ["no", "free of"]),
-    "negation phrases": (lambda p: load_phrase_file(p, NEGATION_PHRASE_FORM), ["no", "free of"]),
-    "abbreviations": (lambda p: load_phrase_file(p, ABBREVIATION_FORM), ["ft.", "e.g."]),
+    "phrases": (load_phrase_file, ["the", "of"]),
+    "negation phrases": (load_phrase_file, ["no", "free of"]),
+    "abbreviations": (lambda p: load_phrase_file(p, "abbreviation"), ["ft.", "e.g."]),
 }
 
 

@@ -39,12 +39,11 @@ def reference_step(x, h_prev, c_prev, params: LstmParams):
 
 
 def run_one(xs, params: LstmParams):
-    """lstm_direction over one unpadded sequence: hidden states and cells."""
+    """lstm_direction over one sequence: hidden states and cells."""
     xs = np.asarray(xs, dtype=float)
-    Z = xs[None] @ params.wx + params.b
-    H, (_, steps) = lstm_direction(Z, np.ones((1, len(xs))), params, reverse=False)
-    cells = [step[5][0] for step in steps]  # c_raw, in time order
-    return H[0], np.array(cells)
+    H, (_, steps) = lstm_direction(xs @ params.wx + params.b, [len(xs)], params, reverse=False)
+    cells = [step[4][0] for step in steps]  # c_raw, in time order
+    return H, np.array(cells)
 
 
 def zero_params(input_dim, hidden_dim):
@@ -215,23 +214,23 @@ class TestBilstmForward:
             bilstm_forward(np.zeros((0, m.input_dim)), m)
 
 
+def starts(lengths):
+    """Where each sentence of a packed stream begins."""
+    return np.cumsum(lengths) - lengths
+
+
 class TestLstmDirection:
-    def test_padded_batch_matches_each_sequence_alone(self):
+    def test_packed_stream_matches_each_sequence_alone(self):
         m = small_model(seed=5)
         rng = np.random.default_rng(3)
         lengths = [4, 2, 1]
-        X = rng.normal(size=(3, 4, m.input_dim))
-        mask = np.array([[1.0] * n + [0.0] * (4 - n) for n in lengths])
+        X = rng.normal(size=(sum(lengths), m.input_dim))
         for params, reverse in ((m.fwd, False), (m.bwd, True)):
             Z = X @ params.wx + params.b
-            H, _ = lstm_direction(Z, mask, params, reverse)
-            for k, n in enumerate(lengths):
-                alone, _ = lstm_direction(Z[k : k + 1, :n], np.ones((1, n)), params, reverse)
-                assert np.allclose(H[k, :n], alone[0], rtol=0, atol=1e-12)
-                # a padded step carries the state of the step before it in time
-                carried = H[k, n - 1] if not reverse else np.zeros(m.hidden_dim)
-                for t in range(n, 4):
-                    assert np.array_equal(H[k, t], carried)
+            H, _ = lstm_direction(Z, lengths, params, reverse)
+            for s, n in zip(starts(lengths), lengths):
+                alone, _ = lstm_direction(Z[s : s + n], [n], params, reverse)
+                assert np.allclose(H[s : s + n], alone, rtol=0, atol=1e-12)
 
 
 class TestZeroStateSkip:
@@ -245,36 +244,35 @@ class TestZeroStateSkip:
 
     def test_length_one_rows_never_read_wh(self):
         m = small_model(seed=14)
-        Z = np.random.default_rng(5).normal(size=(4, 1, 4 * m.hidden_dim))
+        Z = np.random.default_rng(5).normal(size=(4, 4 * m.hidden_dim))
         for params, reverse in ((m.fwd, False), (m.bwd, True)):
-            H, _ = lstm_direction(Z, np.ones((4, 1)), self.with_wh(params, np.nan), reverse)
+            H, _ = lstm_direction(Z, [1, 1, 1, 1], self.with_wh(params, np.nan), reverse)
             assert np.all(np.isfinite(H))
 
     def test_each_rows_first_step_never_reads_wh(self):
         m = small_model(seed=15)
         lengths = [3, 1, 5, 2, 5, 4]
-        T = max(lengths)
-        Z = np.random.default_rng(6).normal(size=(len(lengths), T, 4 * m.hidden_dim))
-        mask = np.array([[1.0] * n + [0.0] * (T - n) for n in lengths])
+        Z = np.random.default_rng(6).normal(size=(sum(lengths), 4 * m.hidden_dim))
         for params, reverse in ((m.fwd, False), (m.bwd, True)):
-            H, _ = lstm_direction(Z, mask, self.with_wh(params, np.nan), reverse)
-            zero_wh, _ = lstm_direction(Z, mask, self.with_wh(params, 0.0), reverse)
-            for k, n in enumerate(lengths):
-                first = n - 1 if reverse else 0
-                assert np.all(np.isfinite(H[k, first])), (reverse, k)
-                assert np.array_equal(H[k, first], zero_wh[k, first])
+            H, _ = lstm_direction(Z, lengths, self.with_wh(params, np.nan), reverse)
+            zero_wh, _ = lstm_direction(Z, lengths, self.with_wh(params, 0.0), reverse)
+            for k, (s, n) in enumerate(zip(starts(lengths), lengths)):
+                first = s + n - 1 if reverse else s
+                assert np.all(np.isfinite(H[first])), (reverse, k)
+                assert np.array_equal(H[first], zero_wh[first])
 
 
 class TestShrinkingPrefix:
     """lstm_direction steps only the rows still inside their sentence, over
-    batches in any row order, with ties and length-1 rows, and sums the
-    recurrent product over row blocks of wh in alternating order: hidden
-    sizes below network.N_BLOCKS leave some blocks empty, and sizes not
-    divisible by it make them unequal."""
+    streams in any length order, with ties, empty and length-1 sentences,
+    and sums the recurrent product over row blocks of wh in alternating
+    order: hidden sizes below network.N_BLOCKS leave some blocks empty, and
+    sizes not divisible by it make them unequal.  A sentence's logits do
+    not depend on its neighbours in the stream."""
 
     @settings(max_examples=80, deadline=None)
     @given(
-        st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        st.lists(st.integers(0, 12), min_size=1, max_size=6),
         st.integers(0, 2**32 - 1),
         st.integers(1, 8),
     )
@@ -284,33 +282,29 @@ class TestShrinkingPrefix:
     @example([2, 6, 6, 1], 3, 2)  # an even number ends on the reversed order
     @example([4, 1, 9], 4, 3)
     @example([8, 3], 5, 8)
+    @example([0, 3, 0, 1, 5, 1], 6, 4)  # empty sentences first, between and unsorted
+    @example([1, 0], 7, 3)
+    @example([0], 8, 2)
     def test_matches_the_step_oracle_per_sequence(self, lengths, seed, hidden_dim):
         m = small_model(seed=8, vocab=("leak", "pipe", "joint", "root"), hidden_dim=hidden_dim)
         rng = np.random.default_rng(seed)
-        B, T = len(lengths), max(lengths)
-        ids = np.zeros((B, T), dtype=np.int64)
-        feats = np.zeros((B, T), dtype=np.int64)
-        mask = np.zeros((B, T))
-        for k, n in enumerate(lengths):
-            ids[k, :n] = rng.integers(0, len(m.vocab), size=n)
-            feats[k, :n] = rng.integers(0, 4, size=n)
-            mask[k, :n] = 1.0
-        X = np.concatenate([m.word_emb[ids], m.dict_emb[feats]], axis=2)
+        ids = rng.integers(0, len(m.vocab), size=sum(lengths))
+        feats = rng.integers(0, 4, size=sum(lengths))
+        X = np.concatenate([m.word_emb[ids], m.dict_emb[feats]], axis=1)
         for params, reverse in ((m.fwd, False), (m.bwd, True)):
-            H, _ = lstm_direction(X @ params.wx + params.b, mask, params, reverse)
-            for k, n in enumerate(lengths):
+            H, _ = lstm_direction(X @ params.wx + params.b, lengths, params, reverse)
+            assert H.shape == (sum(lengths), m.hidden_dim)
+            for s, n in zip(starts(lengths), lengths):
                 h = c = np.zeros(m.hidden_dim)
-                for t in reversed(range(n)) if reverse else range(n):
-                    h, c = reference_step(X[k, t], h, c, params)
-                    assert np.allclose(H[k, t], h, rtol=0, atol=1e-12)
-                # a padded position holds the last state going forward, zero going backward
-                padded = H[k, n - 1] if not reverse else np.zeros(m.hidden_dim)
-                for t in range(n, T):
-                    assert np.array_equal(H[k, t], padded)
-        logits = batch_logits(ids, feats, mask, m)
-        for k, n in enumerate(lengths):
-            alone = sentence_logits(ids[k, :n], feats[k, :n], m)
-            assert np.allclose(logits[k, :n], alone, rtol=0, atol=1e-12)
+                for t in reversed(range(s, s + n)) if reverse else range(s, s + n):
+                    h, c = reference_step(X[t], h, c, params)
+                    assert np.allclose(H[t], h, rtol=0, atol=1e-12)
+        logits = batch_logits(ids, feats, lengths, m)
+        assert logits.shape == (sum(lengths), 4)
+        for s, n in zip(starts(lengths), lengths):
+            if n:
+                alone = sentence_logits(ids[s : s + n], feats[s : s + n], m)
+                assert np.allclose(logits[s : s + n], alone, rtol=0, atol=1e-12)
 
 
 class TestInputProjections:
@@ -360,23 +354,17 @@ class TestSentenceLogits:
 
 
 class TestBatchLogits:
-    def test_padded_batch_matches_each_row_alone(self):
+    def test_packed_stream_matches_each_sentence_alone(self):
         m = small_model(seed=6, vocab=("leak", "pipe", "joint", "root"))
         rng = np.random.default_rng(4)
         lengths = [5, 1, 7, 3]
-        T = max(lengths)
-        ids = np.zeros((len(lengths), T), dtype=np.int64)
-        feats = np.zeros((len(lengths), T), dtype=np.int64)
-        mask = np.zeros((len(lengths), T))
-        for k, n in enumerate(lengths):
-            ids[k, :n] = rng.integers(0, len(m.vocab), size=n)
-            feats[k, :n] = rng.integers(0, 4, size=n)
-            mask[k, :n] = 1.0
-        logits = batch_logits(ids, feats, mask, m)
-        assert logits.shape == (len(lengths), T, 4)
-        for k, n in enumerate(lengths):
-            alone = sentence_logits(ids[k, :n], feats[k, :n], m)
-            assert np.allclose(logits[k, :n], alone, rtol=0, atol=1e-12)
+        ids = rng.integers(0, len(m.vocab), size=sum(lengths))
+        feats = rng.integers(0, 4, size=sum(lengths))
+        logits = batch_logits(ids, feats, lengths, m)
+        assert logits.shape == (sum(lengths), 4)
+        for s, n in zip(starts(lengths), lengths):
+            alone = sentence_logits(ids[s : s + n], feats[s : s + n], m)
+            assert np.allclose(logits[s : s + n], alone, rtol=0, atol=1e-12)
 
     def test_empty_rejected(self):
         m = small_model()

@@ -134,13 +134,13 @@ class TestPredictDocumentTags:
 
     @pytest.fixture
     def batch_shapes(self, monkeypatch):
-        """(rows, steps) of every lstm_direction call."""
+        """(sentences, tokens) of every lstm_direction call."""
         shapes = []
         kernel = network.lstm_direction
 
-        def counting(Z, mask, params, reverse):
-            shapes.append(Z.shape[:2])
-            return kernel(Z, mask, params, reverse)
+        def counting(Z, lengths, params, reverse):
+            shapes.append((len(lengths), len(Z)))
+            return kernel(Z, lengths, params, reverse)
 
         monkeypatch.setattr(network, "lstm_direction", counting)
         return shapes
@@ -163,7 +163,7 @@ class TestPredictDocumentTags:
         assert len(batch_shapes) > 4
         assert sum(rows for rows, _ in batch_shapes) == 2 * len(sentences)
         assert (1, MAX_BATCH_TOKENS + 9) in batch_shapes
-        assert all(rows * steps <= MAX_BATCH_TOKENS for rows, steps in batch_shapes if rows > 1)
+        assert all(tokens <= MAX_BATCH_TOKENS for rows, tokens in batch_shapes if rows > 1)
         assert batched == [predict_tags(s, lexicon, model) for s in sentences]
 
 
