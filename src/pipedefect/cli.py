@@ -1,6 +1,7 @@
 """Command-line interface: build-lexicon, generate, train, rate, evaluate.
 
-Exit codes: 0 success, 1 partial failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 partial failure, 2 usage or configuration error
+or an output that cannot be written.
 All randomness derives from the single config/flag seed.
 """
 
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.pred, args.gold)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PipeDefectError as exc:

@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .lexicon import Blacklist, SynonymGraph, expand_synonyms, load_lexicon, load_seeds
 from .pipeline import PipelineResources, build_spell_vocabulary
 from .preprocess import NegationTriggerSet, load_phrase_file
-from .rating import DEFAULT_FREQUENCY_BANDS, band_weight
+from .rating import band_weight
 from .tagger import PatternTable
 from .training import TrainingConfig
 
@@ -125,15 +125,14 @@ def load_resources(cfg: PipelineConfig, require_lexicon: bool = True) -> Pipelin
     resources = PipelineResources(
         lexicon=lexicon,
         triggers=triggers,
-        abbreviations=load_phrase_file(cfg.abbreviations, "abbreviation"),
+        abbreviations=frozenset(load_phrase_file(cfg.abbreviations, "abbreviation")),
         spell_vocab=build_spell_vocabulary(lexicon, base_words),
         patterns=PatternTable.load(cfg.patterns),
     )
     unbanded = sorted(
         e.term
         for e in lexicon.entries.values()
-        if e.category == "Frequency"
-        and band_weight(e.term, e.seed_root, DEFAULT_FREQUENCY_BANDS) is None
+        if e.category == "Frequency" and band_weight(e.term, e.seed_root) is None
     )
     if unbanded:
         raise ConfigError(

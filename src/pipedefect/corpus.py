@@ -4,7 +4,9 @@ Documents are plain text files whose optional section headers look like
 ``Defects: ...`` (header name followed by a colon).  Everything outside a
 recognized header, including text before the first header, lands in the
 ``Unsectioned`` pseudo-section.  Section bodies preserve the raw bytes so
-that gold annotation character offsets stay valid.
+that gold annotation character offsets stay valid.  A Token's one offset
+pair is its ``raw_span`` into the document text, and a Sentence is its
+tokens and negation scopes: no sentence text or section name is kept.
 
 Token, Sentence and Document are slotted dataclasses that are not frozen.
 Each is complete once built (``preprocess_document`` sets a Document's
@@ -54,16 +56,13 @@ ENTITY_TYPES = (
 class Token:
     surface: str
     normalized: str
-    char_span: tuple[int, int]  # offsets into the owning Sentence.text
-    raw_span: tuple[int, int] = (0, 0)  # offsets into the raw document text
+    raw_span: tuple[int, int]  # offsets into the raw document text
 
 
 @dataclass(slots=True)
 class Sentence:
-    text: str
     tokens: list[Token] = field(default_factory=list)
     negation_scopes: list[tuple[int, int]] = field(default_factory=list)
-    section: str = UNSECTIONED
 
 
 @dataclass(slots=True)
@@ -93,7 +92,6 @@ class GoldRecord:
 class CorpusSplit:
     train: tuple[str, ...]
     test: tuple[str, ...]
-    seed: int
 
 
 _HEADER_RE = re.compile(
@@ -204,8 +202,4 @@ def split_corpus(ids: list[str], ratio: float, seed: int) -> CorpusSplit:
     rng.shuffle(ordered)
     n_train = int(round(len(ordered) * ratio))
     n_train = min(max(n_train, 1), len(ordered) - 1)
-    return CorpusSplit(
-        train=tuple(ordered[:n_train]),
-        test=tuple(ordered[n_train:]),
-        seed=seed,
-    )
+    return CorpusSplit(train=tuple(ordered[:n_train]), test=tuple(ordered[n_train:]))

@@ -3,8 +3,8 @@ breadth-first synonym-graph expansion with per-seed blacklists.
 
 The knowledge base is a plain file of ``term <TAB> relation <TAB> term``
 edges (relation ``syn`` or ``ant``).  Antonym edges stop traversal: the
-antonym is recorded for auditing but never enters the lexicon as a
-same-category term.
+antonyms a seed meets are logged at INFO level for auditing, and never
+enter the lexicon as same-category terms.
 """
 
 from __future__ import annotations
@@ -190,7 +190,6 @@ class Lexicon:
 
     def __init__(self, entries: dict[str, LexiconEntry] | None = None):
         self.entries: dict[str, LexiconEntry] = {}
-        self.antonyms: dict[str, set[str]] = {}
         self._index = PhraseIndex()
         for entry in (entries or {}).values():
             self.add(entry)
@@ -286,7 +285,6 @@ def expand_synonyms(
         raise ValueError("seeds must be non-empty")
     # (depth, origin_rank, seed_root) orders collision resolution
     candidates: list[tuple[int, int, str, LexiconEntry]] = []
-    antonyms: dict[str, set[str]] = {}
     seed_only: list[str] = []
     for seed, category in seeds:
         seed = seed.lower()
@@ -304,7 +302,6 @@ def expand_synonyms(
             continue
         depths, ants = _bfs_synonyms(seed, graph, banned, max_depth)
         if ants:
-            antonyms.setdefault(seed, set()).update(ants)
             log.info("seed %r: antonyms recorded, not added: %s", seed, sorted(ants))
         for term, depth in depths.items():
             candidates.append(
@@ -322,7 +319,6 @@ def expand_synonyms(
         if entry.term not in best or key < best[entry.term]:
             best[entry.term] = key
             lexicon.add(entry)
-    lexicon.antonyms = antonyms
     return lexicon
 
 

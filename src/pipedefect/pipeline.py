@@ -30,7 +30,7 @@ BILSTM_TAGGER = "bilstm"
 class PipelineResources:
     lexicon: Lexicon
     triggers: NegationTriggerSet
-    abbreviations: tuple[str, ...]
+    abbreviations: frozenset[str]  # lowercase
     spell_vocab: SpellVocabulary
     patterns: PatternTable
 
@@ -48,7 +48,6 @@ def preprocess_document(doc: Document, resources: PipelineResources) -> Document
         sentences.extend(
             preprocess_section(
                 doc.sections[name],
-                section=name,
                 body_offset=start,
                 spell_vocab=resources.spell_vocab,
                 triggers=resources.triggers,
@@ -77,7 +76,7 @@ def tag_document(
     else:
         raise ValueError(f"unknown tagger {tagger!r}")
     return [
-        extract_entities(sentence, tags, patterns=resources.patterns, lexicon=resources.lexicon)
+        extract_entities(sentence, tags, resources.patterns, resources.lexicon)
         for sentence, tags in zip(doc.sentences, doc_tags)
     ]
 

@@ -41,11 +41,6 @@ class NegationTriggerSet:
 @dataclass(frozen=True)
 class SpellVocabulary:
     known_terms: frozenset[str]
-    max_edit_distance: int = 2
-
-    def __post_init__(self):
-        if self.max_edit_distance not in (1, 2):
-            raise ValueError("max_edit_distance must be 1 or 2")
 
     @cached_property
     def _one_delete_index(self) -> dict[str, list[tuple[str, int]]]:
@@ -149,8 +144,8 @@ def edit_distance(a: str, b: str, cap: int | None = None) -> int:
 
 
 def correct_spelling(token: Token, vocab: SpellVocabulary) -> Token:
-    """Replace ``normalized`` by the closest vocabulary term within the
-    edit-distance budget; ties break lexicographically.
+    """Replace ``normalized`` by the closest vocabulary term within two
+    edits (Levenshtein); ties break lexicographically.
 
     Tokens without letters (numbers, punctuation) and tokens shorter than
     three characters are left alone: correcting them is far more likely to
@@ -161,7 +156,7 @@ def correct_spelling(token: Token, vocab: SpellVocabulary) -> Token:
         return token
     if len(word) < 3 or not any(map(str.isalpha, word)):
         return token
-    if len(word) > vocab._longest_term + vocab.max_edit_distance:
+    if len(word) > vocab._longest_term + 2:
         return token  # the distance is at least the length gap
     # One edit away, exactly and without a distance check: with dels[i] the
     # word minus its character i, a term is one edit away when the word is
@@ -178,15 +173,10 @@ def correct_spelling(token: Token, vocab: SpellVocabulary) -> Token:
         for term, pos in index.get(key, ()):
             if pos == i:
                 found.append(term)
-    if found:
-        best = min(found)
-    elif vocab.max_edit_distance == 2:
-        best = _two_edit_term(word, dels, vocab)
-    else:
-        best = None
+    best = min(found) if found else _two_edit_term(word, dels, vocab)
     if best is None:
         return token
-    return Token(token.surface, best, token.char_span, token.raw_span)
+    return Token(token.surface, best, token.raw_span)
 
 
 def _two_edit_term(word: str, dels: list[str], vocab: SpellVocabulary) -> str | None:
@@ -249,63 +239,51 @@ def detect_negation(
 
 def preprocess_section(
     body: str,
-    section: str,
     body_offset: int,
     spell_vocab: SpellVocabulary | None,
     triggers: NegationTriggerSet,
-    abbreviations: tuple[str, ...] = (),
+    abbreviations: frozenset[str],
 ) -> list[Sentence]:
     """Full per-section pipeline; token raw spans point into the document.
 
     One scan over the runs of kept characters (letters, digits, sentence
     terminators) in ``body``; every other character is dropped and case is
-    preserved.  Each run is one token, and a sentence's text is its runs
-    joined by single spaces.  A sentence ends after a run ending in a
-    terminator when the next run starts with a capital letter, unless the
-    run is on the abbreviation exception list (matched with its dot, e.g.
-    "ft."), and at the end of the body.  A terminator ending the last run
-    of a sentence becomes its own token.
+    preserved.  Each run is one token.  A sentence ends after a run ending
+    in a terminator when the next run starts with a capital letter, unless
+    the run, lowercased, is in ``abbreviations`` (lowercase and matched
+    with their dot, e.g. "ft."), and at the end of the body.  A terminator
+    ending the last run of a sentence becomes its own token.
     """
-    abbrev = {a.lower() for a in abbreviations}
     groups: list[list[tuple[str, int]]] = []  # (run, start in body) per sentence
     run = ""
     for m in KEPT_RUN_RE.finditer(body):
         prev, run = run, m.group()
         if not prev or (
-            prev[-1] in SENTENCE_TERMINATORS and run[0].isupper() and prev.lower() not in abbrev
+            prev[-1] in SENTENCE_TERMINATORS
+            and run[0].isupper()
+            and prev.lower() not in abbreviations
         ):
             group: list[tuple[str, int]] = []
             groups.append(group)
         group.append((run, m.start()))
     sentences: list[Sentence] = []
     for group in groups:
-        text = " ".join(run for run, _ in group)
         last, last_start = group[-1]
         split = len(last) > 1 and last[-1] in SENTENCE_TERMINATORS
         if split:
             group[-1] = (last[:-1], last_start)
         tokens: list[Token] = []
-        pos = 0
         for surf, start in group:
-            end = pos + len(surf)
             raw = body_offset + start
-            tokens.append(Token(surf, surf.lower(), (pos, end), (raw, raw + len(surf))))
-            pos = end + 1
+            tokens.append(Token(surf, surf.lower(), (raw, raw + len(surf))))
         if split:  # the terminator, right after the shortened last run
             raw += len(surf)
-            tokens.append(Token(last[-1], last[-1], (end, end + 1), (raw, raw + 1)))
+            tokens.append(Token(last[-1], last[-1], (raw, raw + 1)))
         if spell_vocab is not None:
             known = spell_vocab.known_terms
             tokens = [
                 tok if tok.normalized in known else correct_spelling(tok, spell_vocab)
                 for tok in tokens
             ]
-        sentences.append(
-            Sentence(
-                text=text,
-                tokens=tokens,
-                negation_scopes=detect_negation(tokens, triggers),
-                section=section,
-            )
-        )
+        sentences.append(Sentence(tokens, detect_negation(tokens, triggers)))
     return sentences

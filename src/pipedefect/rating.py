@@ -95,26 +95,18 @@ def weight_location(frames: list[EntityFrame]) -> float:
     return 0.9 if count == 1 else 1.0
 
 
-def band_weight(term: str | None, seed_root: str | None, bands: dict[str, float]) -> float | None:
-    """The band of a frequency term, else of its seed root; None if neither has one."""
-    weight = bands.get(term) if term else None
+def band_weight(term: str | None, seed_root: str | None) -> float | None:
+    """The band of a frequency term, else of its seed root; None if neither
+    has one.  load_resources checks that every Frequency lexicon term has a
+    band, so a band-less span is a mis-tag: the Bi-LSTM can tag a span no
+    lexicon entry matched, or one that matched a Defect or Location entry."""
+    weight = DEFAULT_FREQUENCY_BANDS.get(term) if term else None
     if weight is None and seed_root:
-        weight = bands.get(seed_root)
+        weight = DEFAULT_FREQUENCY_BANDS.get(seed_root)
     return weight
 
 
-def _band(entity: Entity, bands: dict[str, float]) -> float | None:
-    """The band of a frequency span, None if it has none: the Bi-LSTM can
-    tag a span no lexicon entry matched, or one that matched a Defect or
-    Location entry.  load_resources has already checked that every
-    Frequency lexicon term has a band, so a band-less span is a mis-tag."""
-    return band_weight(entity.matched_lexicon_term, entity.seed_root, bands)
-
-
-def weight_frequency(
-    frames: list[EntityFrame],
-    bands: dict[str, float] = DEFAULT_FREQUENCY_BANDS,
-) -> float:
+def weight_frequency(frames: list[EntityFrame]) -> float:
     """Maximum band over non-negated frequency terms; none present -> 0.1.
 
     Spans without a band are skipped (rate_frames notes each).
@@ -122,7 +114,7 @@ def weight_frequency(
     best = 0.1
     for frame in frames:
         for entity in _active(frame.frequencies):
-            weight = _band(entity, bands)
+            weight = band_weight(entity.matched_lexicon_term, entity.seed_root)
             if weight is not None:
                 best = max(best, weight)
     return best
@@ -157,14 +149,10 @@ def assign_rating(w: WeightTriple) -> DefectRating:
     return DefectRating(value, ACTION_TEXT[value])
 
 
-def rate_frames(
-    document_id: str,
-    frames: list[EntityFrame],
-    bands: dict[str, float] = DEFAULT_FREQUENCY_BANDS,
-) -> RatingReport:
+def rate_frames(document_id: str, frames: list[EntityFrame]) -> RatingReport:
     """Weight triple + rating from per-sentence entity frames."""
     triple = WeightTriple(
-        frequencies=weight_frequency(frames, bands),
+        frequencies=weight_frequency(frames),
         location=weight_location(frames),
         defect=weight_defect(frames),
     )
@@ -175,7 +163,7 @@ def rate_frames(
         report.notes.append("weight triple outside the rating table; defaulted to rating 1")
     for sent_idx, frame in enumerate(frames):
         for entity in _active(frame.frequencies):
-            if _band(entity, bands) is not None:
+            if band_weight(entity.matched_lexicon_term, entity.seed_root) is not None:
                 continue
             start, end = entity.token_range
             term = entity.matched_lexicon_term or entity.seed_root

@@ -148,8 +148,8 @@ def _intersects(start: int, end: int, scopes: list[tuple[int, int]]) -> bool:
 def extract_entities(
     sentence: Sentence,
     tags: list[Tag],
-    patterns: PatternTable | None = None,
-    lexicon: Lexicon | None = None,
+    patterns: PatternTable,
+    lexicon: Lexicon,
 ) -> EntityFrame:
     """Maximal same-tag runs plus number+unit pattern matches, in one pass.
 
@@ -171,22 +171,19 @@ def extract_entities(
             j = i + 1
             while j < n and tags[j] == tag:
                 j += 1
-            term = root = None
-            if lexicon is not None:
-                entry = lexicon.entries.get(" ".join(words[i:j]))
-                if entry is None:
-                    # a run can cover several adjacent matches; keep the first
-                    hits = lexicon.lookup(words[i:j])
-                    entry = hits[0][1] if hits else None
-                if entry is not None:
-                    term, root = entry.term, entry.seed_root
+            entry = lexicon.entries.get(" ".join(words[i:j]))
+            if entry is None:
+                # a run can cover several adjacent matches; keep the first
+                hits = lexicon.lookup(words[i:j])
+                entry = hits[0][1] if hits else None
+            term, root = (entry.term, entry.seed_root) if entry else (None, None)
             buckets[tag].append(
                 Entity(TAG_TO_ENTITY_TYPE[tag], (i, j), _intersects(i, j, scopes), term, root)
             )
             i = j
             continue
         # \d is any Unicode decimal digit, which is what str.isdecimal tests
-        if (patterns is not None and i + 1 < n and not tags[i + 1]
+        if (i + 1 < n and not tags[i + 1]
                 and words[i][:1].isdecimal() and _NUMBER_RE.match(words[i])):
             unit = words[i + 1].rstrip(".")
             if unit in patterns.distance_units:

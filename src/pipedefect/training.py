@@ -70,9 +70,8 @@ def encode_corpus(
     encoded = []
     for sent, tags in corpus:
         if len(tags) != len(sent.tokens):
-            raise AlignmentError(
-                f"{len(tags)} tags for {len(sent.tokens)} tokens in {sent.text!r}"
-            )
+            surfaces = " ".join(t.surface for t in sent.tokens)
+            raise AlignmentError(f"{len(tags)} tags for {len(sent.tokens)} tokens in {surfaces!r}")
         encoded.append(
             EncodedSentence(
                 token_ids=[model.token_index(t.normalized) for t in sent.tokens],

@@ -39,7 +39,6 @@ def make_sentence(resources):
     def _make(text, spell=False):
         sents = preprocess_section(
             text,
-            section="Unsectioned",
             body_offset=0,
             spell_vocab=resources.spell_vocab if spell else None,
             triggers=resources.triggers,

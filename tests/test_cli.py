@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -177,6 +178,29 @@ class TestRate:
         assert len(rows) == 5 and "latin1" not in {r[0] for r in rows}
         payload = json.loads((tmp_path / "out" / "reports" / "latin1.json").read_text())
         assert "error" in payload
+
+
+@pytest.mark.parametrize("command, key", [("train", "model"), ("rate", "output_dir")])
+def test_unwritable_output_exits_2(command, key, workspace, tmp_path, capsys):
+    """A directory as train's model file, a file as rate's output directory."""
+    root, _ = workspace
+    blocked = tmp_path / "blocked"
+    if key == "model":
+        blocked.mkdir()
+    else:
+        blocked.write_text("")
+    config = tmp_path / "config.ini"
+    text = (
+        CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv"))
+        .replace("corpus_dir = corpus", f"corpus_dir = {root / 'corpus'}")
+        .replace("gold.tsv", str(root / "gold.tsv"))
+    )
+    config.write_text(re.sub(rf"^{key} = .*$", f"{key} = {blocked}", text, flags=re.M))
+    argv = ["--config", str(config), command]
+    assert main(argv + ([str(root / "corpus")] if command == "rate" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocked) in err
 
 
 @pytest.fixture(scope="module")

@@ -67,11 +67,12 @@ class TestExpandSynonyms:
         assert "burst" not in lex
         assert "blowout" not in lex  # only reachable through the banned node
 
-    def test_antonyms_recorded_not_added(self):
+    def test_antonyms_recorded_not_added(self, caplog):
         g = graph_of(("rupture", "syn", "burst"), ("rupture", "ant", "intact"))
-        lex = expand_synonyms([("rupture", "Defect")], g, Blacklist(), max_depth=2)
+        with caplog.at_level(logging.INFO, logger="pipedefect.lexicon"):
+            lex = expand_synonyms([("rupture", "Defect")], g, Blacklist(), max_depth=2)
         assert "intact" not in lex
-        assert "intact" in lex.antonyms["rupture"]
+        assert "seed 'rupture': antonyms recorded, not added: ['intact']" in caplog.messages
 
     def test_collision_smaller_depth_wins(self):
         g = graph_of(("a", "syn", "x"), ("b", "syn", "m"), ("m", "syn", "x"))

@@ -2,6 +2,7 @@ import copy
 import random
 import re
 import string
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,7 @@ from pipedefect.preprocess import (
     preprocess_section,
 )
 
-ABBREVS = ("ft.", "in.", "no.")
+ABBREVS = frozenset({"ft.", "in.", "no."})
 
 TRIGGERS = NegationTriggerSet(
     pre_triggers=("no", "not", "without", "free of"),
@@ -30,17 +31,29 @@ TRIGGERS = NegationTriggerSet(
 )
 
 
-def sentences(body, abbreviations=()):
+def sentences(body, abbreviations=frozenset()):
     """The sentences of one section body, without spelling correction."""
-    return preprocess_section(body, "Defects", 0, None, TRIGGERS, abbreviations)
+    return preprocess_section(body, 0, None, TRIGGERS, abbreviations)
+
+
+def sentence_text(sentence):
+    """The sentence's token surfaces, with a space wherever two tokens' raw
+    spans are not adjacent: its runs joined by single spaces."""
+    out, end = [], None
+    for tok in sentence.tokens:
+        if end is not None and tok.raw_span[0] != end:
+            out.append(" ")
+        out.append(tok.surface)
+        end = tok.raw_span[1]
+    return "".join(out)
 
 
 def normalize_text(raw):
-    return " ".join(s.text for s in sentences(raw))
+    return " ".join(sentence_text(s) for s in sentences(raw))
 
 
-def split_sentences(text, abbreviations=()):
-    return [s.text for s in sentences(text, abbreviations)]
+def split_sentences(text, abbreviations=frozenset()):
+    return [sentence_text(s) for s in sentences(text, abbreviations)]
 
 
 def toks(text):
@@ -104,7 +117,7 @@ class TestTokenize:
         assert [t.surface for t in toks("Frequent leaks.")] == ["Frequent", "leaks", "."]
 
     def test_spans(self):
-        spans = [t.char_span for t in toks("10 feet away")]
+        spans = [t.raw_span for t in toks("10 feet away")]
         assert spans == [(0, 2), (3, 7), (8, 12)]
 
     def test_empty(self):
@@ -121,8 +134,6 @@ class TestTokenize:
         covered = set()
         for sentence in sentences(text):
             for tok in sentence.tokens:
-                s, e = tok.char_span
-                assert sentence.text[s:e] == tok.surface
                 s, e = tok.raw_span
                 assert text[s:e] == tok.surface
                 covered.update(range(s, e))
@@ -210,21 +221,24 @@ class TestEditDistance:
             assert edit_distance(a, b, cap=cap) == min(exact, cap + 1)
 
 
+MAX_EDITS = 2  # the corrector's edit budget
+
+
 def brute_force_correction(word, vocab):
     """Reference corrector: scan every known term, keep the smallest
     (distance, term) within the budget."""
     if word in vocab.known_terms or len(word) < 3 or not any(ch.isalpha() for ch in word):
         return word
     best = None
-    best_dist = vocab.max_edit_distance + 1
+    best_dist = MAX_EDITS + 1
     for term in vocab.known_terms:
-        if abs(len(word) - len(term)) > vocab.max_edit_distance:
+        if abs(len(word) - len(term)) > MAX_EDITS:
             continue  # the distance is at least the length gap
         d = oracle_edit_distance(word, term)
         if d < best_dist or (d == best_dist and (best is None or term < best)):
             best = term
             best_dist = d
-    if best is None or best_dist > vocab.max_edit_distance:
+    if best is None or best_dist > MAX_EDITS:
         return word
     return best
 
@@ -237,7 +251,7 @@ _TERMS = st.text(alphabet="abc", min_size=1, max_size=5)
 @st.composite
 def _vocab_and_word(draw):
     terms = draw(st.frozensets(_TERMS, min_size=8, max_size=40))
-    vocab = SpellVocabulary(terms, max_edit_distance=draw(st.sampled_from([1, 2])))
+    vocab = SpellVocabulary(terms)
     if draw(st.booleans()):
         word = draw(st.text(alphabet="abc1", max_size=8))
     else:  # a few random edits away from a known term
@@ -250,7 +264,7 @@ class TestCorrectSpelling:
     VOCAB = SpellVocabulary(frozenset({"leaks", "cracks", "holes", "pipe"}))
 
     def make(self, word):
-        return Token(surface=word, normalized=word.lower(), char_span=(0, len(word)))
+        return Token(surface=word, normalized=word.lower(), raw_span=(0, len(word)))
 
     def test_typo_corrected(self):
         assert correct_spelling(self.make("Laeks"), self.VOCAB).normalized == "leaks"
@@ -273,10 +287,10 @@ class TestCorrectSpelling:
     def test_surface_and_span_preserved(self):
         out = correct_spelling(self.make("Laeks"), self.VOCAB)
         assert out.surface == "Laeks"
-        assert out.char_span == (0, 5)
+        assert out.raw_span == (0, 5)
 
     def test_tie_breaks_lexicographically(self):
-        vocab = SpellVocabulary(frozenset({"cat", "bat"}), max_edit_distance=1)
+        vocab = SpellVocabulary(frozenset({"cat", "bat"}))
         assert correct_spelling(self.make("aat"), vocab).normalized == "bat"
 
     @given(st.sampled_from(sorted(VOCAB.known_terms)))
@@ -286,7 +300,7 @@ class TestCorrectSpelling:
 
     # "abcd": depth-1 keys reach only "abcdxy" (distance 2); the smaller
     # "abaa", also at distance 2, shares only the depth-2 key "ab".
-    DEPTH_2_TIE = SpellVocabulary(frozenset({"abcdxy", "abaa"}), max_edit_distance=2)
+    DEPTH_2_TIE = SpellVocabulary(frozenset({"abcdxy", "abaa"}))
 
     @settings(max_examples=500)
     @given(_vocab_and_word())
@@ -295,24 +309,31 @@ class TestCorrectSpelling:
     # one edit: the word is the term minus one character (an insertion),
     # the word minus one character is the term (a deletion), and both minus
     # the same position agree (a substitution)
-    @example((SpellVocabulary(frozenset({"abcab"}), max_edit_distance=1), "abab"))
-    @example((SpellVocabulary(frozenset({"abab"}), max_edit_distance=1), "abcab"))
-    @example((SpellVocabulary(frozenset({"abcab"}), max_edit_distance=1), "abbab"))
+    @example((SpellVocabulary(frozenset({"abcab"})), "abab"))
+    @example((SpellVocabulary(frozenset({"abab"})), "abcab"))
+    @example((SpellVocabulary(frozenset({"abcab"})), "abbab"))
     # adjacent transpositions share a deletion at different positions and
     # are two edits: "bac" and "abc" both give "ac" and "bc"
-    @example((SpellVocabulary(frozenset({"ab"}), max_edit_distance=1), "ba"))
-    @example((SpellVocabulary(frozenset({"ab"}), max_edit_distance=2), "ba"))
-    @example((SpellVocabulary(frozenset({"abc"}), max_edit_distance=1), "bac"))
-    @example((SpellVocabulary(frozenset({"abc", "aaa"}), max_edit_distance=2), "bac"))
+    @example((SpellVocabulary(frozenset({"ab"})), "ba"))
+    @example((SpellVocabulary(frozenset({"abc"})), "bac"))
+    @example((SpellVocabulary(frozenset({"abc", "aaa"})), "bac"))
     # repeated letters give one key at several positions
-    @example((SpellVocabulary(frozenset({"abb"}), max_edit_distance=1), "aab"))
-    @example((SpellVocabulary(frozenset({"abb"}), max_edit_distance=2), "aab"))
+    @example((SpellVocabulary(frozenset({"abb"})), "aab"))
     # a tie between the three one-edit branches
-    @example((SpellVocabulary(frozenset({"abcd", "bbc", "bc"}), max_edit_distance=1), "abc"))
+    @example((SpellVocabulary(frozenset({"abcd", "bbc", "bc"})), "abc"))
     def test_matches_brute_force_scan(self, case):
+        """The one-edit search alone settles a word with a term one edit
+        away; a two-edit correction comes from the two-edit search."""
         vocab, word = case
         expected = brute_force_correction(word, vocab)
-        assert correct_spelling(self.make(word), vocab).normalized == expected
+        two_edit = mock.patch.object(
+            preprocess, "_two_edit_term", wraps=preprocess._two_edit_term
+        )
+        with two_edit as two_edit_search:
+            assert correct_spelling(self.make(word), vocab).normalized == expected
+        if expected != word:
+            one_edit = oracle_edit_distance(word, expected) == 1
+            assert two_edit_search.called != one_edit
 
     @given(_vocab_and_word())
     @example((VOCAB, "Laeks"))
@@ -362,7 +383,7 @@ class TestCorrectSpelling:
             assert correct_spelling(self.make(word), vocab).normalized == expected, word
 
     def test_length_cutoff_keeps_words_within_budget(self):
-        vocab = SpellVocabulary(frozenset({"leak"}), max_edit_distance=2)
+        vocab = SpellVocabulary(frozenset({"leak"}))
         for word in ("leakxx", "leakxxx", "leak" + "x" * 1000):
             expected = brute_force_correction(word, vocab)
             assert correct_spelling(self.make(word), vocab).normalized == expected
@@ -529,7 +550,7 @@ def oracle_lookup(lexicon, words):
     return matches
 
 
-def oracle_preprocess_section(body, section, body_offset, spell_vocab, triggers, abbreviations):
+def oracle_preprocess_section(body, body_offset, spell_vocab, triggers, abbreviations):
     norm, char_map = oracle_normalize_with_map(body)
     sentences = []
     for s, e in oracle_split_sentence_spans(norm, abbreviations):
@@ -537,12 +558,12 @@ def oracle_preprocess_section(body, section, body_offset, spell_vocab, triggers,
         for surf, ts, te in oracle_chunks(norm[s:e]):
             raw_start = body_offset + char_map[s + ts]
             raw_end = body_offset + char_map[s + te - 1] + 1
-            tok = Token(surf, surf.lower(), (ts, te), (raw_start, raw_end))
+            tok = Token(surf, surf.lower(), (raw_start, raw_end))
             if spell_vocab is not None:
                 tok = correct_spelling(tok, spell_vocab)
             tokens.append(tok)
         scopes = oracle_detect_negation(tokens, triggers)
-        sentences.append(Sentence(norm[s:e], tokens, scopes, section))
+        sentences.append(Sentence(tokens, scopes))
     return sentences
 
 
@@ -556,7 +577,7 @@ _UNICODE_TEXT = st.lists(
     ),
     max_size=40,
 ).map("".join)
-_ABBREVIATIONS = st.sampled_from([(), ABBREVS, ("ft.", "\u0663.", "_.", "a")])
+_ABBREVIATIONS = st.sampled_from([frozenset(), ABBREVS, frozenset({"ft.", "\u0663.", "_.", "a"})])
 
 # Overlapping multiword phrases: several phrases share a first word, and a
 # trigger can start a terminator or a lexicon term.
@@ -590,13 +611,13 @@ class TestScannersMatchOracles:
     @example("Leak.\u2003Crack", ABBREVS)
     def test_normalize_and_split_on_arbitrary_unicode(self, raw, abbreviations):
         for body in (raw, oracle_normalize_with_map(raw)[0]):
-            args = (body, "Defects", 7, None, TRIGGERS, abbreviations)
+            args = (body, 7, None, TRIGGERS, abbreviations)
             assert preprocess_section(*args) == oracle_preprocess_section(*args)
 
     @settings(max_examples=100)
     @given(_UNICODE_TEXT, _ABBREVIATIONS)
     def test_preprocess_section_on_arbitrary_unicode(self, resources, raw, abbreviations):
-        args = (raw, "Defects", 7, resources.spell_vocab, resources.triggers, abbreviations)
+        args = (raw, 7, resources.spell_vocab, resources.triggers, abbreviations)
         assert preprocess_section(*args) == oracle_preprocess_section(*args)
 
     @settings(max_examples=200)
@@ -615,7 +636,7 @@ class TestScannersMatchOracles:
         words = data.draw(_soup(resources.lexicon, ["!", "?", ",", "ft.", "No", "Free"]))
         body = " ".join(words)
         for triggers in (SOUP_TRIGGERS, resources.triggers):
-            args = (body, "Defects", 3, resources.spell_vocab, triggers, resources.abbreviations)
+            args = (body, 3, resources.spell_vocab, triggers, resources.abbreviations)
             assert preprocess_section(*args) == oracle_preprocess_section(*args)
 
     def test_whitespace_only_trigger_rejected(self):
@@ -657,7 +678,7 @@ class TestRateDocumentOnTypoSoup:
                 word = tok.surface.lower()
                 if tok.normalized != word:
                     assert tok.normalized in vocab.known_terms
-                    assert oracle_edit_distance(word, tok.normalized) <= vocab.max_edit_distance
+                    assert oracle_edit_distance(word, tok.normalized) <= MAX_EDITS
 
 
 class TestRateDocumentWithBilstmOnSoup:

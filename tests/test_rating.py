@@ -18,7 +18,6 @@ from pipedefect.pipeline import (
 )
 from pipedefect.rating import (
     ACTION_TEXT,
-    DEFAULT_FREQUENCY_BANDS,
     FREQUENCY_WEIGHTS,
     DefectRating,
     RatingReport,
@@ -191,12 +190,6 @@ class TestRateFrames:
         assert report.rating.gap_row
         assert any("rating table" in note for note in report.notes)
 
-    def test_band_table_is_configuration(self):
-        bands = dict(DEFAULT_FREQUENCY_BANDS, intermittently=0.5)
-        frames = [frame_with(frequency("intermittently"), defect("crack"))]
-        report = rate_frames("doc", frames, bands=bands)
-        assert report.rating.value == 3
-
 
 class TestNetTaggedFrequency:
     def test_span_without_lexicon_entry_is_skipped_and_noted(self, resources):
@@ -253,11 +246,11 @@ class TestNegatedMentionNeverRaisesRating:
 
 
 def _token():
-    return Token("Crack", "crack", (3, 8), (12, 17))
+    return Token("Crack", "crack", (12, 17))
 
 
 def _sentence():
-    return Sentence("No Crack", [Token("No", "no", (0, 2), (9, 11)), _token()], [(1, 2)], "Defects")
+    return Sentence([Token("No", "no", (9, 11)), _token()], [(1, 2)])
 
 
 def _entity():
@@ -272,10 +265,10 @@ def _rating():
     return DefectRating(1, ACTION_TEXT[1], gap_row=True)
 
 
-_TOKEN_REPR = "Token(surface='Crack', normalized='crack', char_span=(3, 8), raw_span=(12, 17))"
+_TOKEN_REPR = "Token(surface='Crack', normalized='crack', raw_span=(12, 17))"
 _SENTENCE_REPR = (
-    "Sentence(text='No Crack', tokens=[Token(surface='No', normalized='no', char_span=(0, 2),"
-    f" raw_span=(9, 11)), {_TOKEN_REPR}], negation_scopes=[(1, 2)], section='Defects')"
+    "Sentence(tokens=[Token(surface='No', normalized='no', raw_span=(9, 11)),"
+    f" {_TOKEN_REPR}], negation_scopes=[(1, 2)])"
 )
 _ENTITY_REPR = (
     "Entity(entity_type='Defect', token_range=(1, 2), negated=True,"

@@ -8,6 +8,7 @@ from test_network import reference_step
 
 from pipedefect import network
 from pipedefect.corpus import GoldEntity, Sentence, Token, parse_document
+from pipedefect.lexicon import Lexicon
 from pipedefect.network import init_model
 from pipedefect.pipeline import BILSTM_TAGGER, preprocess_document, tag_document
 from pipedefect.tagger import (
@@ -31,15 +32,16 @@ PATTERNS = PatternTable(
     size_units=frozenset({"inch", "inches", "in", "mm"}),
     distance_units=frozenset({"feet", "foot", "ft", "meters"}),
 )
+NO_PATTERNS = PatternTable(frozenset(), frozenset())
 
 
 def bare_sentence(words, scopes=()):
     pos = 0
     tokens = []
     for w in words:
-        tokens.append(Token(surface=w, normalized=w.lower(), char_span=(pos, pos + len(w))))
+        tokens.append(Token(surface=w, normalized=w.lower(), raw_span=(pos, pos + len(w))))
         pos += len(w) + 1
-    return Sentence(text=" ".join(words), tokens=tokens, negation_scopes=list(scopes))
+    return Sentence(tokens=tokens, negation_scopes=list(scopes))
 
 
 class TestDictionaryTag:
@@ -170,7 +172,7 @@ class TestPredictDocumentTags:
 class TestExtractEntities:
     def test_negated_defect(self, lexicon):
         sent = bare_sentence(["no", "leaks"], scopes=[(1, 2)])
-        frame = extract_entities(sent, [Tag.O, Tag.DEFECT], lexicon=lexicon)
+        frame = extract_entities(sent, [Tag.O, Tag.DEFECT], PATTERNS, lexicon)
         assert len(frame.defects) == 1
         assert frame.defects[0].negated is True
         assert frame.defects[0].seed_root == "leak"
@@ -178,51 +180,51 @@ class TestExtractEntities:
     def test_distance_pattern(self, lexicon):
         words = ["10", "feet", "away", "from", "pipe", "installation"]
         sent = bare_sentence(words)
-        frame = extract_entities(sent, [Tag.O] * 6, patterns=PATTERNS, lexicon=lexicon)
+        frame = extract_entities(sent, [Tag.O] * 6, PATTERNS, lexicon)
         assert len(frame.locations) == 1
         assert frame.locations[0].token_range == (0, 2)
         assert frame.locations[0].entity_type == "LocationOfDefect"
 
-    def test_size_pattern(self):
+    def test_size_pattern(self, lexicon):
         sent = bare_sentence(["crack", "of", "3", "inches"])
-        frame = extract_entities(sent, [Tag.O] * 4, patterns=PATTERNS)
+        frame = extract_entities(sent, [Tag.O] * 4, PATTERNS, lexicon)
         assert len(frame.sizes) == 1
         assert frame.sizes[0].token_range == (2, 4)
 
-    def test_unit_with_trailing_dot(self):
+    def test_unit_with_trailing_dot(self, lexicon):
         sent = bare_sentence(["10", "ft."])
-        frame = extract_entities(sent, [Tag.O, Tag.O], patterns=PATTERNS)
+        frame = extract_entities(sent, [Tag.O, Tag.O], PATTERNS, lexicon)
         assert len(frame.locations) == 1
 
     def test_pattern_needs_o_tags(self, lexicon):
         # a token already claimed by a keyword tag cannot join a pattern
         sent = bare_sentence(["10", "feet"])
-        frame = extract_entities(sent, [Tag.O, Tag.LOCATION], patterns=PATTERNS, lexicon=lexicon)
+        frame = extract_entities(sent, [Tag.O, Tag.LOCATION], PATTERNS, lexicon)
         assert all(e.token_range != (0, 2) for e in frame.locations)
 
-    def test_all_o_empty_frame(self):
+    def test_all_o_empty_frame(self, lexicon):
         sent = bare_sentence(["nothing", "here"])
-        frame = extract_entities(sent, [Tag.O, Tag.O], patterns=PATTERNS)
+        frame = extract_entities(sent, [Tag.O, Tag.O], PATTERNS, lexicon)
         assert frame.all_entities() == []
 
     def test_maximal_runs(self, lexicon):
         sent = bare_sentence(["deposits", "settled", "at", "midpoint"])
         tags = [Tag.DEFECT, Tag.DEFECT, Tag.O, Tag.LOCATION]
-        frame = extract_entities(sent, tags, lexicon=lexicon)
+        frame = extract_entities(sent, tags, PATTERNS, lexicon)
         assert [e.token_range for e in frame.defects] == [(0, 2)]
         assert [e.token_range for e in frame.locations] == [(3, 4)]
         assert frame.defects[0].matched_lexicon_term == "deposits settled"
 
-    def test_entity_text(self):
+    def test_entity_text(self, lexicon):
         sent = bare_sentence(["Deposits", "Settled"])
-        frame = extract_entities(sent, [Tag.DEFECT, Tag.DEFECT])
+        frame = extract_entities(sent, [Tag.DEFECT, Tag.DEFECT], PATTERNS, lexicon)
         assert entity_text(sent, frame.defects[0]) == "deposits settled"
 
     @given(st.lists(st.sampled_from(list(Tag)), max_size=15))
-    def test_entity_count_equals_runs(self, tags):
+    def test_entity_count_equals_runs(self, lexicon, tags):
         words = [f"w{k}" for k in range(len(tags))]
         sent = bare_sentence(words)
-        frame = extract_entities(sent, tags)
+        frame = extract_entities(sent, tags, PATTERNS, lexicon)
         runs = 0
         prev = Tag.O
         for t in tags:
@@ -232,7 +234,7 @@ class TestExtractEntities:
         assert len(frame.all_entities()) == runs
 
 
-def reference_extract_entities(sentence, tags, patterns=None, lexicon=None):
+def reference_extract_entities(sentence, tags, patterns, lexicon):
     """Two-pass reference: maximal same-tag runs, then number+unit pairs."""
 
     def intersects(span, scopes):
@@ -252,33 +254,31 @@ def reference_extract_entities(sentence, tags, patterns=None, lexicon=None):
             j += 1
         term = None
         root = None
-        if lexicon is not None:
-            text = " ".join(t.normalized for t in tokens[i:j])
-            entry = lexicon.entries.get(text)
-            if entry is None:
-                hits = lexicon.lookup([t.normalized for t in tokens[i:j]])
-                entry = hits[0][1] if hits else None
-            if entry is not None:
-                term = entry.term
-                root = entry.seed_root
+        text = " ".join(t.normalized for t in tokens[i:j])
+        entry = lexicon.entries.get(text)
+        if entry is None:
+            hits = lexicon.lookup([t.normalized for t in tokens[i:j]])
+            entry = hits[0][1] if hits else None
+        if entry is not None:
+            term = entry.term
+            root = entry.seed_root
         frame.append(
             Entity(TAG_TO_ENTITY_TYPE[tags[i]], (i, j), intersects((i, j), scopes), term, root)
         )
         i = j
-    if patterns is not None:
-        for i in range(n - 1):
-            if tags[i] != Tag.O or tags[i + 1] != Tag.O:
-                continue
-            if not _NUMBER_RE.match(tokens[i].normalized):
-                continue
-            unit = tokens[i + 1].normalized.rstrip(".")
-            if unit in patterns.distance_units:
-                etype = "LocationOfDefect"
-            elif unit in patterns.size_units:
-                etype = "SizeOfDefect"
-            else:
-                continue
-            frame.append(Entity(etype, (i, i + 2), intersects((i, i + 2), scopes)))
+    for i in range(n - 1):
+        if tags[i] != Tag.O or tags[i + 1] != Tag.O:
+            continue
+        if not _NUMBER_RE.match(tokens[i].normalized):
+            continue
+        unit = tokens[i + 1].normalized.rstrip(".")
+        if unit in patterns.distance_units:
+            etype = "LocationOfDefect"
+        elif unit in patterns.size_units:
+            etype = "SizeOfDefect"
+        else:
+            continue
+        frame.append(Entity(etype, (i, i + 2), intersects((i, i + 2), scopes)))
     return frame
 
 
@@ -325,16 +325,17 @@ class TestExtractEntitiesMatchesReference:
     @given(st.data())
     def test_same_frames(self, lexicon, data):
         sentence, tags = data.draw(_tagged_sentence(lexicon))
-        lex = data.draw(st.sampled_from([None, lexicon]))
-        assert extract_entities(sentence, tags, PATTERNS, lex) == reference_extract_entities(
-            sentence, tags, PATTERNS, lex
+        lex = data.draw(st.sampled_from([Lexicon(), lexicon]))
+        patterns = data.draw(st.sampled_from([NO_PATTERNS, PATTERNS]))
+        assert extract_entities(sentence, tags, patterns, lex) == reference_extract_entities(
+            sentence, tags, patterns, lex
         )
 
-    def test_non_ascii_digits(self):
+    def test_non_ascii_digits(self, lexicon):
         sentence = bare_sentence(["\u0663", "ft", "\u00b2", "ft", "\u0663.\u0665", "in."])
         tags = [Tag.O] * 6
-        frame = extract_entities(sentence, tags, patterns=PATTERNS)
-        assert frame == reference_extract_entities(sentence, tags, patterns=PATTERNS)
+        frame = extract_entities(sentence, tags, PATTERNS, lexicon)
+        assert frame == reference_extract_entities(sentence, tags, PATTERNS, lexicon)
         assert [e.token_range for e in frame.all_entities()] == [(4, 6), (0, 2)]
 
 
