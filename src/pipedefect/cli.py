@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from .corpus import ENTITY_TYPES, parse_document, parse_gold, split_corpus
+from .corpus import ENTITY_TYPES, format_gold, parse_document, parse_gold, split_corpus
 from .errors import ConfigError, PipeDefectError
 from .evaluation import (
     evaluate_entities,
@@ -81,8 +81,6 @@ def cmd_generate(cfg, n: int) -> int:
     corpus_dir.mkdir(parents=True, exist_ok=True)
     for doc in docs:
         (corpus_dir / f"{doc.id}.txt").write_text(doc.raw, encoding="utf-8")
-    from .corpus import format_gold
-
     Path(cfg.gold_file).parent.mkdir(parents=True, exist_ok=True)
     Path(cfg.gold_file).write_text(format_gold(golds), encoding="utf-8")
     print(f"wrote {len(docs)} documents to {corpus_dir} and gold to {cfg.gold_file}")

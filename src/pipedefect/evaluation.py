@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .corpus import Document, GoldRecord, gold_token_types
 from .errors import AlignmentError, MissingGold
@@ -56,16 +56,6 @@ class MetricRow:
     specificity: float | None
     precision: float | None
     f1: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "accuracy": self.accuracy,
-            "recall": self.recall,
-            "specificity": self.specificity,
-            "precision": self.precision,
-            "f1": self.f1,
-        }
 
 
 def confusion_counts(pred: list, gold: list, target) -> ConfusionCounts:
@@ -198,7 +188,7 @@ def write_metric_reports(rows: list[MetricRow], csv_path, json_path) -> None:
         writer.writerow([f"# note: {FORMULA_NOTE}"])
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(
-            {"rows": [r.as_dict() for r in rows], "note": FORMULA_NOTE},
+            {"rows": [asdict(r) for r in rows], "note": FORMULA_NOTE},
             fh,
             indent=2,
             sort_keys=True,

@@ -41,20 +41,19 @@ class GeneratorConfig:
 
 
 class _DocBuilder:
-    """Accumulates raw text while tracking absolute entity spans."""
+    """Accumulates raw text while tracking absolute entity spans.
+
+    One frame holds the whole document's entities: no weight depends on
+    which sentence holds an entity.
+    """
 
     def __init__(self):
         self.text = ""
-        self.entities: list[tuple[str, tuple[int, int], bool, str, str]] = []
-        self.sentence_index = -1
-        self.frames: list[EntityFrame] = []
+        self.entities: list[GoldEntity] = []
+        self.frame = EntityFrame()
 
     def add(self, piece: str) -> None:
         self.text += piece
-
-    def start_sentence(self) -> None:
-        self.sentence_index += 1
-        self.frames.append(EntityFrame())
 
     def add_entity(
         self, term: str, entity_type: str, negated: bool, seed_root: str,
@@ -63,9 +62,8 @@ class _DocBuilder:
         surface = term[0].upper() + term[1:] if capitalize else term
         start = len(self.text)
         self.text += surface
-        span = (start, start + len(surface))
-        self.entities.append((entity_type, span, negated, term, seed_root))
-        self.frames[-1].append(
+        self.entities.append(GoldEntity(entity_type, (start, start + len(surface))))
+        self.frame.append(
             Entity(
                 entity_type=entity_type,
                 token_range=(0, 1),  # token positions are not needed for rating
@@ -106,14 +104,12 @@ def generate_synthetic_corpus(
     for k in range(config.n_documents):
         doc_id = f"pipe{k:04d}"
         builder = _build_document(config, rng, defect_pool, location_pool, frequency_pool)
-        raw = builder.text
-        doc = parse_document(raw, doc_id)
-        report = rate_frames(doc_id, builder.frames)
-        entities = [GoldEntity(etype, span) for etype, span, _, _, _ in builder.entities]
+        doc = parse_document(builder.text, doc_id)
+        report = rate_frames(doc_id, [builder.frame])
         golds.append(
             GoldRecord(
                 document_id=doc_id,
-                entities=entities,
+                entities=builder.entities,
                 rating=report.rating.value,
                 annotator_id=ANNOTATOR_ID,
             )
@@ -146,7 +142,6 @@ def _build_document(config, rng, defect_pool, location_pool, frequency_pool) -> 
 
     if n_defects == 0:
         b.add(" ")
-        b.start_sentence()
         if frequency is not None:
             b.add_entity(frequency, "FrequencyOfDefects", False, root(frequency),
                          capitalize=True)
@@ -155,7 +150,6 @@ def _build_document(config, rng, defect_pool, location_pool, frequency_pool) -> 
             b.add(rng.choice(_NEUTRAL_SENTENCES))
     else:
         b.add(" ")
-        b.start_sentence()
         if frequency is not None:
             b.add_entity(frequency, "FrequencyOfDefects", False, root(frequency),
                          capitalize=True)
@@ -170,7 +164,6 @@ def _build_document(config, rng, defect_pool, location_pool, frequency_pool) -> 
         b.add(".")
         if n_defects > 1:
             b.add(" ")
-            b.start_sentence()
             b.add("Also ")
             second_freq = (
                 rng.choice(frequency_pool)
@@ -184,14 +177,12 @@ def _build_document(config, rng, defect_pool, location_pool, frequency_pool) -> 
             b.add(" noted during review.")
     if len(locations) > 1:
         b.add(" ")
-        b.start_sentence()
         b.add("Issue recorded at ")
         b.add_entity(locations[1], "LocationOfDefect", False, root(locations[1]))
         b.add(" as well.")
     if rng.random() < NEGATION_PROB:
         negated = rng.choice(defect_pool)
         b.add(" ")
-        b.start_sentence()
         b.add("No ")
         b.add_entity(negated, "Defect", True, root(negated))
         b.add(" found.")

@@ -313,11 +313,8 @@ def expand_synonyms(
             len(seed_only), ", ".join(map(repr, seed_only)),
         )
     lexicon = Lexicon()
-    best: dict[str, tuple[int, int, str]] = {}
-    for depth, rank, root, entry in sorted(candidates, key=lambda c: (c[3].term, c[:3])):
-        key = (depth, rank, root)
-        if entry.term not in best or key < best[entry.term]:
-            best[entry.term] = key
+    for _, _, _, entry in sorted(candidates, key=lambda c: (c[3].term, c[:3])):
+        if entry.term not in lexicon:  # sorted, so a term's first candidate wins
             lexicon.add(entry)
     return lexicon
 

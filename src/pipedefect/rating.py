@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidWeight
-from .tagger import Entity, EntityFrame
+from .tagger import EntityFrame
 
 FREQUENCY_WEIGHTS = (0.1, 0.25, 0.50, 0.75, 0.99)
 LOCATION_WEIGHTS = (0.9, 1.0)
@@ -85,16 +85,6 @@ class RatingReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _active(entities: list[Entity]) -> list[Entity]:
-    return [e for e in entities if not e.negated]
-
-
-def weight_location(frames: list[EntityFrame]) -> float:
-    """Exactly one non-negated location in the document -> 0.9, else 1.0."""
-    count = sum(len(_active(f.locations)) for f in frames)
-    return 0.9 if count == 1 else 1.0
-
-
 def band_weight(term: str | None, seed_root: str | None) -> float | None:
     """The band of a frequency term, else of its seed root; None if neither
     has one.  load_resources checks that every Frequency lexicon term has a
@@ -104,34 +94,6 @@ def band_weight(term: str | None, seed_root: str | None) -> float | None:
     if weight is None and seed_root:
         weight = DEFAULT_FREQUENCY_BANDS.get(seed_root)
     return weight
-
-
-def weight_frequency(frames: list[EntityFrame]) -> float:
-    """Maximum band over non-negated frequency terms; none present -> 0.1.
-
-    Spans without a band are skipped (rate_frames notes each).
-    """
-    best = 0.1
-    for frame in frames:
-        for entity in _active(frame.frequencies):
-            weight = band_weight(entity.matched_lexicon_term, entity.seed_root)
-            if weight is not None:
-                best = max(best, weight)
-    return best
-
-
-def weight_defect(frames: list[EntityFrame]) -> float:
-    """0 / 1 / 2+ distinct non-negated defect lexicon units -> 0.5 / 0.8 / 1.0.
-
-    Distinctness is by seed_root so morphology (leak, leaking) counts once.
-    """
-    roots = set()
-    for frame in frames:
-        for entity in _active(frame.defects):
-            roots.add(entity.seed_root or entity.matched_lexicon_term or id(entity))
-    if not roots:
-        return 0.5
-    return 0.8 if len(roots) == 1 else 1.0
 
 
 def assign_rating(w: WeightTriple) -> DefectRating:
@@ -150,25 +112,44 @@ def assign_rating(w: WeightTriple) -> DefectRating:
 
 
 def rate_frames(document_id: str, frames: list[EntityFrame]) -> RatingReport:
-    """Weight triple + rating from per-sentence entity frames."""
-    triple = WeightTriple(
-        frequencies=weight_frequency(frames),
-        location=weight_location(frames),
-        defect=weight_defect(frames),
-    )
-    rating = assign_rating(triple)
-    report = RatingReport(document_id=document_id, weights=triple, rating=rating)
-    report.notes.append("negated entities excluded from all weights")
-    if rating.gap_row:
-        report.notes.append("weight triple outside the rating table; defaulted to rating 1")
+    """Weight triple, rating and notes from per-sentence entity frames, in
+    one walk over their non-negated entities:
+
+    - w_frequencies is the maximum band over frequency spans, 0.1 if none;
+      a span without a band is skipped and noted;
+    - w_location is 0.9 for exactly one location in the document, else 1.0;
+    - w_defect is 0.5 / 0.8 / 1.0 for 0 / 1 / 2+ distinct defect lexicon
+      units, told apart by seed_root so morphology (leak, leaking) counts once.
+    """
+    frequency = 0.1
+    n_locations = 0
+    roots = set()
+    skipped = []
     for sent_idx, frame in enumerate(frames):
-        for entity in _active(frame.frequencies):
-            if band_weight(entity.matched_lexicon_term, entity.seed_root) is not None:
+        for entity in frame.frequencies:
+            if entity.negated:
+                continue
+            weight = band_weight(entity.matched_lexicon_term, entity.seed_root)
+            if weight is not None:
+                frequency = max(frequency, weight)
                 continue
             start, end = entity.token_range
             term = entity.matched_lexicon_term or entity.seed_root
             why = f"({term!r}) has no frequency band" if term else "has no lexicon entry"
-            report.notes.append(
+            skipped.append(
                 f"frequency span at sentence {sent_idx} tokens {start}-{end} {why}; skipped"
             )
-    return report
+        n_locations += sum(not e.negated for e in frame.locations)
+        roots.update(
+            e.seed_root or e.matched_lexicon_term or id(e) for e in frame.defects if not e.negated
+        )
+    triple = WeightTriple(
+        frequencies=frequency,
+        location=0.9 if n_locations == 1 else 1.0,
+        defect=DEFECT_WEIGHTS[min(len(roots), 2)],
+    )
+    rating = assign_rating(triple)
+    notes = ["negated entities excluded from all weights"]
+    if rating.gap_row:
+        notes.append("weight triple outside the rating table; defaulted to rating 1")
+    return RatingReport(document_id, triple, rating, notes=notes + skipped)

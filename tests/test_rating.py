@@ -1,7 +1,7 @@
 import copy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipedefect.config import PipelineConfig, load_resources
@@ -18,15 +18,13 @@ from pipedefect.pipeline import (
 )
 from pipedefect.rating import (
     ACTION_TEXT,
+    DEFAULT_FREQUENCY_BANDS,
     FREQUENCY_WEIGHTS,
     DefectRating,
     RatingReport,
     WeightTriple,
     assign_rating,
     rate_frames,
-    weight_defect,
-    weight_frequency,
-    weight_location,
 )
 from pipedefect.tagger import Entity, EntityFrame, Tag
 
@@ -50,46 +48,50 @@ def frequency(term, negated=False):
     return Entity("FrequencyOfDefects", (0, 1), negated, term, term)
 
 
+def weights(frames):
+    return rate_frames("doc", frames).weights
+
+
 class TestWeightLocation:
     def test_one_location(self):
-        assert weight_location([frame_with(location())]) == 0.9
+        assert weights([frame_with(location())]).location == 0.9
 
     def test_no_location(self):
-        assert weight_location([EntityFrame()]) == 1.0
+        assert weights([EntityFrame()]).location == 1.0
 
     def test_three_locations(self):
         frames = [frame_with(location(), location()), frame_with(location())]
-        assert weight_location(frames) == 1.0
+        assert weights(frames).location == 1.0
 
     def test_negated_location_ignored(self):
         frames = [frame_with(location(), location(negated=True))]
-        assert weight_location(frames) == 0.9
+        assert weights(frames).location == 0.9
 
 
 class TestWeightFrequency:
     def test_very_frequently(self):
-        assert weight_frequency([frame_with(frequency("very frequently"))]) == 0.99
+        assert weights([frame_with(frequency("very frequently"))]).frequencies == 0.99
 
     def test_rarely(self):
-        assert weight_frequency([frame_with(frequency("rarely"))]) == 0.25
+        assert weights([frame_with(frequency("rarely"))]).frequencies == 0.25
 
     def test_maximum_band_wins(self):
         frames = [frame_with(frequency("rarely"), frequency("frequently"))]
-        assert weight_frequency(frames) == 0.99
+        assert weights(frames).frequencies == 0.99
 
     def test_no_terms_lowest_band(self):
-        assert weight_frequency([EntityFrame()]) == 0.1
+        assert weights([EntityFrame()]).frequencies == 0.1
 
     def test_negated_term_ignored(self):
         frames = [frame_with(frequency("frequently", negated=True))]
-        assert weight_frequency(frames) == 0.1
+        assert weights(frames).frequencies == 0.1
 
     def test_unknown_term_skipped_and_noted(self):
         # load_resources checks every Frequency lexicon term for a band, so
         # a band-less term here is a tagger's mis-tag, not a configuration fault
         bogus = Entity("FrequencyOfDefects", (0, 1), False, "sometimes", None)
-        assert weight_frequency([frame_with(bogus)]) == 0.1
-        assert weight_frequency([frame_with(bogus, frequency("rarely"))]) == 0.25
+        assert weights([frame_with(bogus)]).frequencies == 0.1
+        assert weights([frame_with(bogus, frequency("rarely"))]).frequencies == 0.25
         report = rate_frames("doc", [frame_with(bogus, defect("crack"))])
         assert report.weights.frequencies == 0.1
         note = "frequency span at sentence 0 tokens 0-1 ('sometimes') has no frequency band; skipped"
@@ -99,26 +101,26 @@ class TestWeightFrequency:
         # a synonym ("seldom") resolves through its seed root when the
         # matched term itself is absent from the band table
         ent = Entity("FrequencyOfDefects", (0, 1), False, "not-in-table", "rarely")
-        assert weight_frequency([frame_with(ent)]) == 0.25
+        assert weights([frame_with(ent)]).frequencies == 0.25
 
 
 class TestWeightDefect:
     def test_one_unit(self):
-        assert weight_defect([frame_with(defect("leakage", root="leak"))]) == 0.8
+        assert weights([frame_with(defect("leakage", root="leak"))]).defect == 0.8
 
     def test_negated_only(self):
-        assert weight_defect([frame_with(defect("leaks", root="leak", negated=True))]) == 0.5
+        assert weights([frame_with(defect("leaks", root="leak", negated=True))]).defect == 0.5
 
     def test_two_units(self):
         frames = [frame_with(defect("leaks", root="leak"), defect("cracks", root="crack"))]
-        assert weight_defect(frames) == 1.0
+        assert weights(frames).defect == 1.0
 
     def test_morphology_counts_once(self):
         frames = [frame_with(defect("leak", root="leak"), defect("leaking", root="leak"))]
-        assert weight_defect(frames) == 0.8
+        assert weights(frames).defect == 0.8
 
     def test_empty(self):
-        assert weight_defect([]) == 0.5
+        assert weights([]).defect == 0.5
 
 
 class TestAssignRating:
@@ -167,6 +169,56 @@ class TestAssignRating:
         assert (a.value, a.gap_row) == (b.value, b.gap_row)
 
 
+# Banded and band-less terms; a band-less matched term drawn with a banded
+# seed root takes the seed-root fallback.
+_TERMS = ("rarely", "often", "leak", "crack", "sometimes", "not-in-table", None)
+_entities = st.builds(
+    Entity,
+    entity_type=st.sampled_from(("Defect", "SizeOfDefect", "LocationOfDefect",
+                                 "FrequencyOfDefects")),
+    token_range=st.tuples(st.integers(0, 5), st.integers(6, 9)),
+    negated=st.booleans(),
+    matched_lexicon_term=st.sampled_from(_TERMS),
+    seed_root=st.sampled_from(_TERMS),
+)
+
+
+def _active(frames, bucket):
+    return [e for frame in frames for e in getattr(frame, bucket) if not e.negated]
+
+
+def _band(entity):
+    return (DEFAULT_FREQUENCY_BANDS.get(entity.matched_lexicon_term)
+            or DEFAULT_FREQUENCY_BANDS.get(entity.seed_root))
+
+
+def _reference_triple(frames):
+    """The rules of rate_frames' docstring, one loop per weight."""
+    frequency = max([0.1] + [_band(e) for e in _active(frames, "frequencies") if _band(e)])
+    n_locations = len(_active(frames, "locations"))
+    roots = {e.seed_root or e.matched_lexicon_term or id(e) for e in _active(frames, "defects")}
+    return WeightTriple(
+        frequency,
+        0.9 if n_locations == 1 else 1.0,
+        {0: 0.5, 1: 0.8}.get(len(roots), 1.0),
+    )
+
+
+def _reference_notes(frames, triple):
+    notes = ["negated entities excluded from all weights"]
+    if triple.defect != 0.5 and triple.frequencies == 0.1:
+        notes.append("weight triple outside the rating table; defaulted to rating 1")
+    for sent_idx, frame in enumerate(frames):
+        for e in _active([frame], "frequencies"):
+            if _band(e):
+                continue
+            term = e.matched_lexicon_term or e.seed_root
+            why = f"({term!r}) has no frequency band" if term else "has no lexicon entry"
+            notes.append(f"frequency span at sentence {sent_idx} tokens"
+                         f" {e.token_range[0]}-{e.token_range[1]} {why}; skipped")
+    return notes
+
+
 class TestRateFrames:
     def test_full_document(self):
         frames = [
@@ -189,6 +241,23 @@ class TestRateFrames:
         report = rate_frames("doc", [frame_with(defect("leaks", root="leak"))])
         assert report.rating.gap_row
         assert any("rating table" in note for note in report.notes)
+
+    @settings(max_examples=300)
+    @given(frames=st.lists(st.lists(_entities).map(lambda es: frame_with(*es)), max_size=4))
+    @example(frames=[frame_with(
+        Entity("SizeOfDefect", (0, 2), False, None, None),
+        Entity("FrequencyOfDefects", (2, 3), True, "often", "often"),
+        Entity("FrequencyOfDefects", (3, 4), False, "sometimes", None),
+        Entity("FrequencyOfDefects", (4, 5), False, "not-in-table", "rarely"),
+        Entity("Defect", (5, 6), False, None, None),
+        Entity("Defect", (6, 7), False, None, None),
+    )])
+    def test_agrees_with_one_loop_per_weight(self, frames):
+        report = rate_frames("doc", frames)
+        expected = _reference_triple(frames)
+        assert report.weights == expected
+        assert report.rating == assign_rating(expected)
+        assert report.notes == _reference_notes(frames, expected)
 
 
 class TestNetTaggedFrequency:
