@@ -55,7 +55,15 @@ def _load_gold(gold_path) -> dict:
         text = Path(gold_path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read gold file {gold_path}: {exc}") from exc
-    return {r.document_id: r for r in parse_gold(text)}
+    records = parse_gold(text)
+    annotators: dict[str, list[str]] = {}
+    for r in records:
+        annotators.setdefault(r.document_id, []).append(r.annotator_id)
+    shared = [f"{d} (annotators {', '.join(a)})" for d, a in annotators.items() if len(a) > 1]
+    if shared:
+        raise ConfigError(f"gold file {gold_path} has more than one record for a document,"
+                          f" where train and evaluate take one: {'; '.join(shared)}")
+    return {r.document_id: r for r in records}
 
 
 def cmd_build_lexicon(cfg) -> int:

@@ -126,7 +126,7 @@ def load_resources(cfg: PipelineConfig, require_lexicon: bool = True) -> Pipelin
         lexicon=lexicon,
         triggers=triggers,
         abbreviations=frozenset(load_phrase_file(cfg.abbreviations, "abbreviation")),
-        spell_vocab=build_spell_vocabulary(lexicon, base_words),
+        spell_vocab=build_spell_vocabulary(lexicon, base_words, triggers),
         patterns=PatternTable.load(cfg.patterns),
     )
     unbanded = sorted(

@@ -96,7 +96,9 @@ class CorpusSplit:
 
 _HEADER_RE = re.compile(
     r"^[ \t]*(%s)[ \t]*:" % "|".join(re.escape(n) for n in SECTION_NAMES),
-    re.IGNORECASE | re.MULTILINE,
+    # ASCII case only: under full Unicode folding "ſ" matches "s" and "ı"
+    # matches "i", and lower() maps neither back to a canonical name
+    re.IGNORECASE | re.MULTILINE | re.ASCII,
 )
 
 _CANONICAL = {n.lower(): n for n in SECTION_NAMES}
@@ -108,12 +110,10 @@ def parse_document(raw: str, id: str) -> Document:
         raise EmptyDocument(f"document {id!r} is empty")
     sections: dict[str, str] = {}
     spans: dict[str, tuple[int, int]] = {}
-    matches = []
-    for m in _HEADER_RE.finditer(raw):
-        name = _CANONICAL[m.group(1).strip().lower()]
-        if name in sections or any(name == n for n, _ in matches):
-            continue  # repeated header is treated as plain body text
-        matches.append((name, m))
+    first: dict[str, re.Match] = {}
+    for m in _HEADER_RE.finditer(raw):  # a repeated header is plain body text
+        first.setdefault(_CANONICAL[m.group(1).lower()], m)
+    matches = list(first.items())
     end = matches[0][1].start() if matches else len(raw)
     if end > 0:
         sections[UNSECTIONED] = raw[:end]

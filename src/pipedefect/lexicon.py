@@ -163,7 +163,8 @@ class Blacklist:
 class PhraseIndex:
     """First word -> the phrases (word tuples) that start with it, longest
     first, so a match at a position costs one dict lookup plus a compare
-    per phrase sharing that word."""
+    per phrase sharing that word.  ``scan`` is the one walk over tokens that
+    the lexicon and negation detection both take."""
 
     def __init__(self, phrases=()):
         self._by_first: dict[str, list[tuple[str, ...]]] = {}
@@ -177,12 +178,19 @@ class PhraseIndex:
             bucket.append(words)
             bucket.sort(key=len, reverse=True)
 
-    def match(self, tokens: list[str], i: int) -> tuple[str, ...] | None:
-        """The longest phrase equal to ``tokens[i:]``'s first words, or None."""
-        for words in self._by_first.get(tokens[i], ()):
-            if len(words) == 1 or tuple(tokens[i : i + len(words)]) == words:
-                return words
-        return None
+    def scan(self, tokens: list[str], start: int = 0):
+        """``(position, phrase)`` of each longest match from ``start``, left
+        to right and never overlapping: after a match the walk goes on at
+        the token past it."""
+        i, n = start, len(tokens)
+        while i < n:
+            for words in self._by_first.get(tokens[i], ()):
+                if len(words) == 1 or tuple(tokens[i : i + len(words)]) == words:
+                    yield i, words
+                    i += len(words)
+                    break
+            else:
+                i += 1
 
 
 class Lexicon:
@@ -216,17 +224,10 @@ class Lexicon:
 
     def lookup(self, tokens: list[str]) -> list[tuple[tuple[int, int], LexiconEntry]]:
         """Longest-match, left-to-right, non-overlapping matches."""
-        matches = []
-        i = 0
-        n = len(tokens)
-        while i < n:
-            hit = self._index.match(tokens, i)
-            if hit:
-                matches.append(((i, i + len(hit)), self.entries[" ".join(hit)]))
-                i += len(hit)
-            else:
-                i += 1
-        return matches
+        return [
+            ((i, i + len(words)), self.entries[" ".join(words)])
+            for i, words in self._index.scan(tokens)
+        ]
 
 
 def expand_morphology(seed: str) -> list[str]:

@@ -35,10 +35,14 @@ class PipelineResources:
     patterns: PatternTable
 
 
-def build_spell_vocabulary(lexicon: Lexicon, base_words: set[str]) -> SpellVocabulary:
-    return SpellVocabulary(
-        known_terms=frozenset(lexicon.vocabulary() | {w.lower() for w in base_words})
-    )
+def build_spell_vocabulary(
+    lexicon: Lexicon, base_words: set[str], triggers: NegationTriggerSet
+) -> SpellVocabulary:
+    """The lexicon's words, the (lowercase) base words and the negation
+    phrases' words: spelling never rewrites a word that negation reads."""
+    phrases = triggers.pre_triggers + triggers.scope_terminators
+    negation_words = {w for phrase in phrases for w in phrase.split()}
+    return SpellVocabulary(frozenset(lexicon.vocabulary() | base_words | negation_words))
 
 
 def preprocess_document(doc: Document, resources: PipelineResources) -> Document:

@@ -208,39 +208,29 @@ def _two_edit_term(word: str, dels: list[str], vocab: SpellVocabulary) -> str | 
 def detect_negation(
     tokens: list[Token], triggers: NegationTriggerSet
 ) -> list[tuple[int, int]]:
-    """Token-index scopes (start, end exclusive), sorted and merged."""
+    """Token-index scopes (start, end exclusive), sorted and merged: each
+    pre-trigger opens one, ending at the first scope terminator that starts
+    within NEGATION_WINDOW tokens, or at the window's or sentence's end."""
     words = [t.normalized for t in tokens]
     n = len(words)
-    pre, terminators = triggers.pre_index, triggers.terminator_index
     scopes: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        trigger = pre.match(words, i)
-        if trigger:
-            start = i + len(trigger)
-            end = min(start + NEGATION_WINDOW, n)
-            for j in range(start, end):
-                if terminators.match(words, j):
-                    end = j
-                    break
-            if end > start:
-                scopes.append((start, end))
-            i = start
+    for i, trigger in triggers.pre_index.scan(words):
+        start = i + len(trigger)
+        stop, _ = next(triggers.terminator_index.scan(words, start), (n, None))
+        end = min(start + NEGATION_WINDOW, stop)
+        if end == start:
+            continue
+        if scopes and start < scopes[-1][1]:
+            scopes[-1] = (scopes[-1][0], max(scopes[-1][1], end))
         else:
-            i += 1
-    merged: list[tuple[int, int]] = []
-    for s, e in sorted(scopes):
-        if merged and s < merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
+            scopes.append((start, end))
+    return scopes
 
 
 def preprocess_section(
     body: str,
     body_offset: int,
-    spell_vocab: SpellVocabulary | None,
+    spell_vocab: SpellVocabulary,
     triggers: NegationTriggerSet,
     abbreviations: frozenset[str],
 ) -> list[Sentence]:
@@ -266,6 +256,7 @@ def preprocess_section(
             group: list[tuple[str, int]] = []
             groups.append(group)
         group.append((run, m.start()))
+    known = spell_vocab.known_terms
     sentences: list[Sentence] = []
     for group in groups:
         last, last_start = group[-1]
@@ -279,11 +270,9 @@ def preprocess_section(
         if split:  # the terminator, right after the shortened last run
             raw += len(surf)
             tokens.append(Token(last[-1], last[-1], (raw, raw + 1)))
-        if spell_vocab is not None:
-            known = spell_vocab.known_terms
-            tokens = [
-                tok if tok.normalized in known else correct_spelling(tok, spell_vocab)
-                for tok in tokens
-            ]
+        tokens = [
+            tok if tok.normalized in known else correct_spelling(tok, spell_vocab)
+            for tok in tokens
+        ]
         sentences.append(Sentence(tokens, detect_negation(tokens, triggers)))
     return sentences

@@ -102,11 +102,6 @@ def dictionary_tag(sentence: Sentence, lexicon: Lexicon) -> list[Tag]:
     return tags
 
 
-def dict_features(sentence: Sentence, lexicon: Lexicon) -> list[int]:
-    """Per-token lexicon-category feature indices (0 = no match)."""
-    return [int(tag) for tag in dictionary_tag(sentence, lexicon)]
-
-
 # Most real tokens in one forward pass.  The pass's memory grows with
 # them, about 30 KB a token at the default dimensions, so a long document
 # is tagged in several passes.
@@ -127,7 +122,7 @@ def predict_document_tags(
     lengths: list[int] = []
     for k, s in enumerate(sentences):
         ids += [model.token_index(t.normalized) for t in s.tokens]
-        feats += dict_features(s, lexicon)
+        feats += dictionary_tag(s, lexicon)
         lengths.append(len(s.tokens))
         if k + 1 == len(sentences) or len(ids) + len(sentences[k + 1].tokens) > MAX_BATCH_TOKENS:
             best = iter(np.argmax(batch_logits(ids, feats, lengths, model), axis=1).tolist())

@@ -29,7 +29,7 @@ from .network import (
     init_model,
     lstm_direction,
 )
-from .tagger import Tag, dict_features
+from .tagger import Tag, dictionary_tag
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -49,7 +49,7 @@ class TrainingConfig:
 @dataclass
 class EncodedSentence:
     token_ids: list[int]
-    dict_feats: list[int]
+    dict_feats: list[Tag]  # dictionary_tag's, the dict feature indices
     tag_ids: list[int]
 
 
@@ -75,7 +75,7 @@ def encode_corpus(
         encoded.append(
             EncodedSentence(
                 token_ids=[model.token_index(t.normalized) for t in sent.tokens],
-                dict_feats=dict_features(sent, lexicon),
+                dict_feats=dictionary_tag(sent, lexicon),
                 tag_ids=[int(t) for t in tags],
             )
         )

@@ -7,7 +7,7 @@ from pipedefect.corpus import split_corpus
 from pipedefect.generate import GeneratorConfig, generate_synthetic_corpus
 from pipedefect.network import init_model
 from pipedefect.pipeline import preprocess_document
-from pipedefect.preprocess import preprocess_section
+from pipedefect.preprocess import SpellVocabulary, preprocess_section
 
 logging.getLogger("pipedefect.lexicon").setLevel(logging.ERROR)
 
@@ -40,7 +40,7 @@ def make_sentence(resources):
         sents = preprocess_section(
             text,
             body_offset=0,
-            spell_vocab=resources.spell_vocab if spell else None,
+            spell_vocab=resources.spell_vocab if spell else SpellVocabulary(frozenset()),
             triggers=resources.triggers,
             abbreviations=resources.abbreviations,
         )

@@ -203,6 +203,26 @@ def test_unwritable_output_exits_2(command, key, workspace, tmp_path, capsys):
     assert str(blocked) in err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_two_annotators_for_one_document_exit_2(command, workspace, tmp_path, capsys):
+    root, _ = workspace
+    lines = (root / "gold.tsv").read_text().splitlines()
+    doc_id, rating, entities, annotator = lines[3].split("\t")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("\n".join([*lines, f"{doc_id}\t{rating}\t{entities}\tsecond"]) + "\n")
+    config = tmp_path / "config.ini"
+    config.write_text(
+        CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv"))
+        .replace("corpus_dir = corpus", f"corpus_dir = {root / 'corpus'}")
+    )
+    argv = ["--config", str(config), command]
+    assert main(argv + ([str(tmp_path), str(gold)] if command == "evaluate" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{doc_id} (annotators {annotator}, second)" in err
+    assert not (tmp_path / "tagger.model").exists()
+
+
 @pytest.fixture(scope="module")
 def eval_workspace(workspace):
     """Separate output directory so rating reports from other tests do not

@@ -45,6 +45,12 @@ class TestParseDocument:
         doc = parse_document("dEfEcTs: leaks.", "d1")
         assert "Defects" in doc.sections
 
+    @pytest.mark.parametrize("raw", ["Defect\u017f: leaks.", "Crit\u0131cality Assessment: ok"])
+    def test_header_with_non_ascii_case_is_body_text(self, raw):
+        # "\u017f" (long s) and "\u0131" (dotless i) fold to "s" and "i"
+        # under Unicode matching, but lower() keeps them
+        assert parse_document(raw, "d1").sections == {UNSECTIONED: raw}
+
     def test_repeated_header_is_body_text(self):
         raw = "Defects: one.\nDefects: two."
         doc = parse_document(raw, "d1")

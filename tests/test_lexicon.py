@@ -1,12 +1,15 @@
 import logging
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pipedefect.errors import LexiconFormatError
 from pipedefect.lexicon import (
     Blacklist,
     Lexicon,
     LexiconEntry,
+    PhraseIndex,
     SynonymGraph,
     expand_morphology,
     expand_synonyms,
@@ -113,6 +116,41 @@ class TestExpandSynonyms:
         assert set(lex.entries) == {"deposits settled"}
 
 
+# Terms sharing first words ("deposits", "very", "joint") at several
+# lengths, a term that is a prefix of another, and one whose words are
+# terms of their own.
+SCAN_LEXICON = Lexicon({
+    term: LexiconEntry(term, category, "seed", term)
+    for term, category in [
+        ("deposits", "Defect"), ("deposits settled", "Defect"),
+        ("deposits settled hard", "Defect"), ("deposits attached", "Defect"),
+        ("very", "Frequency"), ("very frequently", "Frequency"), ("very rarely", "Frequency"),
+        ("frequently", "Frequency"), ("joint offset", "Defect"), ("offset", "Location"),
+        ("joint", "Location"), ("crack", "Defect"),
+    ]
+})
+SCAN_PIECES = sorted(
+    set(SCAN_LEXICON.entries) | {w for t in SCAN_LEXICON.entries for w in t.split()}
+) + ["pipe", "at", ".", "settled", "Deposits"]
+
+
+def reference_lookup(lexicon, words):
+    """At each position the longest term starting there, found by trying
+    every term; after a match the walk goes on past it, else one step."""
+    terms = [tuple(t.split()) for t in lexicon.entries]
+    matches = []
+    i = 0
+    while i < len(words):
+        fits = [t for t in terms if tuple(words[i : i + len(t)]) == t]
+        if fits:
+            term = max(fits, key=len)
+            matches.append(((i, i + len(term)), lexicon.entries[" ".join(term)]))
+            i += len(term)
+        else:
+            i += 1
+    return matches
+
+
 class TestLookup:
     def test_frequency_then_defect(self, lexicon):
         hits = lexicon.lookup(["frequent", "leaks"])
@@ -142,6 +180,24 @@ class TestLookup:
         # "very frequently" must not be consumed as bare "frequently"
         hits = lexicon.lookup(["very", "frequently"])
         assert hits[0][1].term == "very frequently"
+
+    @given(st.lists(st.sampled_from(SCAN_PIECES), max_size=12))
+    def test_agrees_with_a_walk_position_by_position(self, pieces):
+        words = [w for piece in pieces for w in piece.split()]
+        assert SCAN_LEXICON.lookup(words) == reference_lookup(SCAN_LEXICON, words)
+
+
+class TestPhraseIndexScan:
+    def test_longest_first_and_never_overlapping(self):
+        index = PhraseIndex(["a b", "a", "b c", "c"])
+        assert list(index.scan("a b c a x".split())) == [(0, ("a", "b")), (2, ("c",)), (3, ("a",))]
+
+    def test_from_start(self):
+        index = PhraseIndex(["a b", "a", "b c", "c"])
+        assert list(index.scan("a b c a x".split(), 1)) == [(1, ("b", "c")), (3, ("a",))]
+
+    def test_phrase_cut_off_by_the_end_does_not_match(self):
+        assert list(PhraseIndex(["a b"]).scan(["x", "a"])) == []
 
 
 class TestPersistence:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipedefect import preprocess
+from pipedefect.config import PipelineConfig, load_resources
 from pipedefect.corpus import SECTION_NAMES, Sentence, Token, parse_document
 from pipedefect.errors import PipeDefectError
 from pipedefect.pipeline import BILSTM_TAGGER, rate_document
@@ -20,6 +21,7 @@ from pipedefect.preprocess import (
     correct_spelling,
     detect_negation,
     edit_distance,
+    load_phrase_file,
     preprocess_section,
 )
 
@@ -30,10 +32,14 @@ TRIGGERS = NegationTriggerSet(
     scope_terminators=("but", "however"),
 )
 
+# A vocabulary that changes no token: every word it would search is longer
+# than its longest term (none) plus two.
+NO_SPELLING = SpellVocabulary(frozenset())
+
 
 def sentences(body, abbreviations=frozenset()):
     """The sentences of one section body, without spelling correction."""
-    return preprocess_section(body, 0, None, TRIGGERS, abbreviations)
+    return preprocess_section(body, 0, NO_SPELLING, TRIGGERS, abbreviations)
 
 
 def sentence_text(sentence):
@@ -419,6 +425,18 @@ class TestDetectNegation:
         s, e = scopes[0]
         assert s == 1 and e >= 5
 
+    def test_trigger_word_keeps_its_spelling(self, tmp_path):
+        # "lacking" is no base word, and one edit from the Defect "cracking"
+        (tmp_path / "triggers.txt").write_text("lacking\n")
+        cfg = PipelineConfig(triggers=tmp_path / "triggers.txt")
+        resources = load_resources(cfg, require_lexicon=False)
+        assert "lacking" not in load_phrase_file(cfg.basewords)
+        [sentence] = preprocess_section(
+            "Pipe lacking cracks.", 0, resources.spell_vocab, resources.triggers, frozenset()
+        )
+        assert [t.normalized for t in sentence.tokens] == ["pipe", "lacking", "cracks", "."]
+        assert sentence.negation_scopes == [(2, 4)]
+
     def test_trigger_must_be_lowercase(self):
         with pytest.raises(ValueError):
             NegationTriggerSet(pre_triggers=("No",), scope_terminators=())
@@ -559,9 +577,7 @@ def oracle_preprocess_section(body, body_offset, spell_vocab, triggers, abbrevia
             raw_start = body_offset + char_map[s + ts]
             raw_end = body_offset + char_map[s + te - 1] + 1
             tok = Token(surf, surf.lower(), (raw_start, raw_end))
-            if spell_vocab is not None:
-                tok = correct_spelling(tok, spell_vocab)
-            tokens.append(tok)
+            tokens.append(correct_spelling(tok, spell_vocab))
         scopes = oracle_detect_negation(tokens, triggers)
         sentences.append(Sentence(tokens, scopes))
     return sentences
@@ -585,6 +601,12 @@ SOUP_TRIGGERS = NegationTriggerSet(
     pre_triggers=("no", "not", "no evidence of", "free of", "free", "absence of"),
     scope_terminators=("but", "apart from", "apart", "yet", "no evidence"),
 )
+
+_PHRASES = {*SOUP_TRIGGERS.pre_triggers, *SOUP_TRIGGERS.scope_terminators, "however"}
+# The negation phrases, their single words, and filler.
+PHRASE_PIECES = sorted(_PHRASES | {w for p in _PHRASES for w in p.split()}) + [
+    "leak", "crack", "pipe", "ok",
+]
 
 
 def _soup(lexicon, extra=()):
@@ -611,7 +633,7 @@ class TestScannersMatchOracles:
     @example("Leak.\u2003Crack", ABBREVS)
     def test_normalize_and_split_on_arbitrary_unicode(self, raw, abbreviations):
         for body in (raw, oracle_normalize_with_map(raw)[0]):
-            args = (body, 7, None, TRIGGERS, abbreviations)
+            args = (body, 7, NO_SPELLING, TRIGGERS, abbreviations)
             assert preprocess_section(*args) == oracle_preprocess_section(*args)
 
     @settings(max_examples=100)
@@ -629,6 +651,16 @@ class TestScannersMatchOracles:
             assert detect_negation(tokens, triggers) == oracle_detect_negation(tokens, triggers)
         normalized = [t.normalized for t in tokens]
         assert lexicon.lookup(normalized) == oracle_lookup(lexicon, normalized)
+
+    @given(st.lists(st.sampled_from(PHRASE_PIECES), max_size=12))
+    # a two-word terminator that starts inside the window and ends past it
+    @example(["no", "leak", "pipe", "crack", "ok", "apart from"])
+    # a trigger inside another trigger's scope
+    @example(["no", "leak", "not", "crack", "pipe", "ok", "leak", "leak"])
+    def test_negation_on_phrase_soup(self, pieces):
+        tokens = [Token(w, w, (0, len(w))) for piece in pieces for w in piece.split()]
+        for triggers in (SOUP_TRIGGERS, TRIGGERS):
+            assert detect_negation(tokens, triggers) == oracle_detect_negation(tokens, triggers)
 
     @settings(max_examples=100)
     @given(st.data())

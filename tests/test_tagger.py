@@ -19,7 +19,6 @@ from pipedefect.tagger import (
     EntityFrame,
     PatternTable,
     Tag,
-    dict_features,
     dictionary_tag,
     entity_text,
     extract_entities,
@@ -62,8 +61,10 @@ class TestDictionaryTag:
         assert dictionary_tag(sent, lexicon) == dictionary_tag(sent, lexicon)
 
     def test_dict_features_match_tags(self, lexicon):
+        # the network reads the tags as its dict feature indices
         sent = bare_sentence(["frequently", "leaks", "at", "midpoint"])
-        assert dict_features(sent, lexicon) == [int(t) for t in dictionary_tag(sent, lexicon)]
+        feats = np.asarray(dictionary_tag(sent, lexicon))
+        assert feats.dtype == np.int64 and feats.tolist() == [3, 1, 0, 2]
 
 
 class TestPredictTags:
@@ -99,7 +100,7 @@ def lively_model():
 def reference_logits(sentence, lexicon, model):
     """Per-token logits from the one-step oracle, one sentence at a time."""
     xs = [np.concatenate([model.word_emb[model.token_index(t.normalized)], model.dict_emb[f]])
-          for t, f in zip(sentence.tokens, dict_features(sentence, lexicon))]
+          for t, f in zip(sentence.tokens, dictionary_tag(sentence, lexicon))]
     hd = model.hidden_dim
 
     def run(params, order):

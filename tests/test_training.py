@@ -7,7 +7,6 @@ from pipedefect.network import init_model, load_model, save_model, sentence_logi
 from pipedefect.pipeline import preprocess_document
 from pipedefect.tagger import (
     Tag,
-    dict_features,
     dictionary_tag,
     predict_document_tags,
     tags_from_gold_spans,
@@ -183,7 +182,7 @@ class TestTrain:
         correct = total = 0
         for sent, tags in tiny_corpus:
             ids = [model.token_index(t.normalized) for t in sent.tokens]
-            logits = sentence_logits(ids, dict_features(sent, lexicon), model)
+            logits = sentence_logits(ids, dictionary_tag(sent, lexicon), model)
             pred = [Tag(int(i)) for i in np.argmax(logits, axis=1)]
             correct += sum(p == g for p, g in zip(pred, tags))
             total += len(tags)
