@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import config as config_mod
@@ -126,11 +127,7 @@ def cmd_train(cfg) -> int:
 def _report_to_json(report) -> dict:
     return {
         "document_id": report.document_id,
-        "weights": {
-            "frequencies": report.weights.frequencies,
-            "location": report.weights.location,
-            "defect": report.weights.defect,
-        },
+        "weights": asdict(report.weights),
         "rating": report.rating.value,
         "action_text": report.rating.action_text,
         "gap_row": report.rating.gap_row,
@@ -278,17 +275,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="INI config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--verbose", action="store_true")
+    # each command sets run(cfg, args), which main calls
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("build-lexicon", help="expand seeds into the lexicon file")
+    p = sub.add_parser("build-lexicon", help="expand seeds into the lexicon file")
+    p.set_defaults(run=lambda cfg, args: cmd_build_lexicon(cfg))
     p = sub.add_parser("generate", help="write a synthetic corpus and gold file")
     p.add_argument("--n", type=int, default=500)
-    sub.add_parser("train", help="train the Bi-LSTM tagger on the train split")
+    p.set_defaults(run=lambda cfg, args: cmd_generate(cfg, args.n))
+    p = sub.add_parser("train", help="train the Bi-LSTM tagger on the train split")
+    p.set_defaults(run=lambda cfg, args: cmd_train(cfg))
     p = sub.add_parser("rate", help="rate documents and write reports")
     p.add_argument("input", type=Path, help="document file or directory")
     p.add_argument("--tagger", choices=[DICT_TAGGER, BILSTM_TAGGER], default=DICT_TAGGER)
+    p.set_defaults(run=lambda cfg, args: cmd_rate(cfg, args.input, args.tagger))
     p = sub.add_parser("evaluate", help="score predictions against gold annotations")
     p.add_argument("pred", type=Path, help="rate output directory")
     p.add_argument("gold", type=Path, help="gold annotation file")
+    p.set_defaults(run=lambda cfg, args: cmd_evaluate(cfg, args.pred, args.gold))
     return parser
 
 
@@ -300,17 +303,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         config_mod.check_config(cfg)
-        if args.command == "build-lexicon":
-            return cmd_build_lexicon(cfg)
-        if args.command == "generate":
-            return cmd_generate(cfg, args.n)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "rate":
-            return cmd_rate(cfg, args.input, args.tagger)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.pred, args.gold)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(cfg, args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

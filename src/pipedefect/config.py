@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -50,41 +50,36 @@ class PipelineConfig:
     seed: int = DEFAULT_SEED
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
-    _PATH_KEYS = (
-        "seeds", "synonym_graph", "blacklists", "triggers", "terminators",
-        "abbreviations", "basewords", "patterns", "lexicon", "model",
-        "loss_log", "corpus_dir", "gold_file", "output_dir",
-    )
-
 
 def load_config(path) -> PipelineConfig:
-    """Read an INI config; a file that does not parse, or a numeric setting
-    that is not a number, raises ConfigError.  Ranges are check_config's."""
+    """Read an INI config.  [paths] sets the PipelineConfig fields whose
+    default is a Path, relative to the config file; [run] sets its int and
+    float fields and [hyperparameters] those of TrainingConfig, each parsed
+    as the type of its default.  Any other key is ignored.  A file that
+    does not parse, or a numeric setting that is not a number, raises
+    ConfigError.  Ranges are check_config's."""
     parser = configparser.ConfigParser()
     cfg = PipelineConfig()
-    numbers = (
-        ("run", cfg, {"seed": int, "max_depth": int, "split_ratio": float}),
-        ("hyperparameters", cfg.training, {
-            "word_dim": int, "dict_dim": int, "hidden_dim": int,
-            "learning_rate": float, "epochs": int, "batch_size": int,
-        }),
-    )
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")
         base = Path(path).resolve().parent
-        for key in PipelineConfig._PATH_KEYS:
-            if parser.has_option("paths", key):
-                p = Path(parser.get("paths", key))
-                setattr(cfg, key, p if p.is_absolute() else base / p)
-        for section, target, kinds in numbers:
-            for key, kind in kinds.items():
-                if parser.has_option(section, key):
-                    raw = parser.get(section, key)
-                    try:
-                        setattr(target, key, kind(raw))
-                    except ValueError as exc:
-                        raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
+        sections = (
+            ("paths", cfg, Path),
+            ("run", cfg, (int, float)),
+            ("hyperparameters", cfg.training, (int, float)),
+        )
+        for section, target, kinds in sections:
+            for f in fields(target):
+                default = getattr(target, f.name)
+                if not (isinstance(default, kinds) and parser.has_option(section, f.name)):
+                    continue
+                # joinpath leaves an absolute path as it is
+                parse = base.joinpath if kinds is Path else type(default)
+                try:
+                    setattr(target, f.name, parse(parser.get(section, f.name)))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: [{section}] {f.name}: {exc}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return cfg

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from .corpus import Document, GoldRecord, gold_token_types
 from .errors import AlignmentError, MissingGold
@@ -180,10 +180,8 @@ def write_metric_reports(rows: list[MetricRow], csv_path, json_path) -> None:
         writer = csv.writer(fh)
         writer.writerow(("Label",) + METRIC_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [row.label, _pct(row.accuracy), _pct(row.recall),
-                 _pct(row.specificity), _pct(row.precision), _pct(row.f1)]
-            )
+            label, *values = astuple(row)
+            writer.writerow([label, *map(_pct, values)])
         writer.writerow([])
         writer.writerow([f"# note: {FORMULA_NOTE}"])
     with open(json_path, "w", encoding="utf-8") as fh:

@@ -57,6 +57,10 @@ SENTENCE_TERMINATORS = ".!?"
 _KEPT_CHAR = rf"(?:[^\W_]|[{re.escape(SENTENCE_TERMINATORS)}])"
 KEPT_RUN_RE = re.compile(rf"{_KEPT_CHAR}+")
 
+# A number token: its unit makes a measurement, and a unit abbreviation
+# after it can end a sentence.
+NUMBER_RE = re.compile(r"^\d+(\.\d+)?$")
+
 # check_term's rules: the pattern a term must match in full, and what it
 # states.  The sentence splitter compares an abbreviation with a whole run
 # ending in a terminator; the unit lookup strips a token's trailing dots.
@@ -211,9 +215,6 @@ class Lexicon:
 
     def __contains__(self, term: str) -> bool:
         return term in self.entries
-
-    def __eq__(self, other):
-        return isinstance(other, Lexicon) and self.entries == other.entries
 
     def vocabulary(self) -> set[str]:
         """Individual words appearing in any term (for spelling correction)."""

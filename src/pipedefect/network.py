@@ -133,33 +133,35 @@ def init_model(
     dict_dim: int = DICT_DIM,
     hidden_dim: int = HIDDEN_DIM,
 ) -> TaggerModel:
-    """Uniform [-0.1, 0.1] initialization from a seeded generator; biases
-    start at zero."""
+    """Uniform [-0.1, 0.1] initialization of the matrices from a seeded
+    generator, drawn in file order; biases start at zero."""
     if not vocab or vocab[0] != UNK:
         vocab = [UNK] + [t for t in vocab if t != UNK]
     rng = np.random.Generator(np.random.PCG64(seed))
-    input_dim = word_dim + dict_dim
+    arrays = [
+        rng.uniform(-0.1, 0.1, size=shape) if len(shape) == 2 else np.zeros(shape)
+        for shape in _layout(len(vocab), word_dim, dict_dim, hidden_dim).values()
+    ]
+    return _from_arrays(list(vocab), seed, arrays)
 
-    def uni(*shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
 
-    def gates(in_dim):
-        return LstmParams(
-            wx=uni(in_dim, 4 * hidden_dim),
-            wh=uni(hidden_dim, 4 * hidden_dim),
-            b=np.zeros(4 * hidden_dim),
-        )
+def _layout(n_vocab: int, word_dim: int, dict_dim: int, hidden: int) -> dict:
+    """The shape of each parameter array, by name, in file order."""
+    gates = {"wx": (word_dim + dict_dim, 4 * hidden), "wh": (hidden, 4 * hidden),
+             "b": (4 * hidden,)}
+    return {
+        "word_emb": (n_vocab, word_dim),
+        "dict_emb": (N_DICT_FEATURES, dict_dim),
+        **{f"{d}.{k}": shape for d in ("fwd", "bwd") for k, shape in gates.items()},
+        "out_w": (2 * hidden, N_TAGS),
+        "out_b": (N_TAGS,),
+    }
 
-    return TaggerModel(
-        vocab=list(vocab),
-        word_emb=uni(len(vocab), word_dim),
-        dict_emb=uni(N_DICT_FEATURES, dict_dim),
-        fwd=gates(input_dim),
-        bwd=gates(input_dim),
-        out_w=uni(2 * hidden_dim, N_TAGS),
-        out_b=np.zeros(N_TAGS),
-        rng_seed=seed,
-    )
+
+def _from_arrays(vocab: list[str], seed: int, arrays: list[np.ndarray]) -> TaggerModel:
+    """The model holding the parameter arrays given in file order."""
+    return TaggerModel(vocab, *arrays[:2], LstmParams(*arrays[2:5]), LstmParams(*arrays[5:8]),
+                       *arrays[8:], rng_seed=seed)
 
 
 def embed(ids, feats, model: TaggerModel) -> np.ndarray:
@@ -288,12 +290,7 @@ def sentence_logits(token_indices, dict_features, model: TaggerModel) -> np.ndar
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"PIPEDEFECT-TAGGER v1\n"
-_MATRIX_NAMES = (
-    "word_emb", "dict_emb",
-    "fwd.wx", "fwd.wh", "fwd.b",
-    "bwd.wx", "bwd.wh", "bwd.b",
-    "out_w", "out_b",
-)
+_MATRIX_NAMES = tuple(_layout(0, 0, 0, 0))
 
 
 def save_model(model: TaggerModel, path) -> None:
@@ -325,23 +322,20 @@ def _header(fh, path, pattern: str = "(.*)") -> str:
     return match[1]
 
 
-def _check_shapes(path, vocab: list[str], shapes: list[tuple[int, ...]]) -> None:
-    """The header's matrix shapes must fit the vocabulary and each other."""
+def _check_shapes(path, vocab: list[str], shapes: list[tuple[int, ...]]) -> dict:
+    """The layout of the header's matrix shapes, which must fit the
+    vocabulary and each other.  The dimensions are read from word_emb,
+    dict_emb and fwd.wh, so an error names those too."""
     if not vocab or vocab[0] != UNK:
         raise ModelFormatError(f"{path}: vocabulary must start with {UNK}")
     named = dict(zip(_MATRIX_NAMES, shapes))
-    word_dim, dict_dim, hd = named["word_emb"][-1], named["dict_emb"][-1], named["fwd.wh"][0]
-    gates = {"wx": (word_dim + dict_dim, 4 * hd), "wh": (hd, 4 * hd), "b": (4 * hd,)}
-    expected = {
-        "word_emb": (len(vocab), word_dim),
-        "dict_emb": (N_DICT_FEATURES, dict_dim),
-        **{f"{d}.{k}": shape for d in ("fwd", "bwd") for k, shape in gates.items()},
-        "out_w": (2 * hd, N_TAGS),
-        "out_b": (N_TAGS,),
-    }
+    layout = _layout(len(vocab), named["word_emb"][-1], named["dict_emb"][-1], named["fwd.wh"][0])
     for name, shape in named.items():
-        if shape != expected[name]:
-            raise ModelFormatError(f"{path}: {name} has shape {shape}, expected {expected[name]}")
+        if shape != layout[name]:
+            basis = ", ".join(f"{b} {named[b]}" for b in ("word_emb", "dict_emb", "fwd.wh"))
+            raise ModelFormatError(f"{path}: {name} has shape {shape}, expected {layout[name]}"
+                                   f" to fit {basis}")
+    return layout
 
 
 def load_model(path) -> TaggerModel:
@@ -359,30 +353,20 @@ def load_model(path) -> TaggerModel:
             for name in _MATRIX_NAMES
         ]
         _header(fh, path, "(data)")
-        _check_shapes(path, vocab, shapes)
+        layout = _check_shapes(path, vocab, shapes)
         # sizes are checked against the file before any array is allocated,
         # so a corrupt shape cannot ask for a huge one
-        sizes = [8 * math.prod(shape) for shape in shapes]
+        sizes = [8 * math.prod(shape) for shape in layout.values()]
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         need = sum(8 + n for n in sizes)  # each matrix has an 8-byte length prefix
         if payload != need:
             raise ModelFormatError(f"{path}: payload is {payload} bytes, its header needs {need}")
         arrays = []
-        for name, shape, nbytes in zip(_MATRIX_NAMES, shapes, sizes):
+        for (name, shape), nbytes in zip(layout.items(), sizes):
             if fh.read(8) != struct.pack("<Q", nbytes):
                 raise ModelFormatError(f"{path}: {name} length prefix disagrees with its shape {shape}")
             arrays.append(np.empty(shape, dtype="<f8"))
             fh.readinto(arrays[-1])
-    (word_emb, dict_emb, fwx, fwh, fb, bwx, bwh, bb, out_w, out_b) = arrays
-    model = TaggerModel(
-        vocab=vocab,
-        word_emb=word_emb,
-        dict_emb=dict_emb,
-        fwd=LstmParams(fwx, fwh, fb),
-        bwd=LstmParams(bwx, bwh, bb),
-        out_w=out_w,
-        out_b=out_b,
-        rng_seed=seed,
-    )
+    model = _from_arrays(vocab, seed, arrays)
     model.check_finite()
     return model

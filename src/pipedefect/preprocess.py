@@ -2,7 +2,8 @@
 
 The sentence splitter is a deterministic rule-based replacement for a full
 statistical parser: it splits on ``. ! ?`` followed by whitespace and a
-capital letter (or end of text), with an abbreviation exception list.
+capital letter (or end of text), with an abbreviation exception list
+that a unit abbreviation after a number ("10 ft.") does not take.
 Negation marking follows the classic trigger/scope recipe: a pre-trigger
 phrase opens a scope that runs to the first scope terminator, a fixed
 token window, or the sentence end, whichever comes first.
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .corpus import Sentence, Token
-from .lexicon import KEPT_RUN_RE, SENTENCE_TERMINATORS, PhraseIndex, check_term, read_rows
+from .lexicon import (KEPT_RUN_RE, NUMBER_RE, SENTENCE_TERMINATORS, PhraseIndex, check_term,
+                      read_rows)
 
 NEGATION_WINDOW = 5
 
@@ -241,8 +243,10 @@ def preprocess_section(
     preserved.  Each run is one token.  A sentence ends after a run ending
     in a terminator when the next run starts with a capital letter, unless
     the run, lowercased, is in ``abbreviations`` (lowercase and matched
-    with their dot, e.g. "ft."), and at the end of the body.  A terminator
-    ending the last run of a sentence becomes its own token.
+    with their dot, e.g. "ft.") and the run before it in the sentence is
+    not a number (so "at 10 ft. Crack" ends after "ft."), and at the end of
+    the body.  A terminator ending the last run of a sentence becomes its
+    own token.
     """
     groups: list[list[tuple[str, int]]] = []  # (run, start in body) per sentence
     run = ""
@@ -251,7 +255,8 @@ def preprocess_section(
         if not prev or (
             prev[-1] in SENTENCE_TERMINATORS
             and run[0].isupper()
-            and prev.lower() not in abbreviations
+            and (prev.lower() not in abbreviations
+                 or len(group) > 1 and NUMBER_RE.match(group[-2][0]))
         ):
             group: list[tuple[str, int]] = []
             groups.append(group)

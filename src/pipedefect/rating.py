@@ -20,7 +20,10 @@ from dataclasses import dataclass, field
 from .errors import InvalidWeight
 from .tagger import EntityFrame
 
-FREQUENCY_WEIGHTS = (0.1, 0.25, 0.50, 0.75, 0.99)
+# Frequency band -> rating when a defect is present; the lowest band has
+# no row of its own in the table and rates 1 as a gap row.
+_FREQUENCY_TO_RATING = {0.1: 1, 0.25: 2, 0.50: 3, 0.75: 4, 0.99: 5}
+FREQUENCY_WEIGHTS = tuple(_FREQUENCY_TO_RATING)
 LOCATION_WEIGHTS = (0.9, 1.0)
 DEFECT_WEIGHTS = (0.5, 0.8, 1.0)
 
@@ -50,8 +53,6 @@ ACTION_TEXT = {
     4: "Rehabilitate or replace in zero to two years",
     5: "Rehabilitate or replace immediately",
 }
-
-_FREQUENCY_TO_RATING = {0.25: 2, 0.50: 3, 0.75: 4, 0.99: 5}
 
 
 @dataclass(slots=True)
@@ -105,10 +106,8 @@ def assign_rating(w: WeightTriple) -> DefectRating:
     """
     if w.defect == 0.5:
         return DefectRating(1, ACTION_TEXT[1])
-    if w.frequencies == 0.1:
-        return DefectRating(1, ACTION_TEXT[1], gap_row=True)
     value = _FREQUENCY_TO_RATING[w.frequencies]
-    return DefectRating(value, ACTION_TEXT[value])
+    return DefectRating(value, ACTION_TEXT[value], gap_row=w.frequencies == 0.1)
 
 
 def rate_frames(document_id: str, frames: list[EntityFrame]) -> RatingReport:

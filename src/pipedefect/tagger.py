@@ -13,7 +13,6 @@ and nothing changes it or its entities afterwards.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .corpus import Sentence, gold_token_types
 from .errors import LexiconFormatError
-from .lexicon import Lexicon, check_term, read_rows
+from .lexicon import NUMBER_RE, Lexicon, check_term, read_rows
 from .network import TaggerModel, batch_logits
 
 
@@ -88,9 +87,6 @@ class PatternTable:
                 check_term(path, lineno, u.strip().lower(), "unit") for u in units.split(",")
             )
         return cls(frozenset(kinds["size"]), frozenset(kinds["distance"]))
-
-
-_NUMBER_RE = re.compile(r"^\d+(\.\d+)?$")
 
 
 def dictionary_tag(sentence: Sentence, lexicon: Lexicon) -> list[Tag]:
@@ -179,7 +175,7 @@ def extract_entities(
             continue
         # \d is any Unicode decimal digit, which is what str.isdecimal tests
         if (i + 1 < n and not tags[i + 1]
-                and words[i][:1].isdecimal() and _NUMBER_RE.match(words[i])):
+                and words[i][:1].isdecimal() and NUMBER_RE.match(words[i])):
             unit = words[i + 1].rstrip(".")
             if unit in patterns.distance_units:
                 distances.append(
@@ -198,14 +194,9 @@ def entity_text(sentence: Sentence, entity: Entity) -> str:
     return " ".join(t.normalized for t in sentence.tokens[slice(*entity.token_range)])
 
 
-_ENTITY_TYPE_TO_TAG = {
-    "O": Tag.O,
-    "Defect": Tag.DEFECT,
-    "LocationOfDefect": Tag.LOCATION,
-    "FrequencyOfDefects": Tag.FREQUENCY,
-    # SizeOfDefect has no tag in the IO scheme; sizes are pattern-matched.
-    "SizeOfDefect": Tag.O,
-}
+# SizeOfDefect has no tag in the IO scheme; sizes are pattern-matched.
+_ENTITY_TYPE_TO_TAG = {"O": Tag.O, "SizeOfDefect": Tag.O,
+                       **{etype: tag for tag, etype in TAG_TO_ENTITY_TYPE.items()}}
 
 
 def tags_from_gold_spans(sentences, gold_entities) -> list[list[Tag]]:

@@ -1,10 +1,13 @@
 import csv
 import json
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from pipedefect.cli import main
+from pipedefect.config import PipelineConfig, load_config
 
 BOX_TEXT = (
     "Defects: Very Frequently, there is a leakage in pipe at 10 feet away "
@@ -368,6 +371,41 @@ class TestConfigHandling:
         assert main([*argv, "--seed", "78", "generate", "--n", "4"]) == 0
         second = sorted(p.read_text() for p in (tmp_path / "corpus").glob("*.txt"))
         assert first != second
+
+    def test_every_field_is_set_from_its_section(self, tmp_path):
+        default = PipelineConfig()
+        sections = {
+            "paths": {f.name: tmp_path / f"{f.name}.x" for f in fields(default) if f.type == "Path"},
+            "run": {f.name: k + (0.5 if f.type == "float" else 2)
+                    for k, f in enumerate(fields(default)) if f.type in ("int", "float")},
+            "hyperparameters": {f.name: k + (0.5 if f.type == "float" else 2)
+                                for k, f in enumerate(fields(default.training))
+                                if f.type in ("int", "float")},
+        }
+        assert [len(keys) for keys in sections.values()] == [14, 3, 6]
+        config = tmp_path / "config.ini"
+        config.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+            for section, keys in sections.items()
+        ))
+        cfg = load_config(config)
+        for section, keys in sections.items():
+            target = cfg.training if section == "hyperparameters" else cfg
+            for key, value in keys.items():
+                assert getattr(target, key) == value and type(getattr(target, key)) is type(value)
+        # a relative path is read from the config file's directory
+        config.write_text("[paths]\nlexicon = sub/lex.tsv\n")
+        assert load_config(config).lexicon == tmp_path / "sub" / "lex.tsv"
+
+    def test_key_in_the_wrong_section_is_ignored(self, tmp_path):
+        config = tmp_path / "config.ini"
+        config.write_text(
+            "[paths]\nseed = abc\nepochs = abc\ntraining = x\n"
+            "[run]\nlexicon = elsewhere.tsv\nepochs = 99\ntraining = 1\n"
+            "[hyperparameters]\nseed = 5\nmodel = m.model\n"
+            "[other]\nseed = 7\n"
+        )
+        assert load_config(config) == PipelineConfig()
 
 
 # Each bad setting with the command it used to crash.

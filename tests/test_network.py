@@ -1,5 +1,8 @@
 import math
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +385,36 @@ class TestModelFile:
         assert loaded.rng_seed == m.rng_seed
         for a, b in zip(m.parameters(), loaded.parameters()):
             assert np.array_equal(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(word_dim=st.integers(1, 4), dict_dim=st.integers(1, 4), hidden_dim=st.integers(1, 4),
+           n_words=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_roundtrip_and_every_header_dimension_checked(
+        self, word_dim, dict_dim, hidden_dim, n_words, seed, data
+    ):
+        m = small_model(seed, word_dim, dict_dim, hidden_dim, [f"w{i}" for i in range(n_words)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.model"
+            save_model(m, path)
+            loaded = load_model(path)
+            assert (loaded.vocab, loaded.rng_seed) == (m.vocab, m.rng_seed)
+            for a, b in zip(m.parameters(), loaded.parameters()):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            saved = path.read_bytes()
+            lines = [ln for ln in saved.split(b"\n") if ln.startswith(b"matrix ")]
+            assert len(lines) == 10
+            for line in lines:
+                name, *dims = line.decode().split()[1:]
+                for k, dim in enumerate(dims):
+                    shape = [int(d) for d in dims]
+                    shape[k] = data.draw(st.integers(0, 9).filter(lambda v: v != int(dim)))
+                    new = f"matrix {name} {' '.join(map(str, shape))}".encode()
+                    path.write_bytes(saved.replace(line + b"\n", new + b"\n", 1))
+                    # named with its header shape, as the mismatch or as a
+                    # matrix whose dimensions the others must fit
+                    wrong = rf"{re.escape(name)} (has shape )?{re.escape(str(tuple(shape)))}"
+                    with pytest.raises(ModelFormatError, match=wrong):
+                        load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.model"

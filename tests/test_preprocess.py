@@ -103,6 +103,10 @@ class TestSplitSentences:
     def test_empty(self):
         assert split_sentences("", ABBREVS) == []
 
+    def test_unit_after_number_ends_sentence(self):
+        out = split_sentences("Sag 10 ft. Crack at 2.5 in. Leak at ten ft. Root", ABBREVS)
+        assert out == ["Sag 10 ft.", "Crack at 2.5 in.", "Leak at ten ft. Root"]
+
     def test_lowercase_continuation_no_split(self):
         out = split_sentences("approx. 10 feet in.", ABBREVS)
         assert len(out) == 1
@@ -452,6 +456,38 @@ class TestDetectNegation:
             prev_end = e
 
 
+class TestUnitAbbreviationEndsSentence:
+    """A unit abbreviation after a number ends its sentence before a
+    capital, so a negation before the unit does not reach past it."""
+
+    def test_worked_example(self, resources):
+        doc = parse_document("Defects: No crack at 10 ft. Fracture at 12 ft.", "d")
+        report = rate_document(doc, resources)
+        assert len(doc.sentences) == 2
+        assert [(e["text"], e["negated"]) for e in report.entities if e["type"] == "Defect"] == [
+            ("crack", True), ("fracture", False)]
+        assert report.weights.defect == 0.8
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 999), m=st.integers(0, 999), unit=st.sampled_from(["ft.", "in."]),
+           data=st.data())
+    def test_second_term_never_negated(self, resources, n, m, unit, data):
+        triggers = resources.triggers
+        trigger_words = {w for p in triggers.pre_triggers + triggers.scope_terminators
+                         for w in p.split()}
+        terms = sorted(t for t in resources.lexicon.entries if trigger_words.isdisjoint(t.split()))
+        first, second = data.draw(st.sampled_from(terms)), data.draw(st.sampled_from(terms))
+        head = f"No {first} at {n} {unit} "
+        body = f"{head}{second.capitalize()} at {m} ft."
+        found = preprocess_section(body, 0, resources.spell_vocab, triggers,
+                                   resources.abbreviations)
+        assert len(found) == 2, body
+        for sentence in found:
+            for k, token in enumerate(sentence.tokens):
+                if len(head) <= token.raw_span[0] < len(head) + len(second):
+                    assert not any(s <= k < e for s, e in sentence.negation_scopes), body
+
+
 # Test oracles: a character-by-character normalizer and splitter, a
 # whitespace chunker and a linear phrase matcher, which the properties
 # below compare the run scanner of preprocess_section and the phrase index
@@ -476,7 +512,16 @@ def oracle_normalize_with_map(raw):
     return "".join(out), idx
 
 
+def oracle_is_number(chunk):
+    """Decimal digits, optionally with one '.' and more digits after it."""
+    whole, dot, fraction = chunk.partition(".")
+    return whole.isdecimal() and (not dot or fraction.isdecimal())
+
+
 def oracle_split_sentence_spans(text, abbreviations=()):
+    """Sentence spans: a chunk ending in a terminator ends one when
+    whitespace and a capital follow, unless it is an abbreviation whose
+    chunk before it in the sentence is not a number."""
     abbrev = {a.lower() for a in abbreviations}
     spans = []
     n = len(text)
@@ -487,7 +532,9 @@ def oracle_split_sentence_spans(text, abbreviations=()):
             j = i
             while j > start and not text[j - 1].isspace():
                 j -= 1
-            if text[j : i + 1].lower() in abbrev and i + 1 < n:
+            before = text[start:j].split()
+            after_number = bool(before) and oracle_is_number(before[-1])
+            if text[j : i + 1].lower() in abbrev and i + 1 < n and not after_number:
                 i += 1
                 continue
             k = i + 1
@@ -628,7 +675,7 @@ class TestScannersMatchOracles:
     @example("Crack.. Roots", ABBREVS)
     @example(". . . Sag", ABBREVS)
     @example("Sag at 10 ft.", ABBREVS)
-    @example("Sag 10 ft. Crack", ABBREVS)
+    @example("Sag 10 ft. Crack", ABBREVS)  # two sentences: a unit after a number
     @example("Leak. \u01c5ebris", ABBREVS)  # a title-case letter is not upper case
     @example("Leak.\u2003Crack", ABBREVS)
     def test_normalize_and_split_on_arbitrary_unicode(self, raw, abbreviations):

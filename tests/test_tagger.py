@@ -8,11 +8,10 @@ from test_network import reference_step
 
 from pipedefect import network
 from pipedefect.corpus import GoldEntity, Sentence, Token, parse_document
-from pipedefect.lexicon import Lexicon
+from pipedefect.lexicon import NUMBER_RE, Lexicon
 from pipedefect.network import init_model
 from pipedefect.pipeline import BILSTM_TAGGER, preprocess_document, tag_document
 from pipedefect.tagger import (
-    _NUMBER_RE,
     MAX_BATCH_TOKENS,
     TAG_TO_ENTITY_TYPE,
     Entity,
@@ -270,7 +269,7 @@ def reference_extract_entities(sentence, tags, patterns, lexicon):
     for i in range(n - 1):
         if tags[i] != Tag.O or tags[i + 1] != Tag.O:
             continue
-        if not _NUMBER_RE.match(tokens[i].normalized):
+        if not NUMBER_RE.match(tokens[i].normalized):
             continue
         unit = tokens[i + 1].normalized.rstrip(".")
         if unit in patterns.distance_units:
