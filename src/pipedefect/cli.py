@@ -16,13 +16,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import config as config_mod
-from .corpus import ENTITY_TYPES, format_gold, parse_document, parse_gold, split_corpus
+from .corpus import ENTITY_TYPES, GoldEntity, format_gold, parse_document, parse_gold, split_corpus
 from .errors import ConfigError, PipeDefectError
-from .evaluation import (
-    evaluate_entities,
-    evaluate_ratings,
-    write_metric_reports,
-)
+from .evaluation import evaluate_entity_spans, evaluate_ratings, write_metric_reports
 from .generate import GeneratorConfig, generate_synthetic_corpus
 from .lexicon import save_lexicon
 from .network import load_model, save_model
@@ -33,7 +29,7 @@ from .pipeline import (
     rate_document,
 )
 from .rating import ACTION_TEXT
-from .tagger import Entity, EntityFrame, tags_from_gold_spans
+from .tagger import tags_from_gold_spans
 from .training import train
 
 log = logging.getLogger("pipedefect")
@@ -183,34 +179,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _frames_from_report(payload: dict, sentences) -> list[EntityFrame]:
-    """Entity frames of a report; ValueError names the first entity field
-    that does not fit the document's sentences."""
-    frames = [EntityFrame() for _ in sentences]
+def _spans_from_report(payload: dict, n_chars: int) -> list[GoldEntity]:
+    """A report's entities as typed raw-text spans; ValueError names the
+    first entity whose type or raw_span does not fit the document's text."""
+    spans = []
     for ent in payload.get("entities", []):
-        sent, start, end = ent["sentence"], ent["token_start"], ent["token_end"]
-        if not (_is_int(sent) and 0 <= sent < len(sentences)):
-            raise ValueError(f"entity sentence {sent!r} is not in [0, {len(sentences)})")
-        n_tokens = len(sentences[sent].tokens)
-        if not (_is_int(start) and _is_int(end) and 0 <= start < end <= n_tokens):
-            raise ValueError(
-                f"entity tokens [{start!r}, {end!r}) do not fit the {n_tokens} tokens"
-                f" of sentence {sent}"
-            )
-        if ent["type"] not in ENTITY_TYPES:
-            raise ValueError(f"entity type {ent['type']!r} is not one of {ENTITY_TYPES}")
-        if not isinstance(ent["negated"], bool):
-            raise ValueError(f"entity negated {ent['negated']!r} is not a boolean")
-        frames[sent].append(
-            Entity(
-                entity_type=ent["type"],
-                token_range=(start, end),
-                negated=ent["negated"],
-                matched_lexicon_term=ent.get("matched_term"),
-                seed_root=ent.get("seed_root"),
-            )
-        )
-    return frames
+        etype, span = ent["type"], ent["raw_span"]
+        if etype not in ENTITY_TYPES:
+            raise ValueError(f"entity type {etype!r} is not one of {ENTITY_TYPES}")
+        if not (isinstance(span, list) and len(span) == 2 and all(map(_is_int, span))
+                and 0 <= span[0] < span[1] <= n_chars):
+            raise ValueError(f"entity raw_span {span!r} is not two integers"
+                             f" 0 <= start < end <= {n_chars}, the text's length")
+        spans.append(GoldEntity(etype, tuple(span)))
+    return spans
 
 
 def _rating_from_report(payload: dict) -> int:
@@ -225,6 +207,7 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
     gold = _load_gold(gold_path)
     reports_dir = pred_path / "reports" if (pred_path / "reports").is_dir() else pred_path
     payloads = {}
+    paths: dict[str, Path] = {}
     for path in sorted(reports_dir.glob("*.json")):
         try:  # ValueError covers bad UTF-8 and bad JSON
             with open(path, encoding="utf-8") as fh:
@@ -234,6 +217,9 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
             raise ConfigError(f"cannot read report {path}: {exc!r}") from exc
         if not isinstance(doc_id, str):
             raise ConfigError(f"report {path}: document_id {doc_id!r} is not a string")
+        if doc_id in paths:
+            raise ConfigError(f"reports {paths[doc_id]} and {path} are both for document {doc_id}")
+        paths[doc_id] = path
         payloads[doc_id] = payload
     missing = sorted(set(payloads) - set(gold))
     if missing:
@@ -243,19 +229,19 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
     if absent:
         raise ConfigError(f"rated documents missing from {cfg.corpus_dir}: {', '.join(absent)}")
     docs = {}
-    pred_frames = {}
+    pred_spans = {}
     pred_ratings = {}
     for doc_id, payload in payloads.items():
         if "error" in payload:
             continue
-        doc = preprocess_document(parse_document(raw_docs[doc_id], doc_id), resources)
-        docs[doc_id] = doc
+        raw = raw_docs[doc_id]
+        docs[doc_id] = preprocess_document(parse_document(raw, doc_id), resources)
         try:
-            pred_frames[doc_id] = _frames_from_report(payload, doc.sentences)
+            pred_spans[doc_id] = _spans_from_report(payload, len(raw))
             pred_ratings[doc_id] = _rating_from_report(payload)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed report for {doc_id} in {reports_dir}: {exc!r}") from exc
-    entity_rows = evaluate_entities(pred_frames, gold, docs)
+    entity_rows = evaluate_entity_spans(pred_spans, gold, docs)
     rating_rows = evaluate_ratings(pred_ratings, {i: g.rating for i, g in gold.items()})
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

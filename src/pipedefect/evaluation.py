@@ -12,10 +12,11 @@ import csv
 import json
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
+from itertools import chain
 
-from .corpus import Document, GoldRecord, gold_token_types
+from .corpus import Document, GoldEntity, GoldRecord, gold_token_types
 from .errors import AlignmentError, MissingGold
-from .tagger import EntityFrame
+from .tagger import EntityFrame, entity_span
 
 METRIC_COLUMNS = ("Accuracy", "Recall", "Specificity", "Precision", "F1")
 
@@ -110,20 +111,13 @@ def cohens_kappa(labels_a: list, labels_b: list) -> float | None:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def token_labels_from_gold(doc: Document, record: GoldRecord) -> list[str]:
-    """Per-token entity-type labels from raw-text gold spans."""
-    return [t for types in gold_token_types(doc.sentences, record.entities) for t in types]
-
-
-def token_labels_from_frames(doc: Document, frames: list[EntityFrame]) -> list[str]:
-    labels = []
-    for sentence, frame in zip(doc.sentences, frames):
-        sent_labels = ["O"] * len(sentence.tokens)
-        for entity in frame.all_entities():
-            for i in range(*entity.token_range):
-                sent_labels[i] = entity.entity_type
-        labels.extend(sent_labels)
-    return labels
+def frame_spans(doc: Document, frames: list[EntityFrame]) -> list[GoldEntity]:
+    """Each frame entity as a typed raw-text span, as a report writes it."""
+    return [
+        GoldEntity(entity.entity_type, entity_span(sentence, entity))
+        for sentence, frame in zip(doc.sentences, frames)
+        for entity in frame.all_entities()
+    ]
 
 
 def evaluate_entities(
@@ -131,24 +125,32 @@ def evaluate_entities(
     gold: dict[str, GoldRecord],
     docs: dict[str, Document],
 ) -> list[MetricRow]:
-    """Token-level one-vs-rest rows per entity type."""
+    """evaluate_entity_spans of each document's frame entities."""
+    return evaluate_entity_spans(
+        {i: frame_spans(docs[i], frames) for i, frames in pred_frames.items()}, gold, docs
+    )
+
+
+def evaluate_entity_spans(
+    pred: dict[str, list[GoldEntity]],
+    gold: dict[str, GoldRecord],
+    docs: dict[str, Document],
+) -> list[MetricRow]:
+    """Token-level one-vs-rest rows per entity type.  Predicted and gold
+    raw-text spans both label each document's tokens through
+    corpus.gold_token_types."""
     pred_labels: list[str] = []
     gold_labels: list[str] = []
-    for doc_id in sorted(pred_frames):
+    for doc_id in sorted(pred):
         if doc_id not in gold:
             raise MissingGold(f"no gold record for document {doc_id!r}")
-        doc = docs[doc_id]
-        p = token_labels_from_frames(doc, pred_frames[doc_id])
-        g = token_labels_from_gold(doc, gold[doc_id])
-        if len(p) != len(g):
-            raise AlignmentError(f"token count mismatch for {doc_id!r}")
-        pred_labels.extend(p)
-        gold_labels.extend(g)
-    rows = []
-    for etype, label in ENTITY_ROW_LABELS.items():
-        c = confusion_counts(pred_labels, gold_labels, etype)
-        rows.append(metrics(c, label=label))
-    return rows
+        sentences = docs[doc_id].sentences
+        pred_labels += chain.from_iterable(gold_token_types(sentences, pred[doc_id]))
+        gold_labels += chain.from_iterable(gold_token_types(sentences, gold[doc_id].entities))
+    return [
+        metrics(confusion_counts(pred_labels, gold_labels, etype), label=label)
+        for etype, label in ENTITY_ROW_LABELS.items()
+    ]
 
 
 def evaluate_ratings(pred: dict[str, int], gold: dict[str, int]) -> list[MetricRow]:

@@ -325,9 +325,15 @@ def _header(fh, path, pattern: str = "(.*)") -> str:
 def _check_shapes(path, vocab: list[str], shapes: list[tuple[int, ...]]) -> dict:
     """The layout of the header's matrix shapes, which must fit the
     vocabulary and each other.  The dimensions are read from word_emb,
-    dict_emb and fwd.wh, so an error names those too."""
+    dict_emb and fwd.wh, so an error names those too.  The vocabulary must
+    start with UNK and name each word once."""
     if not vocab or vocab[0] != UNK:
         raise ModelFormatError(f"{path}: vocabulary must start with {UNK}")
+    seen: set[str] = set()
+    for word in vocab:  # a repeated word would leave a dead word_emb row
+        if word in seen:
+            raise ModelFormatError(f"{path}: vocabulary repeats the word {word!r}")
+        seen.add(word)
     named = dict(zip(_MATRIX_NAMES, shapes))
     layout = _layout(len(vocab), named["word_emb"][-1], named["dict_emb"][-1], named["fwd.wh"][0])
     for name, shape in named.items():

@@ -17,6 +17,7 @@ from .tagger import (
     EntityFrame,
     PatternTable,
     dictionary_tag,
+    entity_span,
     entity_text,
     extract_entities,
     predict_document_tags,
@@ -97,15 +98,13 @@ def rate_document(
     report = rate_frames(doc.id, frames)
     for sent_idx, (sentence, frame) in enumerate(zip(doc.sentences, frames)):
         for entity in frame.all_entities():
-            start_tok = sentence.tokens[entity.token_range[0]]
-            end_tok = sentence.tokens[entity.token_range[1] - 1]
             report.entities.append(
                 {
                     "type": entity.entity_type,
                     "sentence": sent_idx,
                     "token_start": entity.token_range[0],
                     "token_end": entity.token_range[1],
-                    "raw_span": [start_tok.raw_span[0], end_tok.raw_span[1]],
+                    "raw_span": list(entity_span(sentence, entity)),
                     "text": entity_text(sentence, entity),
                     "negated": entity.negated,
                     "matched_term": entity.matched_lexicon_term,

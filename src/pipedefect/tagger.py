@@ -194,6 +194,12 @@ def entity_text(sentence: Sentence, entity: Entity) -> str:
     return " ".join(t.normalized for t in sentence.tokens[slice(*entity.token_range)])
 
 
+def entity_span(sentence: Sentence, entity: Entity) -> tuple[int, int]:
+    """The entity's span of the raw document text."""
+    start, end = entity.token_range
+    return sentence.tokens[start].raw_span[0], sentence.tokens[end - 1].raw_span[1]
+
+
 # SizeOfDefect has no tag in the IO scheme; sizes are pattern-matched.
 _ENTITY_TYPE_TO_TAG = {"O": Tag.O, "SizeOfDefect": Tag.O,
                        **{etype: tag for tag, etype in TAG_TO_ENTITY_TYPE.items()}}

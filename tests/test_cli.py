@@ -1,13 +1,17 @@
 import csv
 import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
 from pipedefect.cli import main
-from pipedefect.config import PipelineConfig, load_config
+from pipedefect.config import PipelineConfig, load_config, load_resources
+from pipedefect.corpus import format_gold, parse_document, parse_gold
+from pipedefect.evaluation import evaluate_entities
+from pipedefect.network import load_model
+from pipedefect.pipeline import preprocess_document, tag_document
 
 BOX_TEXT = (
     "Defects: Very Frequently, there is a leakage in pipe at 10 feet away "
@@ -322,16 +326,16 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "entity, rating",
         [
-            ({"sentence": -1}, None),
-            ({"sentence": True}, None),
-            ({"sentence": "0"}, None),
-            ({"token_start": -1}, None),
-            ({"token_start": "0"}, None),
-            ({"token_end": 0}, None),
-            ({"token_end": 99}, None),
-            ({"token_end": 2.0}, None),
+            ({"raw_span": [-1, 5]}, None),
+            ({"raw_span": [5, 5]}, None),
+            ({"raw_span": [5, 100000]}, None),  # past the text
+            ({"raw_span": "5-9"}, None),
+            ({"raw_span": [True, 5]}, None),
+            ({"raw_span": [5]}, None),
+            ({"raw_span": [5, 9.0]}, None),
+            ({"raw_span": [5, 9, 12]}, None),
+            ({"raw_span": None}, None),
             ({"type": "Pipe"}, None),
-            ({"negated": 0}, None),
             ({}, 9),
             ({}, "3"),
             ({}, True),
@@ -354,7 +358,80 @@ class TestEvaluate:
         assert main([*argv, "evaluate", str(tmp_path), str(root / "gold.tsv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed report for {payload['document_id']} in ")
-        assert str(tmp_path) in err
+        assert str(tmp_path) in err and next(iter(entity), "rating") in err
+
+    def test_two_reports_for_one_document_exit_2(self, eval_workspace, tmp_path, capsys):
+        root, argv = eval_workspace
+        payload = next(
+            p for p in (json.loads(r.read_text()) for r in
+                        sorted((root / "out_eval" / "reports").glob("*.json")))
+            if p["entities"]
+        )
+        (tmp_path / "a.json").write_text(json.dumps(payload))
+        (tmp_path / "b.json").write_text(json.dumps({**payload, "entities": []}))
+        assert main([*argv, "evaluate", str(tmp_path), str(root / "gold.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for named in (payload["document_id"], str(tmp_path / "a.json"), str(tmp_path / "b.json")):
+            assert named in err
+
+    def test_report_is_scored_on_its_raw_spans(self, workspace, tmp_path):
+        """A report rated when "ft." did not end a sentence: its token
+        indices put "Fracture" at token 5 of sentence 0, where the current
+        split has ".", and its raw spans name the text itself."""
+        root, _ = workspace
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "d1.txt").write_text("Defects: No crack at 10 ft. Fracture here.")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("d1\t1\tDefect:12-17,LocationOfDefect:21-26,Defect:28-36\thand\n")
+        entities = [("Defect", 1, 2, [12, 17]), ("Defect", 5, 6, [28, 36]),
+                    ("LocationOfDefect", 3, 5, [21, 27])]
+        report = {"document_id": "d1", "rating": 1, "entities": [
+            {"type": etype, "sentence": 0, "token_start": start, "token_end": end,
+             "raw_span": span, "negated": True}
+            for etype, start, end, span in entities
+        ]}
+        (tmp_path / "reports").mkdir()
+        (tmp_path / "reports" / "d1.json").write_text(json.dumps(report))
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv")))
+        assert main(["--config", str(config), "evaluate", str(tmp_path / "reports"), str(gold)]) == 0
+        rows = json.loads((tmp_path / "out" / "entity_metrics.json").read_text())["rows"]
+        assert (rows[0]["label"], rows[0]["accuracy"]) == ("Defects", 1.0)
+
+    @pytest.mark.parametrize("tagger", ["dict", "bilstm"])
+    def test_entity_rows_equal_evaluate_entities_over_tagged_frames(
+        self, tagger, workspace, tmp_path
+    ):
+        root, _ = workspace
+        # each document's last gold entity dropped, so that the rows are not all perfect
+        records = {
+            r.document_id: replace(r, entities=r.entities[:-1])
+            for r in parse_gold((root / "gold.tsv").read_text())
+        }
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(format_gold(list(records.values())))
+        config = tmp_path / "config.ini"
+        config.write_text(
+            CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv"))
+            .replace("tagger.model", str(root / "tagger.model"))
+            .replace("corpus_dir = corpus", f"corpus_dir = {root / 'corpus'}")
+        )
+        argv = ["--config", str(config)]
+        assert main([*argv, "rate", str(root / "corpus"), "--tagger", tagger]) == 0
+        assert main([*argv, "evaluate", str(tmp_path / "out"), str(gold)]) == 0
+        cfg = load_config(config)
+        resources = load_resources(cfg)
+        model = load_model(cfg.model) if tagger == "bilstm" else None
+        docs = {
+            path.stem: preprocess_document(parse_document(path.read_text(), path.stem), resources)
+            for path in (root / "corpus").glob("*.txt")
+        }
+        frames = {i: tag_document(doc, resources, tagger, model) for i, doc in docs.items()}
+        rows = [asdict(row) for row in evaluate_entities(frames, records, docs)]
+        assert json.loads((tmp_path / "out" / "entity_metrics.json").read_text())["rows"] == rows
+        assert any(row["recall"] not in (None, 1.0) or row["precision"] not in (None, 1.0)
+                   for row in rows)
 
 
 class TestConfigHandling:

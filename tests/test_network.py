@@ -479,6 +479,16 @@ class TestModelFile:
             with pytest.raises(ModelFormatError, match=named):
                 load_model(path)
 
+    def test_repeated_vocabulary_word_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(small_model(seed=9), path)
+        data = path.read_bytes()
+        # the word count and shapes still fit; only the repeat is wrong
+        for vocab, word in ((b"<unk>\nleak\nleak\n", "'leak'"), (b"<unk>\n<unk>\npipe\n", "'<unk>'")):
+            path.write_bytes(data.replace(b"<unk>\nleak\npipe\n", vocab, 1))
+            with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: .*{word}"):
+                load_model(path)
+
     def test_every_truncation_and_sampled_byte_change_loads_or_is_rejected(self, tmp_path):
         path = tmp_path / "m.model"
         save_model(small_model(seed=10, word_dim=2, dict_dim=2, hidden_dim=2, vocab=("leak",)),
