@@ -16,8 +16,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import config as config_mod
-from .corpus import ENTITY_TYPES, GoldEntity, format_gold, parse_document, parse_gold, split_corpus
-from .errors import ConfigError, PipeDefectError
+from .corpus import (ENTITY_TYPES, Document, GoldEntity, GoldRecord, format_gold, parse_document,
+                     read_gold, split_corpus)
+from .errors import ConfigError, EmptyDocument, PipeDefectError
 from .evaluation import evaluate_entity_spans, evaluate_ratings, write_metric_reports
 from .generate import GeneratorConfig, generate_synthetic_corpus
 from .lexicon import save_lexicon
@@ -47,20 +48,24 @@ def _load_corpus_documents(corpus_dir: Path) -> dict[str, str]:
     return docs
 
 
-def _load_gold(gold_path) -> dict:
-    try:
-        text = Path(gold_path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read gold file {gold_path}: {exc}") from exc
-    records = parse_gold(text)
-    annotators: dict[str, list[str]] = {}
-    for r in records:
-        annotators.setdefault(r.document_id, []).append(r.annotator_id)
-    shared = [f"{d} (annotators {', '.join(a)})" for d, a in annotators.items() if len(a) > 1]
-    if shared:
-        raise ConfigError(f"gold file {gold_path} has more than one record for a document,"
-                          f" where train and evaluate take one: {'; '.join(shared)}")
-    return {r.document_id: r for r in records}
+def _span_fits(span, n_chars: int) -> bool:
+    """Whether a raw-text span lies in a text of n_chars characters."""
+    return 0 <= span[0] < span[1] <= n_chars
+
+
+def _load_gold_corpus(corpus_dir: Path, gold_path) -> tuple[dict[str, str], dict[str, GoldRecord]]:
+    """The corpus texts and the gold records, each record of a corpus
+    document checked against its text."""
+    raw_docs = _load_corpus_documents(corpus_dir)
+    gold = read_gold(gold_path)
+    for doc_id in sorted(raw_docs.keys() & gold.keys()):
+        n_chars = len(raw_docs[doc_id])
+        for e in gold[doc_id].entities:
+            if not _span_fits(e.span, n_chars):
+                raise ConfigError(f"gold file {gold_path}: document {doc_id}: span {e.entity_type}:"
+                                  f"{e.span[0]}-{e.span[1]} is not 0 <= start < end <= {n_chars},"
+                                  " the text's length")
+    return raw_docs, gold
 
 
 def cmd_build_lexicon(cfg) -> int:
@@ -94,8 +99,7 @@ def cmd_generate(cfg, n: int) -> int:
 
 def cmd_train(cfg) -> int:
     resources = config_mod.load_resources(cfg)
-    raw_docs = _load_corpus_documents(Path(cfg.corpus_dir))
-    gold = _load_gold(cfg.gold_file)
+    raw_docs, gold = _load_gold_corpus(Path(cfg.corpus_dir), cfg.gold_file)
     ids = sorted(set(raw_docs) & set(gold))
     if len(ids) < 2:
         raise ConfigError("train needs at least 2 documents with gold records")
@@ -188,7 +192,7 @@ def _spans_from_report(payload: dict, n_chars: int) -> list[GoldEntity]:
         if etype not in ENTITY_TYPES:
             raise ValueError(f"entity type {etype!r} is not one of {ENTITY_TYPES}")
         if not (isinstance(span, list) and len(span) == 2 and all(map(_is_int, span))
-                and 0 <= span[0] < span[1] <= n_chars):
+                and _span_fits(span, n_chars)):
             raise ValueError(f"entity raw_span {span!r} is not two integers"
                              f" 0 <= start < end <= {n_chars}, the text's length")
         spans.append(GoldEntity(etype, tuple(span)))
@@ -204,7 +208,7 @@ def _rating_from_report(payload: dict) -> int:
 
 def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
     resources = config_mod.load_resources(cfg)
-    gold = _load_gold(gold_path)
+    raw_docs, gold = _load_gold_corpus(Path(cfg.corpus_dir), gold_path)
     reports_dir = pred_path / "reports" if (pred_path / "reports").is_dir() else pred_path
     payloads = {}
     paths: dict[str, Path] = {}
@@ -224,18 +228,21 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
     missing = sorted(set(payloads) - set(gold))
     if missing:
         raise ConfigError(f"no gold records for predicted ids: {', '.join(missing)}")
-    raw_docs = _load_corpus_documents(Path(cfg.corpus_dir))
-    absent = sorted(i for i, p in payloads.items() if "error" not in p and i not in raw_docs)
+    absent = sorted(set(payloads) - set(raw_docs))
     if absent:
-        raise ConfigError(f"rated documents missing from {cfg.corpus_dir}: {', '.join(absent)}")
+        raise ConfigError(f"reported documents missing from {cfg.corpus_dir}: {', '.join(absent)}")
     docs = {}
     pred_spans = {}
     pred_ratings = {}
     for doc_id, payload in payloads.items():
-        if "error" in payload:
-            continue
         raw = raw_docs[doc_id]
-        docs[doc_id] = preprocess_document(parse_document(raw, doc_id), resources)
+        try:
+            docs[doc_id] = preprocess_document(parse_document(raw, doc_id), resources)
+        except EmptyDocument:  # a blank text has no tokens
+            docs[doc_id] = Document(doc_id, raw, {}, {})
+        if "error" in payload:  # scored as no entities and no rating
+            pred_spans[doc_id], pred_ratings[doc_id] = [], None
+            continue
         try:
             pred_spans[doc_id] = _spans_from_report(payload, len(raw))
             pred_ratings[doc_id] = _rating_from_report(payload)
@@ -247,6 +254,8 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metric_reports(entity_rows, out_dir / "entity_metrics.csv", out_dir / "entity_metrics.json")
     write_metric_reports(rating_rows, out_dir / "rating_metrics.csv", out_dir / "rating_metrics.json")
+    failed = sum("error" in p for p in payloads.values())
+    print(f"{failed} of {len(payloads)} reported documents failed to rate")
     for row in entity_rows + rating_rows:
         acc = "NA" if row.accuracy is None else f"{100 * row.accuracy:.1f}"
         print(f"{row.label}: accuracy {acc}")

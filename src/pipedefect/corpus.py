@@ -24,13 +24,8 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .errors import (
-    CorpusTooSmall,
-    DuplicateGoldRecord,
-    EmptyDocument,
-    InvalidRating,
-    InvalidSpan,
-)
+from .errors import ConfigError, EmptyDocument, InvalidRating, InvalidSpan
+from .lexicon import read_rows
 
 SECTION_NAMES = (
     "Pipe Characteristics",
@@ -129,50 +124,45 @@ def parse_document(raw: str, id: str) -> Document:
 _SPAN_RE = re.compile(r"^(\w+):(\d+)-(\d+)$")
 
 
-def parse_gold(raw: str) -> list[GoldRecord]:
-    """Parse the tab-separated gold annotation format.
-
-    One record per line: ``doc_id <TAB> rating <TAB> entities <TAB>
-    annotator_id`` where entities is a comma-separated list of
-    ``EntityType:start-end`` items, or ``-`` when the document has none.
-    """
-    records: list[GoldRecord] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 4:
-            raise InvalidSpan(f"line {lineno}: expected 4 tab-separated fields")
-        doc_id, rating_field, entity_field, annotator = parts
+def read_gold(path) -> dict[str, GoldRecord]:
+    """Each document's record in a gold file of ``doc_id <TAB> rating <TAB>
+    entities <TAB> annotator_id`` lines, where entities is a comma-separated
+    list of ``EntityType:start-end`` items, or ``-`` for none.  A bad field
+    raises InvalidRating or InvalidSpan naming ``path:line``, and a second
+    record for a document, from any annotator, raises ConfigError."""
+    gold: dict[str, GoldRecord] = {}
+    annotators: dict[str, list[str]] = {}
+    form = "doc_id<TAB>rating<TAB>entities<TAB>annotator_id"
+    for lineno, (doc_id, rating_field, entity_field, annotator) in read_rows(path, 4, form):
         try:
             rating = int(rating_field)
         except ValueError:
-            raise InvalidRating(f"line {lineno}: rating {rating_field!r} is not an integer")
+            raise InvalidRating(f"{path}:{lineno}: rating {rating_field!r} is not an integer")
         if rating not in (1, 2, 3, 4, 5):
-            raise InvalidRating(f"line {lineno}: rating {rating} outside 1..5")
+            raise InvalidRating(f"{path}:{lineno}: rating {rating} outside 1..5")
         entities: list[GoldEntity] = []
         if entity_field != "-":
             for item in entity_field.split(","):
                 m = _SPAN_RE.match(item.strip())
                 if not m:
-                    raise InvalidSpan(f"line {lineno}: malformed span {item!r}")
+                    raise InvalidSpan(f"{path}:{lineno}: malformed span {item!r}")
                 etype, start, end = m.group(1), int(m.group(2)), int(m.group(3))
                 if etype not in ENTITY_TYPES:
-                    raise InvalidSpan(f"line {lineno}: unknown entity type {etype!r}")
+                    raise InvalidSpan(f"{path}:{lineno}: unknown entity type {etype!r}")
                 if end <= start:
-                    raise InvalidSpan(f"line {lineno}: empty span {item!r}")
+                    raise InvalidSpan(f"{path}:{lineno}: empty span {item!r}")
                 entities.append(GoldEntity(etype, (start, end)))
-        key = (doc_id, annotator)
-        if key in seen:
-            raise DuplicateGoldRecord(f"line {lineno}: duplicate record for {key}")
-        seen.add(key)
-        records.append(GoldRecord(doc_id, entities, rating, annotator))
-    return records
+        annotators.setdefault(doc_id, []).append(annotator)
+        gold[doc_id] = GoldRecord(doc_id, entities, rating, annotator)
+    shared = [f"{d} (annotators {', '.join(a)})" for d, a in annotators.items() if len(a) > 1]
+    if shared:
+        raise ConfigError(f"gold file {path} has more than one record for a document,"
+                          f" where train and evaluate take one: {'; '.join(shared)}")
+    return gold
 
 
 def format_gold(records: list[GoldRecord]) -> str:
-    """Inverse of parse_gold (stable ordering as given)."""
+    """The gold file format of read_gold (stable ordering as given)."""
     lines = []
     for r in records:
         ents = ",".join(f"{e.entity_type}:{e.span[0]}-{e.span[1]}" for e in r.entities) or "-"
@@ -192,11 +182,8 @@ def gold_token_types(sentences: list[Sentence], gold: list[GoldEntity]) -> list[
 
 
 def split_corpus(ids: list[str], ratio: float, seed: int) -> CorpusSplit:
-    """Deterministic train/test split by seeded shuffle of the sorted ids."""
-    if len(ids) < 2:
-        raise CorpusTooSmall(f"need at least 2 ids, got {len(ids)}")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+    """Deterministic train/test split by seeded shuffle of the sorted ids;
+    callers pass at least 2 ids and 0 < ratio < 1."""
     ordered = sorted(ids)
     rng = random.Random(seed)
     rng.shuffle(ordered)

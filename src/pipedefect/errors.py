@@ -17,14 +17,6 @@ class InvalidSpan(PipeDefectError):
     pass
 
 
-class DuplicateGoldRecord(PipeDefectError):
-    pass
-
-
-class CorpusTooSmall(PipeDefectError):
-    pass
-
-
 class LexiconRequired(PipeDefectError):
     pass
 
@@ -50,10 +42,6 @@ class AlignmentError(PipeDefectError):
 
 
 class InvalidWeight(PipeDefectError):
-    pass
-
-
-class MissingGold(PipeDefectError):
     pass
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, astuple, dataclass
 from itertools import chain
 
 from .corpus import Document, GoldEntity, GoldRecord, gold_token_types
-from .errors import AlignmentError, MissingGold
+from .errors import AlignmentError
 from .tagger import EntityFrame, entity_span
 
 METRIC_COLUMNS = ("Accuracy", "Recall", "Specificity", "Precision", "F1")
@@ -136,14 +136,12 @@ def evaluate_entity_spans(
     gold: dict[str, GoldRecord],
     docs: dict[str, Document],
 ) -> list[MetricRow]:
-    """Token-level one-vs-rest rows per entity type.  Predicted and gold
-    raw-text spans both label each document's tokens through
-    corpus.gold_token_types."""
+    """Token-level one-vs-rest rows per entity type for each document of
+    ``pred``.  Predicted and gold raw-text spans both label the document's
+    tokens through corpus.gold_token_types."""
     pred_labels: list[str] = []
     gold_labels: list[str] = []
     for doc_id in sorted(pred):
-        if doc_id not in gold:
-            raise MissingGold(f"no gold record for document {doc_id!r}")
         sentences = docs[doc_id].sentences
         pred_labels += chain.from_iterable(gold_token_types(sentences, pred[doc_id]))
         gold_labels += chain.from_iterable(gold_token_types(sentences, gold[doc_id].entities))
@@ -153,12 +151,10 @@ def evaluate_entity_spans(
     ]
 
 
-def evaluate_ratings(pred: dict[str, int], gold: dict[str, int]) -> list[MetricRow]:
-    """One-vs-rest rows per rating class plus an overall accuracy line."""
+def evaluate_ratings(pred: dict[str, int | None], gold: dict[str, int]) -> list[MetricRow]:
+    """One-vs-rest rows per rating class plus an overall accuracy line; a
+    None rating (a document that failed to rate) matches no class."""
     ids = sorted(pred)
-    for doc_id in ids:
-        if doc_id not in gold:
-            raise MissingGold(f"no gold rating for document {doc_id!r}")
     pred_list = [pred[i] for i in ids]
     gold_list = [gold[i] for i in ids]
     rows = []

@@ -281,10 +281,6 @@ def expand_synonyms(
     lexicographically smaller seed_root (seed beats morph beats synonym at
     equal depth).
     """
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
     # (depth, origin_rank, seed_root) orders collision resolution
     candidates: list[tuple[int, int, str, LexiconEntry]] = []
     seed_only: list[str] = []
@@ -343,11 +339,13 @@ def load_lexicon(path) -> Lexicon:
 
 
 def load_seeds(path) -> list[tuple[str, str]]:
-    """Seed file: ``term <TAB> category`` per line."""
+    """Seed file: ``term <TAB> category`` per line, at least one."""
     seeds = []
     form = "term<TAB>category"
     for lineno, (term, category) in read_rows(path, 2, form):
         if category not in CATEGORIES:
             raise LexiconFormatError(f"{path}:{lineno}: expected '{form}'")
         seeds.append((check_term(path, lineno, term.lower(), "term"), category))
+    if not seeds:
+        raise LexiconFormatError(f"{path}: no seeds: expected '{form}' lines")
     return seeds

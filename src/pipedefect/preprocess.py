@@ -24,12 +24,7 @@ NEGATION_WINDOW = 5
 @dataclass(frozen=True)
 class NegationTriggerSet:
     pre_triggers: tuple[str, ...]
-    scope_terminators: tuple[str, ...]
-
-    def __post_init__(self):
-        for phrase in self.pre_triggers + self.scope_terminators:
-            if not phrase.split() or phrase != phrase.lower():
-                raise ValueError(f"trigger phrase must be non-empty lowercase: {phrase!r}")
+    scope_terminators: tuple[str, ...]  # both lowercase, as load_phrase_file gives them
 
     @cached_property
     def pre_index(self) -> PhraseIndex:

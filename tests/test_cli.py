@@ -8,7 +8,7 @@ import pytest
 
 from pipedefect.cli import main
 from pipedefect.config import PipelineConfig, load_config, load_resources
-from pipedefect.corpus import format_gold, parse_document, parse_gold
+from pipedefect.corpus import format_gold, parse_document, read_gold
 from pipedefect.evaluation import evaluate_entities
 from pipedefect.network import load_model
 from pipedefect.pipeline import preprocess_document, tag_document
@@ -17,6 +17,8 @@ BOX_TEXT = (
     "Defects: Very Frequently, there is a leakage in pipe at 10 feet away "
     "from pipe installation"
 )
+
+NOTE = "Defects: crack at joint."  # "crack" is raw characters 9-14
 
 CONFIG = """\
 [paths]
@@ -210,24 +212,76 @@ def test_unwritable_output_exits_2(command, key, workspace, tmp_path, capsys):
     assert str(blocked) in err
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate"])
-def test_two_annotators_for_one_document_exit_2(command, workspace, tmp_path, capsys):
+def _run_on_gold(command, workspace, tmp_path, capsys, lines):
+    """train, or evaluate of a directory with no reports, on the workspace
+    corpus with ``lines`` as tmp_path/gold.tsv; the exit code and stderr."""
     root, _ = workspace
-    lines = (root / "gold.tsv").read_text().splitlines()
-    doc_id, rating, entities, annotator = lines[3].split("\t")
     gold = tmp_path / "gold.tsv"
-    gold.write_text("\n".join([*lines, f"{doc_id}\t{rating}\t{entities}\tsecond"]) + "\n")
+    gold.write_text("\n".join(lines) + "\n")
     config = tmp_path / "config.ini"
     config.write_text(
         CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv"))
         .replace("corpus_dir = corpus", f"corpus_dir = {root / 'corpus'}")
     )
     argv = ["--config", str(config), command]
-    assert main(argv + ([str(tmp_path), str(gold)] if command == "evaluate" else [])) == 2
+    code = main(argv + ([str(tmp_path), str(gold)] if command == "evaluate" else []))
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{doc_id} (annotators {annotator}, second)" in err
     assert not (tmp_path / "tagger.model").exists()
+    return code, err
+
+
+def _second_record_exits_2(command, second, workspace, tmp_path, capsys):
+    """train and evaluate read one record a document, whoever wrote a second."""
+    root, _ = workspace
+    lines = (root / "gold.tsv").read_text().splitlines()
+    doc_id, rating, entities, annotator = lines[3].split("\t")
+    lines.append(f"{doc_id}\t{rating}\t{entities}\t{second}")
+    code, err = _run_on_gold(command, workspace, tmp_path, capsys, lines)
+    assert code == 2
+    assert f"{doc_id} (annotators {annotator}, {second})" in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_two_annotators_for_one_document_exit_2(command, workspace, tmp_path, capsys):
+    _second_record_exits_2(command, "second", workspace, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_two_records_from_one_annotator_exit_2(command, workspace, tmp_path, capsys):
+    _second_record_exits_2(command, "synthetic", workspace, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_gold_span_past_the_text_exits_2(command, workspace, tmp_path, capsys):
+    root, _ = workspace
+    lines = (root / "gold.tsv").read_text().splitlines()
+    doc_id, rating, _, annotator = lines[3].split("\t")
+    n_chars = len((root / "corpus" / f"{doc_id}.txt").read_text())
+    span = f"Defect:{n_chars}-{n_chars + 10}"
+    lines[3] = f"{doc_id}\t{rating}\t{span}\t{annotator}"
+    code, err = _run_on_gold(command, workspace, tmp_path, capsys, lines)
+    assert code == 2
+    for named in (str(tmp_path / "gold.tsv"), doc_id, span):
+        assert named in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_bad_gold_line_exits_1_naming_it(command, workspace, tmp_path, capsys):
+    root, _ = workspace
+    lines = (root / "gold.tsv").read_text().splitlines()
+    lines[5] = "pipe0005\t3\tDefect:18\tsynthetic"
+    code, err = _run_on_gold(command, workspace, tmp_path, capsys, lines)
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path / 'gold.tsv'}:6: malformed span 'Defect:18'")
+
+
+def test_train_on_one_gold_document_exits_2(workspace, tmp_path, capsys):
+    root, _ = workspace
+    lines = (root / "gold.tsv").read_text().splitlines()
+    code, err = _run_on_gold("train", workspace, tmp_path, capsys, lines[:1])
+    assert code == 2
+    assert "at least 2 documents" in err
 
 
 @pytest.fixture(scope="module")
@@ -399,6 +453,38 @@ class TestEvaluate:
         rows = json.loads((tmp_path / "out" / "entity_metrics.json").read_text())["rows"]
         assert (rows[0]["label"], rows[0]["accuracy"]) == ("Defects", 1.0)
 
+    @pytest.mark.parametrize(
+        "text, entities, recall",
+        [("  \n", "-", 1.0), (NOTE, "Defect:9-14", 0.5)],
+        ids=["blank", "with a gold entity"],
+    )
+    def test_failed_document_counts_as_wrong(
+        self, text, entities, recall, workspace, tmp_path, capsys
+    ):
+        """A report with an error is scored as a document with no entities
+        and no rating; a blank text contributes no tokens."""
+        root, _ = workspace
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "d1.txt").write_text(NOTE)
+        (tmp_path / "corpus" / "d2.txt").write_text(text)
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(f"d1\t1\tDefect:9-14\thand\nd2\t3\t{entities}\thand\n")
+        (tmp_path / "reports").mkdir()
+        (tmp_path / "reports" / "d1.json").write_text(json.dumps(
+            {"document_id": "d1", "rating": 1,
+             "entities": [{"type": "Defect", "raw_span": [9, 14]}]}))
+        (tmp_path / "reports" / "d2.json").write_text(
+            json.dumps({"document_id": "d2", "error": "failed"}))
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv")))
+        assert main(["--config", str(config), "evaluate", str(tmp_path / "reports"), str(gold)]) == 0
+        out = tmp_path / "out"
+        ratings = json.loads((out / "rating_metrics.json").read_text())["rows"]
+        assert (ratings[-1]["label"], ratings[-1]["accuracy"]) == ("Overall", 0.5)
+        rows = json.loads((out / "entity_metrics.json").read_text())["rows"]
+        assert (rows[0]["label"], rows[0]["recall"]) == ("Defects", recall)
+        assert "1 of 2 reported documents failed" in capsys.readouterr().out
+
     @pytest.mark.parametrize("tagger", ["dict", "bilstm"])
     def test_entity_rows_equal_evaluate_entities_over_tagged_frames(
         self, tagger, workspace, tmp_path
@@ -407,7 +493,7 @@ class TestEvaluate:
         # each document's last gold entity dropped, so that the rows are not all perfect
         records = {
             r.document_id: replace(r, entities=r.entities[:-1])
-            for r in parse_gold((root / "gold.tsv").read_text())
+            for r in read_gold(root / "gold.tsv").values()
         }
         gold = tmp_path / "gold.tsv"
         gold.write_text(format_gold(list(records.values())))
@@ -576,6 +662,17 @@ def test_unmatchable_term_exits_1_naming_its_line(key, rows, tmp_path, capsys):
     assert main(["--config", str(config), "build-lexicon"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data}:3: ") and "Traceback" not in err
+    assert not (tmp_path / "lexicon.tsv").exists()
+
+
+def test_empty_seed_file_exits_1_naming_it(tmp_path, capsys):
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text("# no seeds yet\n")
+    config = tmp_path / "config.ini"
+    config.write_text("[paths]\nseeds = seeds.tsv\nlexicon = lexicon.tsv\n")
+    assert main(["--config", str(config), "build-lexicon"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {seeds}: ") and err.count("\n") == 1
     assert not (tmp_path / "lexicon.tsv").exists()
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pipedefect.corpus import GoldEntity, GoldRecord, parse_document
-from pipedefect.errors import AlignmentError, MissingGold
+from pipedefect.errors import AlignmentError
 from pipedefect.evaluation import (
     FORMULA_NOTE,
     METRIC_COLUMNS,
@@ -155,11 +155,6 @@ class TestTokenLabels:
             assert row.recall == 1.0
             assert row.precision == 1.0
 
-    def test_missing_gold(self, resources):
-        doc, frames, _ = self.doc_and_frames(resources)
-        with pytest.raises(MissingGold):
-            evaluate_entities({"d1": frames}, {}, {"d1": doc})
-
 
 class TestEvaluateRatings:
     def test_all_correct(self):
@@ -182,10 +177,6 @@ class TestEvaluateRatings:
         )
         assert class5.recall == c.tp / (c.tp + c.fn) == 49 / 50
         assert rows[-1].accuracy == 0.99
-
-    def test_missing_gold(self):
-        with pytest.raises(MissingGold):
-            evaluate_ratings({"d1": 3}, {})
 
 
 class TestReports:
