@@ -16,7 +16,7 @@ from itertools import chain
 
 from .corpus import Document, GoldEntity, GoldRecord, gold_token_types
 from .errors import AlignmentError
-from .tagger import EntityFrame, entity_span
+from .tagger import Entity, entity_span
 
 METRIC_COLUMNS = ("Accuracy", "Recall", "Specificity", "Precision", "F1")
 
@@ -111,21 +111,21 @@ def cohens_kappa(labels_a: list, labels_b: list) -> float | None:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def frame_spans(doc: Document, frames: list[EntityFrame]) -> list[GoldEntity]:
-    """Each frame entity as a typed raw-text span, as a report writes it."""
+def frame_spans(doc: Document, frames: list[list[Entity]]) -> list[GoldEntity]:
+    """Each sentence's entities as typed raw-text spans, as a report writes them."""
     return [
         GoldEntity(entity.entity_type, entity_span(sentence, entity))
-        for sentence, frame in zip(doc.sentences, frames)
-        for entity in frame.all_entities()
+        for sentence, entities in zip(doc.sentences, frames)
+        for entity in entities
     ]
 
 
 def evaluate_entities(
-    pred_frames: dict[str, list[EntityFrame]],
+    pred_frames: dict[str, list[list[Entity]]],
     gold: dict[str, GoldRecord],
     docs: dict[str, Document],
 ) -> list[MetricRow]:
-    """evaluate_entity_spans of each document's frame entities."""
+    """evaluate_entity_spans of each document's tagged entities."""
     return evaluate_entity_spans(
         {i: frame_spans(docs[i], frames) for i, frames in pred_frames.items()}, gold, docs
     )

@@ -15,7 +15,7 @@ from .corpus import Document, GoldEntity, GoldRecord, parse_document
 from .errors import LexiconRequired
 from .lexicon import Lexicon
 from .rating import DEFAULT_FREQUENCY_BANDS, rate_frames
-from .tagger import Entity, EntityFrame
+from .tagger import Entity
 
 ANNOTATOR_ID = "synthetic"
 
@@ -43,14 +43,14 @@ class GeneratorConfig:
 class _DocBuilder:
     """Accumulates raw text while tracking absolute entity spans.
 
-    One frame holds the whole document's entities: no weight depends on
-    which sentence holds an entity.
+    The whole document's entities are rated as one sentence's list: no
+    weight depends on which sentence holds an entity.
     """
 
     def __init__(self):
         self.text = ""
         self.entities: list[GoldEntity] = []
-        self.frame = EntityFrame()
+        self.rated: list[Entity] = []
 
     def add(self, piece: str) -> None:
         self.text += piece
@@ -63,7 +63,7 @@ class _DocBuilder:
         start = len(self.text)
         self.text += surface
         self.entities.append(GoldEntity(entity_type, (start, start + len(surface))))
-        self.frame.append(
+        self.rated.append(
             Entity(
                 entity_type=entity_type,
                 token_range=(0, 1),  # token positions are not needed for rating
@@ -105,7 +105,7 @@ def generate_synthetic_corpus(
         doc_id = f"pipe{k:04d}"
         builder = _build_document(config, rng, defect_pool, location_pool, frequency_pool)
         doc = parse_document(builder.text, doc_id)
-        report = rate_frames(doc_id, [builder.frame])
+        report = rate_frames(doc_id, [builder.rated])
         golds.append(
             GoldRecord(
                 document_id=doc_id,

@@ -14,7 +14,7 @@ from .preprocess import (
 )
 from .rating import RatingReport, rate_frames
 from .tagger import (
-    EntityFrame,
+    Entity,
     PatternTable,
     dictionary_tag,
     entity_span,
@@ -68,10 +68,10 @@ def tag_document(
     resources: PipelineResources,
     tagger: str = DICT_TAGGER,
     model: TaggerModel | None = None,
-) -> list[EntityFrame]:
-    """Per-sentence entity frames for a preprocessed document.  The Bi-LSTM
-    tags all of the document's sentences in one packed stream of their
-    tokens (several past tagger.MAX_BATCH_TOKENS real tokens)."""
+) -> list[list[Entity]]:
+    """Each sentence's entities, in token order, for a preprocessed document.
+    The Bi-LSTM tags all of the document's sentences in one packed stream of
+    their tokens (several past tagger.MAX_BATCH_TOKENS real tokens)."""
     if tagger == BILSTM_TAGGER:
         if model is None:
             raise ValueError("bilstm tagger requires a trained model")
@@ -96,8 +96,8 @@ def rate_document(
         preprocess_document(doc, resources)
     frames = tag_document(doc, resources, tagger=tagger, model=model)
     report = rate_frames(doc.id, frames)
-    for sent_idx, (sentence, frame) in enumerate(zip(doc.sentences, frames)):
-        for entity in frame.all_entities():
+    for sent_idx, (sentence, entities) in enumerate(zip(doc.sentences, frames)):
+        for entity in entities:
             report.entities.append(
                 {
                     "type": entity.entity_type,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidWeight
-from .tagger import EntityFrame
+from .tagger import Entity
 
 # Frequency band -> rating when a defect is present; the lowest band has
 # no row of its own in the table and rates 1 as a gap row.
@@ -110,9 +110,9 @@ def assign_rating(w: WeightTriple) -> DefectRating:
     return DefectRating(value, ACTION_TEXT[value], gap_row=w.frequencies == 0.1)
 
 
-def rate_frames(document_id: str, frames: list[EntityFrame]) -> RatingReport:
-    """Weight triple, rating and notes from per-sentence entity frames, in
-    one walk over their non-negated entities:
+def rate_frames(document_id: str, frames: list[list[Entity]]) -> RatingReport:
+    """Weight triple, rating and notes from each sentence's entities, in one
+    walk over their non-negated entities:
 
     - w_frequencies is the maximum band over frequency spans, 0.1 if none;
       a span without a band is skipped and noted;
@@ -124,24 +124,25 @@ def rate_frames(document_id: str, frames: list[EntityFrame]) -> RatingReport:
     n_locations = 0
     roots = set()
     skipped = []
-    for sent_idx, frame in enumerate(frames):
-        for entity in frame.frequencies:
+    for sent_idx, entities in enumerate(frames):
+        for entity in entities:
             if entity.negated:
                 continue
-            weight = band_weight(entity.matched_lexicon_term, entity.seed_root)
-            if weight is not None:
-                frequency = max(frequency, weight)
-                continue
-            start, end = entity.token_range
-            term = entity.matched_lexicon_term or entity.seed_root
-            why = f"({term!r}) has no frequency band" if term else "has no lexicon entry"
-            skipped.append(
-                f"frequency span at sentence {sent_idx} tokens {start}-{end} {why}; skipped"
-            )
-        n_locations += sum(not e.negated for e in frame.locations)
-        roots.update(
-            e.seed_root or e.matched_lexicon_term or id(e) for e in frame.defects if not e.negated
-        )
+            if entity.entity_type == "Defect":
+                roots.add(entity.seed_root or entity.matched_lexicon_term or id(entity))
+            elif entity.entity_type == "LocationOfDefect":
+                n_locations += 1
+            elif entity.entity_type == "FrequencyOfDefects":
+                weight = band_weight(entity.matched_lexicon_term, entity.seed_root)
+                if weight is not None:
+                    frequency = max(frequency, weight)
+                    continue
+                start, end = entity.token_range
+                term = entity.matched_lexicon_term or entity.seed_root
+                why = f"({term!r}) has no frequency band" if term else "has no lexicon entry"
+                skipped.append(
+                    f"frequency span at sentence {sent_idx} tokens {start}-{end} {why}; skipped"
+                )
     triple = WeightTriple(
         frequencies=frequency,
         location=0.9 if n_locations == 1 else 1.0,

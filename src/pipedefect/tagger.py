@@ -5,15 +5,16 @@ category.  Numeric size/distance mentions ("10 feet") are not taggable in
 this scheme; a pattern table turns number+unit token pairs into
 SizeOfDefect or distance-style LocationOfDefect entities instead.
 
-Entity and EntityFrame are built for every sentence, so like the corpus
-records they are slotted and not frozen (a frozen dataclass costs
-nearly three times as much to build): ``extract_entities`` fills a frame
-and nothing changes it or its entities afterwards.
+A sentence's entities are one list in token order.  Entities are built
+for every sentence, so like the corpus records they are slotted and not
+frozen (a frozen dataclass costs nearly three times as much to build):
+``extract_entities`` builds a sentence's list and nothing changes it or
+its entities afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -47,26 +48,6 @@ class Entity:
     negated: bool
     matched_lexicon_term: str | None = None
     seed_root: str | None = None
-
-
-@dataclass(slots=True)
-class EntityFrame:
-    defects: list[Entity] = field(default_factory=list)
-    sizes: list[Entity] = field(default_factory=list)
-    locations: list[Entity] = field(default_factory=list)
-    frequencies: list[Entity] = field(default_factory=list)
-
-    def all_entities(self) -> list[Entity]:
-        return self.defects + self.sizes + self.locations + self.frequencies
-
-    def append(self, entity: Entity) -> None:
-        bucket = {
-            "Defect": self.defects,
-            "SizeOfDefect": self.sizes,
-            "LocationOfDefect": self.locations,
-            "FrequencyOfDefects": self.frequencies,
-        }[entity.entity_type]
-        bucket.append(entity)
 
 
 @dataclass(frozen=True)
@@ -141,19 +122,21 @@ def extract_entities(
     tags: list[Tag],
     patterns: PatternTable,
     lexicon: Lexicon,
-) -> EntityFrame:
-    """Maximal same-tag runs plus number+unit pattern matches, in one pass.
+) -> list[Entity]:
+    """A sentence's entities in token order, in one pass: maximal same-tag
+    runs, each split at its lexicon hits, and number+unit pattern matches.
 
-    Pattern matches only claim tokens tagged O so the two sources never
-    overlap.  Entities crossing a negation scope are flagged negated.  Each
-    bucket lists run entities before pattern entities.
+    A run that is one whole lexicon term is one entity.  Otherwise it splits
+    before each ``lexicon.lookup`` hit after the first, and each piece takes
+    its hit's term and root; tokens no hit covers stay with the piece before
+    them, or with the first piece when they lead the run.  A run with no hit
+    is one entity with no term.  Pattern matches only claim tokens tagged O
+    so the two sources never overlap.  Entities crossing a negation scope
+    are flagged negated.
     """
     words = [t.normalized for t in sentence.tokens]
     scopes = sentence.negation_scopes
-    frame = EntityFrame()
-    buckets = {Tag.DEFECT: frame.defects, Tag.LOCATION: frame.locations,
-               Tag.FREQUENCY: frame.frequencies}
-    distances: list[Entity] = []  # pattern locations, after the run locations
+    entities: list[Entity] = []
     n = len(tags)
     i = 0
     while i < n:
@@ -162,32 +145,25 @@ def extract_entities(
             j = i + 1
             while j < n and tags[j] == tag:
                 j += 1
-            entry = lexicon.entries.get(" ".join(words[i:j]))
-            if entry is None:
-                # a run can cover several adjacent matches; keep the first
-                hits = lexicon.lookup(words[i:j])
-                entry = hits[0][1] if hits else None
-            term, root = (entry.term, entry.seed_root) if entry else (None, None)
-            buckets[tag].append(
-                Entity(TAG_TO_ENTITY_TYPE[tag], (i, j), _intersects(i, j, scopes), term, root)
-            )
+            whole = lexicon.entries.get(" ".join(words[i:j]))
+            hits = [((0, j - i), whole)] if whole else lexicon.lookup(words[i:j])
+            cuts = [i] + [i + start for (start, _), _ in hits[1:]] + [j]
+            for k, (_, entry) in enumerate(hits or [(None, None)]):
+                term, root = (entry.term, entry.seed_root) if entry else (None, None)
+                entities.append(Entity(TAG_TO_ENTITY_TYPE[tag], (cuts[k], cuts[k + 1]),
+                                       _intersects(cuts[k], cuts[k + 1], scopes), term, root))
             i = j
             continue
         # \d is any Unicode decimal digit, which is what str.isdecimal tests
         if (i + 1 < n and not tags[i + 1]
                 and words[i][:1].isdecimal() and NUMBER_RE.match(words[i])):
             unit = words[i + 1].rstrip(".")
-            if unit in patterns.distance_units:
-                distances.append(
-                    Entity("LocationOfDefect", (i, i + 2), _intersects(i, i + 2, scopes))
-                )
-            elif unit in patterns.size_units:
-                frame.sizes.append(
-                    Entity("SizeOfDefect", (i, i + 2), _intersects(i, i + 2, scopes))
-                )
+            etype = ("LocationOfDefect" if unit in patterns.distance_units
+                     else "SizeOfDefect" if unit in patterns.size_units else None)
+            if etype:
+                entities.append(Entity(etype, (i, i + 2), _intersects(i, i + 2, scopes)))
         i += 1
-    frame.locations += distances
-    return frame
+    return entities
 
 
 def entity_text(sentence: Sentence, entity: Entity) -> str:

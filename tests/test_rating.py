@@ -1,7 +1,7 @@
 import copy
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pipedefect.config import PipelineConfig, load_resources
@@ -26,14 +26,7 @@ from pipedefect.rating import (
     assign_rating,
     rate_frames,
 )
-from pipedefect.tagger import Entity, EntityFrame, Tag
-
-
-def frame_with(*entities):
-    frame = EntityFrame()
-    for e in entities:
-        frame.append(e)
-    return frame
+from pipedefect.tagger import Entity, Tag
 
 
 def defect(term, root=None, negated=False):
@@ -54,45 +47,45 @@ def weights(frames):
 
 class TestWeightLocation:
     def test_one_location(self):
-        assert weights([frame_with(location())]).location == 0.9
+        assert weights([[location()]]).location == 0.9
 
     def test_no_location(self):
-        assert weights([EntityFrame()]).location == 1.0
+        assert weights([[]]).location == 1.0
 
     def test_three_locations(self):
-        frames = [frame_with(location(), location()), frame_with(location())]
+        frames = [[location(), location()], [location()]]
         assert weights(frames).location == 1.0
 
     def test_negated_location_ignored(self):
-        frames = [frame_with(location(), location(negated=True))]
+        frames = [[location(), location(negated=True)]]
         assert weights(frames).location == 0.9
 
 
 class TestWeightFrequency:
     def test_very_frequently(self):
-        assert weights([frame_with(frequency("very frequently"))]).frequencies == 0.99
+        assert weights([[frequency("very frequently")]]).frequencies == 0.99
 
     def test_rarely(self):
-        assert weights([frame_with(frequency("rarely"))]).frequencies == 0.25
+        assert weights([[frequency("rarely")]]).frequencies == 0.25
 
     def test_maximum_band_wins(self):
-        frames = [frame_with(frequency("rarely"), frequency("frequently"))]
+        frames = [[frequency("rarely"), frequency("frequently")]]
         assert weights(frames).frequencies == 0.99
 
     def test_no_terms_lowest_band(self):
-        assert weights([EntityFrame()]).frequencies == 0.1
+        assert weights([[]]).frequencies == 0.1
 
     def test_negated_term_ignored(self):
-        frames = [frame_with(frequency("frequently", negated=True))]
+        frames = [[frequency("frequently", negated=True)]]
         assert weights(frames).frequencies == 0.1
 
     def test_unknown_term_skipped_and_noted(self):
         # load_resources checks every Frequency lexicon term for a band, so
         # a band-less term here is a tagger's mis-tag, not a configuration fault
         bogus = Entity("FrequencyOfDefects", (0, 1), False, "sometimes", None)
-        assert weights([frame_with(bogus)]).frequencies == 0.1
-        assert weights([frame_with(bogus, frequency("rarely"))]).frequencies == 0.25
-        report = rate_frames("doc", [frame_with(bogus, defect("crack"))])
+        assert weights([[bogus]]).frequencies == 0.1
+        assert weights([[bogus, frequency("rarely")]]).frequencies == 0.25
+        report = rate_frames("doc", [[bogus, defect("crack")]])
         assert report.weights.frequencies == 0.1
         note = "frequency span at sentence 0 tokens 0-1 ('sometimes') has no frequency band; skipped"
         assert note in report.notes
@@ -101,22 +94,22 @@ class TestWeightFrequency:
         # a synonym ("seldom") resolves through its seed root when the
         # matched term itself is absent from the band table
         ent = Entity("FrequencyOfDefects", (0, 1), False, "not-in-table", "rarely")
-        assert weights([frame_with(ent)]).frequencies == 0.25
+        assert weights([[ent]]).frequencies == 0.25
 
 
 class TestWeightDefect:
     def test_one_unit(self):
-        assert weights([frame_with(defect("leakage", root="leak"))]).defect == 0.8
+        assert weights([[defect("leakage", root="leak")]]).defect == 0.8
 
     def test_negated_only(self):
-        assert weights([frame_with(defect("leaks", root="leak", negated=True))]).defect == 0.5
+        assert weights([[defect("leaks", root="leak", negated=True)]]).defect == 0.5
 
     def test_two_units(self):
-        frames = [frame_with(defect("leaks", root="leak"), defect("cracks", root="crack"))]
+        frames = [[defect("leaks", root="leak"), defect("cracks", root="crack")]]
         assert weights(frames).defect == 1.0
 
     def test_morphology_counts_once(self):
-        frames = [frame_with(defect("leak", root="leak"), defect("leaking", root="leak"))]
+        frames = [[defect("leak", root="leak"), defect("leaking", root="leak")]]
         assert weights(frames).defect == 0.8
 
     def test_empty(self):
@@ -183,8 +176,9 @@ _entities = st.builds(
 )
 
 
-def _active(frames, bucket):
-    return [e for frame in frames for e in getattr(frame, bucket) if not e.negated]
+def _active(frames, entity_type):
+    return [e for entities in frames for e in entities
+            if e.entity_type == entity_type and not e.negated]
 
 
 def _band(entity):
@@ -194,9 +188,9 @@ def _band(entity):
 
 def _reference_triple(frames):
     """The rules of rate_frames' docstring, one loop per weight."""
-    frequency = max([0.1] + [_band(e) for e in _active(frames, "frequencies") if _band(e)])
-    n_locations = len(_active(frames, "locations"))
-    roots = {e.seed_root or e.matched_lexicon_term or id(e) for e in _active(frames, "defects")}
+    frequency = max([0.1] + [_band(e) for e in _active(frames, "FrequencyOfDefects") if _band(e)])
+    n_locations = len(_active(frames, "LocationOfDefect"))
+    roots = {e.seed_root or e.matched_lexicon_term or id(e) for e in _active(frames, "Defect")}
     return WeightTriple(
         frequency,
         0.9 if n_locations == 1 else 1.0,
@@ -208,8 +202,8 @@ def _reference_notes(frames, triple):
     notes = ["negated entities excluded from all weights"]
     if triple.defect != 0.5 and triple.frequencies == 0.1:
         notes.append("weight triple outside the rating table; defaulted to rating 1")
-    for sent_idx, frame in enumerate(frames):
-        for e in _active([frame], "frequencies"):
+    for sent_idx, entities in enumerate(frames):
+        for e in _active([entities], "FrequencyOfDefects"):
             if _band(e):
                 continue
             term = e.matched_lexicon_term or e.seed_root
@@ -222,7 +216,7 @@ def _reference_notes(frames, triple):
 class TestRateFrames:
     def test_full_document(self):
         frames = [
-            frame_with(frequency("very frequently"), defect("leakage", root="leak"), location()),
+            [frequency("very frequently"), defect("leakage", root="leak"), location()],
         ]
         report = rate_frames("doc", frames)
         assert report.weights == WeightTriple(0.99, 0.9, 0.8)
@@ -238,20 +232,20 @@ class TestRateFrames:
         assert any("negated" in note for note in report.notes)
 
     def test_gap_row_note(self):
-        report = rate_frames("doc", [frame_with(defect("leaks", root="leak"))])
+        report = rate_frames("doc", [[defect("leaks", root="leak")]])
         assert report.rating.gap_row
         assert any("rating table" in note for note in report.notes)
 
     @settings(max_examples=300)
-    @given(frames=st.lists(st.lists(_entities).map(lambda es: frame_with(*es)), max_size=4))
-    @example(frames=[frame_with(
+    @given(frames=st.lists(st.lists(_entities), max_size=4))
+    @example(frames=[[
         Entity("SizeOfDefect", (0, 2), False, None, None),
         Entity("FrequencyOfDefects", (2, 3), True, "often", "often"),
         Entity("FrequencyOfDefects", (3, 4), False, "sometimes", None),
         Entity("FrequencyOfDefects", (4, 5), False, "not-in-table", "rarely"),
         Entity("Defect", (5, 6), False, None, None),
         Entity("Defect", (6, 7), False, None, None),
-    )])
+    ]])
     def test_agrees_with_one_loop_per_weight(self, frames):
         report = rate_frames("doc", frames)
         expected = _reference_triple(frames)
@@ -281,6 +275,85 @@ class TestNetTaggedFrequency:
         assert report.weights.frequencies == 0.1
         note = "frequency span at sentence 0 tokens 0-6 ('leaks') has no frequency band; skipped"
         assert note in report.notes
+
+
+def _terms(resources, category):
+    return sorted(t for t, e in resources.lexicon.entries.items()
+                  if e.category == category and not t.startswith("no "))
+
+
+def _listed(resources, first, second, filler):
+    """Rate "<First>, <second> <filler>." after checking that no lexicon
+    term reaches across the comma, which the scan drops."""
+    words = f"{first} {second}".split()
+    cut = len(first.split())
+    assume(not any(" ".join(words[i:j]) in resources.lexicon.entries
+                   for i in range(cut) for j in range(cut + 1, len(words) + 1)))
+    raw = f"{first[0].upper()}{first[1:]}, {second} {filler}."
+    return rate_document(parse_document(raw, "listed"), resources)
+
+
+class TestListedEntities:
+    """Two lexicon terms listed with a comma form one same-tag run, and
+    each still counts as its own entity."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_two_defect_roots(self, resources, data):
+        first, second = data.draw(st.lists(st.sampled_from(_terms(resources, "Defect")),
+                                           min_size=2, max_size=2))
+        entries = resources.lexicon.entries
+        assume(entries[first].seed_root != entries[second].seed_root)
+        report = _listed(resources, first, second, "observed")
+        assert [e["matched_term"] for e in report.entities] == [first, second]
+        assert report.weights.defect == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_two_locations(self, resources, data):
+        first, second = data.draw(st.lists(st.sampled_from(_terms(resources, "Location")),
+                                           min_size=2, max_size=2))
+        report = _listed(resources, first, second, "observed")
+        assert [e["type"] for e in report.entities] == ["LocationOfDefect"] * 2
+        assert report.weights.location == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_two_frequencies_give_the_higher_band(self, resources, data):
+        first, second = data.draw(st.lists(st.sampled_from(_terms(resources, "Frequency")),
+                                           min_size=2, max_size=2))
+        entries = resources.lexicon.entries
+        bands = [DEFAULT_FREQUENCY_BANDS.get(t) or DEFAULT_FREQUENCY_BANDS[entries[t].seed_root]
+                 for t in (first, second)]
+        for a, b in ((first, second), (second, first)):
+            report = _listed(resources, a, b, "crack")
+            assert report.weights.frequencies == max(bands)
+            assert report.rating == assign_rating(report.weights)
+
+    def test_worked_examples(self, resources):
+        for raw, rating, triple in (
+            ("Rarely, often crack.", 5, (0.99, 1.0, 0.8)),
+            ("Multiple cracks, leaks often.", 5, (0.99, 1.0, 1.0)),
+            ("Crack at upstream, downstream.", 1, (0.1, 1.0, 0.8)),
+        ):
+            report = rate_document(parse_document(raw, "d"), resources)
+            w = report.weights
+            assert (report.rating.value, (w.frequencies, w.location, w.defect)) == (rating, triple)
+
+
+_PIECES = sorted({"at", "observed", "and", "10 ft", "3 inches", ",", ".", "No"})
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("tagger", [DICT_TAGGER, BILSTM_TAGGER])
+def test_report_lists_entities_in_token_order(resources, tiny_bilstm, tagger, data):
+    pieces = st.sampled_from(sorted(resources.lexicon.entries) + _PIECES)
+    raw = "Defects: " + " ".join(data.draw(st.lists(pieces, max_size=20)))
+    model = tiny_bilstm if tagger == BILSTM_TAGGER else None
+    report = rate_document(parse_document(raw, "d"), resources, tagger=tagger, model=model)
+    places = [(e["sentence"], e["token_start"]) for e in report.entities]
+    assert places == sorted(places), raw
 
 
 class TestBandsCheckedAtLoad:
@@ -358,14 +431,6 @@ RECORDS = {
         f" section_spans={{'Defects': (8, 17)}}, sentences=[{_SENTENCE_REPR}])",
     ),
     "Entity": (_entity, _ENTITY_REPR),
-    "EntityFrame": (
-        lambda: EntityFrame(
-            defects=[_entity()], locations=[Entity("LocationOfDefect", (3, 5), False)]
-        ),
-        f"EntityFrame(defects=[{_ENTITY_REPR}], sizes=[], locations=[Entity("
-        "entity_type='LocationOfDefect', token_range=(3, 5), negated=False,"
-        " matched_lexicon_term=None, seed_root=None)], frequencies=[])",
-    ),
     "WeightTriple": (_weights, _WEIGHTS_REPR),
     "DefectRating": (_rating, _RATING_REPR),
     "RatingReport": (

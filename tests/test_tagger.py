@@ -15,7 +15,6 @@ from pipedefect.tagger import (
     MAX_BATCH_TOKENS,
     TAG_TO_ENTITY_TYPE,
     Entity,
-    EntityFrame,
     PatternTable,
     Tag,
     dictionary_tag,
@@ -169,80 +168,123 @@ class TestPredictDocumentTags:
         assert batched == [predict_tags(s, lexicon, model) for s in sentences]
 
 
+def of_type(entities, entity_type):
+    return [e for e in entities if e.entity_type == entity_type]
+
+
 class TestExtractEntities:
     def test_negated_defect(self, lexicon):
         sent = bare_sentence(["no", "leaks"], scopes=[(1, 2)])
-        frame = extract_entities(sent, [Tag.O, Tag.DEFECT], PATTERNS, lexicon)
-        assert len(frame.defects) == 1
-        assert frame.defects[0].negated is True
-        assert frame.defects[0].seed_root == "leak"
+        defects = of_type(extract_entities(sent, [Tag.O, Tag.DEFECT], PATTERNS, lexicon), "Defect")
+        assert len(defects) == 1
+        assert defects[0].negated is True
+        assert defects[0].seed_root == "leak"
 
     def test_distance_pattern(self, lexicon):
         words = ["10", "feet", "away", "from", "pipe", "installation"]
         sent = bare_sentence(words)
-        frame = extract_entities(sent, [Tag.O] * 6, PATTERNS, lexicon)
-        assert len(frame.locations) == 1
-        assert frame.locations[0].token_range == (0, 2)
-        assert frame.locations[0].entity_type == "LocationOfDefect"
+        entities = extract_entities(sent, [Tag.O] * 6, PATTERNS, lexicon)
+        locations = of_type(entities, "LocationOfDefect")
+        assert len(locations) == 1
+        assert locations[0].token_range == (0, 2)
+        assert locations[0].entity_type == "LocationOfDefect"
 
     def test_size_pattern(self, lexicon):
         sent = bare_sentence(["crack", "of", "3", "inches"])
-        frame = extract_entities(sent, [Tag.O] * 4, PATTERNS, lexicon)
-        assert len(frame.sizes) == 1
-        assert frame.sizes[0].token_range == (2, 4)
+        sizes = of_type(extract_entities(sent, [Tag.O] * 4, PATTERNS, lexicon), "SizeOfDefect")
+        assert len(sizes) == 1
+        assert sizes[0].token_range == (2, 4)
 
     def test_unit_with_trailing_dot(self, lexicon):
         sent = bare_sentence(["10", "ft."])
-        frame = extract_entities(sent, [Tag.O, Tag.O], PATTERNS, lexicon)
-        assert len(frame.locations) == 1
+        entities = extract_entities(sent, [Tag.O, Tag.O], PATTERNS, lexicon)
+        assert len(of_type(entities, "LocationOfDefect")) == 1
 
     def test_pattern_needs_o_tags(self, lexicon):
         # a token already claimed by a keyword tag cannot join a pattern
         sent = bare_sentence(["10", "feet"])
-        frame = extract_entities(sent, [Tag.O, Tag.LOCATION], PATTERNS, lexicon)
-        assert all(e.token_range != (0, 2) for e in frame.locations)
+        entities = extract_entities(sent, [Tag.O, Tag.LOCATION], PATTERNS, lexicon)
+        assert all(e.token_range != (0, 2) for e in of_type(entities, "LocationOfDefect"))
 
     def test_all_o_empty_frame(self, lexicon):
         sent = bare_sentence(["nothing", "here"])
-        frame = extract_entities(sent, [Tag.O, Tag.O], PATTERNS, lexicon)
-        assert frame.all_entities() == []
+        assert extract_entities(sent, [Tag.O, Tag.O], PATTERNS, lexicon) == []
 
     def test_maximal_runs(self, lexicon):
         sent = bare_sentence(["deposits", "settled", "at", "midpoint"])
         tags = [Tag.DEFECT, Tag.DEFECT, Tag.O, Tag.LOCATION]
-        frame = extract_entities(sent, tags, PATTERNS, lexicon)
-        assert [e.token_range for e in frame.defects] == [(0, 2)]
-        assert [e.token_range for e in frame.locations] == [(3, 4)]
-        assert frame.defects[0].matched_lexicon_term == "deposits settled"
+        entities = extract_entities(sent, tags, PATTERNS, lexicon)
+        defects = of_type(entities, "Defect")
+        assert [e.token_range for e in defects] == [(0, 2)]
+        assert [e.token_range for e in of_type(entities, "LocationOfDefect")] == [(3, 4)]
+        assert defects[0].matched_lexicon_term == "deposits settled"
 
     def test_entity_text(self, lexicon):
         sent = bare_sentence(["Deposits", "Settled"])
-        frame = extract_entities(sent, [Tag.DEFECT, Tag.DEFECT], PATTERNS, lexicon)
-        assert entity_text(sent, frame.defects[0]) == "deposits settled"
+        (entity,) = extract_entities(sent, [Tag.DEFECT, Tag.DEFECT], PATTERNS, lexicon)
+        assert entity_text(sent, entity) == "deposits settled"
+
+    def test_run_splits_at_each_lexicon_hit(self, lexicon):
+        sent = bare_sentence(["often", "rarely", "cracks", "leaks", "near", "joint"])
+        tags = [Tag.FREQUENCY] * 2 + [Tag.DEFECT] * 4
+        entities = extract_entities(sent, tags, PATTERNS, lexicon)
+        assert [(e.token_range, e.matched_lexicon_term, e.seed_root) for e in entities] == [
+            ((0, 1), "often", "often"),
+            ((1, 2), "rarely", "rarely"),
+            ((2, 3), "cracks", "crack"),
+            ((3, 6), "leaks", "leak"),
+        ]
+
+    def test_uncovered_tokens_stay_with_a_hit(self, lexicon):
+        # a run with one hit stays one entity, whichever side of the hit
+        # its uncovered tokens lie; a run with no hit has no term
+        for words, term in ((["crack", "near"], "crack"), (["near", "crack"], "crack"),
+                            (["near", "joint"], None)):
+            sent = bare_sentence(words)
+            (entity,) = extract_entities(sent, [Tag.DEFECT, Tag.DEFECT], PATTERNS, lexicon)
+            assert (entity.token_range, entity.matched_lexicon_term) == ((0, 2), term)
 
     @given(st.lists(st.sampled_from(list(Tag)), max_size=15))
     def test_entity_count_equals_runs(self, lexicon, tags):
         words = [f"w{k}" for k in range(len(tags))]
         sent = bare_sentence(words)
-        frame = extract_entities(sent, tags, PATTERNS, lexicon)
+        entities = extract_entities(sent, tags, PATTERNS, lexicon)
         runs = 0
         prev = Tag.O
         for t in tags:
             if t != Tag.O and t != prev:
                 runs += 1
             prev = t
-        assert len(frame.all_entities()) == runs
+        assert len(entities) == runs
+
+
+def longest_match_hits(words, lexicon):
+    """(start, term) of each lexicon hit in words, by brute force: at each
+    position the longest joined stretch that is a term, then on past it."""
+    hits = []
+    i = 0
+    while i < len(words):
+        for k in range(len(words) - i, 0, -1):
+            term = " ".join(words[i : i + k])
+            if term in lexicon.entries:
+                hits.append((i, term))
+                i += k
+                break
+        else:
+            i += 1
+    return hits
 
 
 def reference_extract_entities(sentence, tags, patterns, lexicon):
-    """Two-pass reference: maximal same-tag runs, then number+unit pairs."""
+    """Two-pass reference sorted into token order: maximal same-tag runs,
+    one entity per longest-match hit, then number+unit pairs."""
 
     def intersects(span, scopes):
         return any(span[0] < e and s < span[1] for s, e in scopes)
 
-    tokens = sentence.tokens
+    words = [t.normalized for t in sentence.tokens]
     scopes = sentence.negation_scopes
-    frame = EntityFrame()
+    entities = []
     i = 0
     n = len(tags)
     while i < n:
@@ -252,34 +294,31 @@ def reference_extract_entities(sentence, tags, patterns, lexicon):
         j = i
         while j < n and tags[j] == tags[i]:
             j += 1
-        term = None
-        root = None
-        text = " ".join(t.normalized for t in tokens[i:j])
-        entry = lexicon.entries.get(text)
-        if entry is None:
-            hits = lexicon.lookup([t.normalized for t in tokens[i:j]])
-            entry = hits[0][1] if hits else None
-        if entry is not None:
-            term = entry.term
-            root = entry.seed_root
-        frame.append(
-            Entity(TAG_TO_ENTITY_TYPE[tags[i]], (i, j), intersects((i, j), scopes), term, root)
-        )
+        hits = [(i + s, term) for s, term in longest_match_hits(words[i:j], lexicon)]
+        hits = hits or [(i, None)]
+        # a token belongs to the last hit starting at or before it, else to the first
+        owners = [max([0] + [k for k, (s, _) in enumerate(hits) if s <= t]) for t in range(i, j)]
+        for k, (_, term) in enumerate(hits):
+            own = [t for t, o in zip(range(i, j), owners) if o == k]
+            span = (own[0], own[-1] + 1)
+            root = lexicon.entries[term].seed_root if term else None
+            entities.append(Entity(TAG_TO_ENTITY_TYPE[tags[i]], span, intersects(span, scopes),
+                                   term, root))
         i = j
     for i in range(n - 1):
         if tags[i] != Tag.O or tags[i + 1] != Tag.O:
             continue
-        if not NUMBER_RE.match(tokens[i].normalized):
+        if not NUMBER_RE.match(words[i]):
             continue
-        unit = tokens[i + 1].normalized.rstrip(".")
+        unit = words[i + 1].rstrip(".")
         if unit in patterns.distance_units:
             etype = "LocationOfDefect"
         elif unit in patterns.size_units:
             etype = "SizeOfDefect"
         else:
             continue
-        frame.append(Entity(etype, (i, i + 2), intersects((i, i + 2), scopes)))
-    return frame
+        entities.append(Entity(etype, (i, i + 2), intersects((i, i + 2), scopes)))
+    return sorted(entities, key=lambda e: e.token_range)
 
 
 # Numbers the pattern regex must accept or reject: \d is any Unicode
@@ -334,9 +373,9 @@ class TestExtractEntitiesMatchesReference:
     def test_non_ascii_digits(self, lexicon):
         sentence = bare_sentence(["\u0663", "ft", "\u00b2", "ft", "\u0663.\u0665", "in."])
         tags = [Tag.O] * 6
-        frame = extract_entities(sentence, tags, PATTERNS, lexicon)
-        assert frame == reference_extract_entities(sentence, tags, PATTERNS, lexicon)
-        assert [e.token_range for e in frame.all_entities()] == [(4, 6), (0, 2)]
+        entities = extract_entities(sentence, tags, PATTERNS, lexicon)
+        assert entities == reference_extract_entities(sentence, tags, PATTERNS, lexicon)
+        assert [e.token_range for e in entities] == [(0, 2), (4, 6)]
 
 
 class TestTagsFromGoldSpans:
