@@ -31,7 +31,6 @@ from .pipeline import (
 )
 from .rating import ACTION_TEXT
 from .tagger import tags_from_gold_spans
-from .training import train
 
 log = logging.getLogger("pipedefect")
 
@@ -98,6 +97,8 @@ def cmd_generate(cfg, n: int) -> int:
 
 
 def cmd_train(cfg) -> int:
+    from .training import train  # loads numpy, which no other command needs
+
     resources = config_mod.load_resources(cfg)
     raw_docs, gold = _load_gold_corpus(Path(cfg.corpus_dir), cfg.gold_file)
     ids = sorted(set(raw_docs) & set(gold))

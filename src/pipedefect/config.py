@@ -18,7 +18,6 @@ from .pipeline import PipelineResources, build_spell_vocabulary
 from .preprocess import NegationTriggerSet, load_phrase_file
 from .rating import band_weight
 from .tagger import PatternTable
-from .training import TrainingConfig
 
 DEFAULT_SEED = 12345
 DEFAULT_SPLIT_RATIO = 0.8
@@ -27,6 +26,19 @@ DEFAULT_MAX_DEPTH = 2
 
 def data_path(name: str) -> Path:
     return Path(importlib_resources.files("pipedefect") / "data" / name)
+
+
+@dataclass
+class TrainingConfig:
+    """The Bi-LSTM tagger's dimensions and training schedule: the INI
+    [hyperparameters] section."""
+
+    word_dim: int = 200
+    dict_dim: int = 100
+    hidden_dim: int = 300
+    learning_rate: float = 0.005
+    epochs: int = 10
+    batch_size: int = 100
 
 
 @dataclass

@@ -13,6 +13,10 @@ in an order that reverses every step: at the default 300 hidden units wh
 is 2.88 MB, more than a 2 MB L2 cache, and a step then starts on the
 blocks the step before left there.  Gate order inside the packed weight
 matrices is [input, forget, output, candidate].
+
+numpy is imported inside each function that uses it, not at the top: the
+dictionary tagger imports this module for its types and never runs the
+network, so rating with it never loads numpy.
 """
 
 from __future__ import annotations
@@ -24,16 +28,10 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import EmptySequence, ModelFormatError, NumericalError
 
 UNK = "<unk>"
 
-# Default dimensions of the tagging network.
-WORD_DIM = 200
-DICT_DIM = 100
-HIDDEN_DIM = 300
 N_TAGS = 4
 N_DICT_FEATURES = 4  # none / defect / location / frequency
 
@@ -96,6 +94,8 @@ class TaggerModel:
         ValueError instead of leaving the table stale (assigning new arrays
         to the model does not rebuild it).
         """
+        import numpy as np
+
         word_dim = self.word_emb.shape[1]
         directions = (self.fwd, self.bwd)
         words = np.empty((2, len(self.word_emb), 4 * self.hidden_dim))
@@ -121,20 +121,20 @@ class TaggerModel:
         ]
 
     def check_finite(self) -> None:
+        import numpy as np
+
         for p in self.parameters():
             if not np.all(np.isfinite(p)):
                 raise NumericalError("model contains non-finite parameters")
 
 
 def init_model(
-    vocab: list[str],
-    seed: int,
-    word_dim: int = WORD_DIM,
-    dict_dim: int = DICT_DIM,
-    hidden_dim: int = HIDDEN_DIM,
+    vocab: list[str], seed: int, word_dim: int, dict_dim: int, hidden_dim: int
 ) -> TaggerModel:
     """Uniform [-0.1, 0.1] initialization of the matrices from a seeded
     generator, drawn in file order; biases start at zero."""
+    import numpy as np
+
     if not vocab or vocab[0] != UNK:
         vocab = [UNK] + [t for t in vocab if t != UNK]
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -167,6 +167,8 @@ def _from_arrays(vocab: list[str], seed: int, arrays: list[np.ndarray]) -> Tagge
 def embed(ids, feats, model: TaggerModel) -> np.ndarray:
     """Input rows [word_emb[id], dict_emb[feature]]: ids, feats of any
     shape S -> (*S, input_dim)."""
+    import numpy as np
+
     return np.concatenate([model.word_emb[ids], model.dict_emb[feats]], axis=-1)
 
 
@@ -197,6 +199,8 @@ def lstm_direction(Z, lengths, params: LstmParams, reverse: bool):
     step, the gate activations, the new cell and its tanh, each for the
     prefix it stepped, and the previous state of the rows that carried one.
     """
+    import numpy as np
+
     hd = params.hidden_dim
     lengths = np.asarray(lengths, dtype=np.int64)
     rows = np.argsort(-lengths, kind="stable")
@@ -240,6 +244,8 @@ def _hidden(project, lengths, model: TaggerModel) -> np.ndarray:
     project(k, params) gives direction k's input projections (N, 4 *
     hidden), the forward direction's first; each direction's projections
     and cache are dropped as soon as its states are taken."""
+    import numpy as np
+
     return np.concatenate(
         [
             lstm_direction(project(0, model.fwd), lengths, model.fwd, reverse=False)[0],
@@ -254,6 +260,8 @@ def bilstm_forward(xs, model: TaggerModel) -> np.ndarray:
 
     xs: (T, input_dim). Returns (T, 2 * hidden).
     """
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise EmptySequence("bilstm_forward requires a non-empty (T, D) sequence")
@@ -294,6 +302,8 @@ _MATRIX_NAMES = tuple(_layout(0, 0, 0, 0))
 
 
 def save_model(model: TaggerModel, path) -> None:
+    import numpy as np
+
     arrays = model.parameters()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -347,6 +357,8 @@ def _check_shapes(path, vocab: list[str], shapes: list[tuple[int, ...]]) -> dict
 def load_model(path) -> TaggerModel:
     """Read and check a model file: one that does not parse raises
     ModelFormatError, one holding a non-finite parameter NumericalError."""
+    import numpy as np
+
     with open(path, "rb") as fh:
         if fh.readline() != _MAGIC:
             raise ModelFormatError(f"{path}: not a tagger model file")

@@ -89,8 +89,9 @@ class RatingReport:
 def band_weight(term: str | None, seed_root: str | None) -> float | None:
     """The band of a frequency term, else of its seed root; None if neither
     has one.  load_resources checks that every Frequency lexicon term has a
-    band, so a band-less span is a mis-tag: the Bi-LSTM can tag a span no
-    lexicon entry matched, or one that matched a Defect or Location entry."""
+    band, and extract_entities names a frequency span only by a Frequency
+    term, so a band-less span is a mis-tag: the Bi-LSTM can tag a span no
+    Frequency lexicon entry matched."""
     weight = DEFAULT_FREQUENCY_BANDS.get(term) if term else None
     if weight is None and seed_root:
         weight = DEFAULT_FREQUENCY_BANDS.get(seed_root)

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
 from .corpus import Sentence, gold_token_types
 from .errors import LexiconFormatError
 from .lexicon import NUMBER_RE, Lexicon, check_term, read_rows
@@ -102,7 +100,7 @@ def predict_document_tags(
         feats += dictionary_tag(s, lexicon)
         lengths.append(len(s.tokens))
         if k + 1 == len(sentences) or len(ids) + len(sentences[k + 1].tokens) > MAX_BATCH_TOKENS:
-            best = iter(np.argmax(batch_logits(ids, feats, lengths, model), axis=1).tolist())
+            best = iter(batch_logits(ids, feats, lengths, model).argmax(axis=1).tolist())
             tags += [[Tag(next(best)) for _ in range(n)] for n in lengths]
             ids, feats, lengths = [], [], []
     return tags
@@ -126,13 +124,14 @@ def extract_entities(
     """A sentence's entities in token order, in one pass: maximal same-tag
     runs, each split at its lexicon hits, and number+unit pattern matches.
 
-    A run that is one whole lexicon term is one entity.  Otherwise it splits
-    before each ``lexicon.lookup`` hit after the first, and each piece takes
-    its hit's term and root; tokens no hit covers stay with the piece before
-    them, or with the first piece when they lead the run.  A run with no hit
-    is one entity with no term.  Pattern matches only claim tokens tagged O
-    so the two sources never overlap.  Entities crossing a negation scope
-    are flagged negated.
+    Only lexicon terms of the run's own category count as its hits.  A run
+    that is one whole such term is one entity.  Otherwise it splits before
+    each such ``lexicon.lookup`` hit after the first, and each piece takes
+    its hit's term and root; other tokens, a term of another category
+    among them, stay with the piece before them, or with the first piece
+    when they lead the run.  A run with no hit is one entity with no term.
+    Pattern matches only claim tokens tagged O so the two sources never
+    overlap.  Entities crossing a negation scope are flagged negated.
     """
     words = [t.normalized for t in sentence.tokens]
     scopes = sentence.negation_scopes
@@ -146,7 +145,11 @@ def extract_entities(
             while j < n and tags[j] == tag:
                 j += 1
             whole = lexicon.entries.get(" ".join(words[i:j]))
-            hits = [((0, j - i), whole)] if whole else lexicon.lookup(words[i:j])
+            if whole and CATEGORY_TO_TAG[whole.category] == tag:
+                hits = [((0, j - i), whole)]
+            else:
+                hits = [(span, entry) for span, entry in lexicon.lookup(words[i:j])
+                        if CATEGORY_TO_TAG[entry.category] == tag]
             cuts = [i] + [i + start for (start, _), _ in hits[1:]] + [j]
             for k, (_, entry) in enumerate(hits or [(None, None)]):
                 term, root = (entry.term, entry.seed_root) if entry else (None, None)

@@ -14,36 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrainingConfig
 from .corpus import Sentence
 from .errors import AlignmentError
 from .lexicon import Lexicon
-from .network import (
-    DICT_DIM,
-    HIDDEN_DIM,
-    N_TAGS,
-    UNK,
-    WORD_DIM,
-    LstmParams,
-    TaggerModel,
-    embed,
-    init_model,
-    lstm_direction,
-)
+from .network import N_TAGS, UNK, LstmParams, TaggerModel, embed, init_model, lstm_direction
 from .tagger import Tag, dictionary_tag
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass
-class TrainingConfig:
-    word_dim: int = WORD_DIM
-    dict_dim: int = DICT_DIM
-    hidden_dim: int = HIDDEN_DIM
-    learning_rate: float = 0.005
-    epochs: int = 10
-    batch_size: int = 100
 
 
 @dataclass

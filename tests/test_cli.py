@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
+import pipedefect
 from pipedefect.cli import main
 from pipedefect.config import PipelineConfig, load_config, load_resources
 from pipedefect.corpus import format_gold, parse_document, read_gold
@@ -697,3 +701,72 @@ def test_unmatchable_phrase_exits_1_naming_its_line(key, phrase, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {phrases}:3: {phrase!r}") and "Traceback" not in err
     assert not (tmp_path / "corpus").exists()
+
+
+# numpy loads only where the network runs: every other command, and the
+# benchmark probe's imports, must leave it out of a fresh interpreter.
+SRC = Path(pipedefect.__file__).resolve().parents[1]
+
+
+def fresh_python(cwd, *args):
+    """Run `python -X importtime *args` in cwd with pipedefect importable;
+    return the exit code, stdout, and whether the import log names numpy."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout, re.search(r"\|\s+numpy$", proc.stderr, re.M) is not None
+
+
+RATE_IN_FRESH_PROCESS = """\
+import json, sys
+from pipedefect import config, network
+from pipedefect import cli, evaluation, generate, pipeline, rating, tagger
+from pipedefect.corpus import parse_document
+resources = config.load_resources(config.PipelineConfig(lexicon=sys.argv[1]))
+report = pipeline.rate_document(parse_document(sys.argv[2], "box"), resources)
+print(json.dumps([report.rating.value, "numpy" in sys.modules]))
+"""
+
+
+class TestNumpyLoadsOnlyForTheNetwork:
+    def test_imports_and_dictionary_rating(self, workspace, tmp_path):
+        root, _ = workspace
+        code, out, numpy_logged = fresh_python(tmp_path, "-c", RATE_IN_FRESH_PROCESS,
+                                               str(root / "lexicon.tsv"), BOX_TEXT)
+        assert code == 0
+        assert json.loads(out) == [5, False]
+        assert not numpy_logged
+
+    def test_dictionary_commands(self, tmp_path):
+        (tmp_path / "config.ini").write_text(CONFIG)
+        for command in (["build-lexicon"], ["generate", "--n", "3"], ["rate", "corpus"],
+                        ["evaluate", "out", "gold.tsv"]):
+            code, _, numpy_logged = fresh_python(tmp_path, "-m", "pipedefect",
+                                                 "--config", "config.ini", *command)
+            assert (code, numpy_logged) == (0, False), command
+        assert len(list((tmp_path / "out" / "reports").glob("*.json"))) == 3
+
+    def test_network_loads_numpy_and_rates_as_in_process(self, workspace, tmp_path):
+        root, _ = workspace
+        code, out, numpy_logged = fresh_python(
+            tmp_path, "-c",
+            "import sys\nfrom pipedefect import network\nbefore = 'numpy' in sys.modules\n"
+            "network.load_model(sys.argv[1])\nprint(before, 'numpy' in sys.modules)",
+            str(root / "tagger.model"),
+        )
+        assert (code, out.split(), numpy_logged) == (0, ["False", "True"], True)
+        paths = {"lexicon": root / "lexicon.tsv", "model": root / "tagger.model"}
+        for side in ("fresh", "in_process"):
+            (tmp_path / f"{side}.ini").write_text(
+                "[paths]\n" + "".join(f"{k} = {v}\n" for k, v in paths.items())
+                + f"output_dir = {side}\n")
+        command = ["rate", str(root / "corpus"), "--tagger", "bilstm"]
+        code, _, numpy_logged = fresh_python(tmp_path, "-m", "pipedefect",
+                                             "--config", "fresh.ini", *command)
+        assert (code, numpy_logged) == (0, True)
+        assert main(["--config", str(tmp_path / "in_process.ini"), *command]) == 0
+        reports = {side: {p.name: p.read_bytes() for p in (tmp_path / side / "reports").iterdir()}
+                   for side in ("fresh", "in_process")}
+        assert len(reports["fresh"]) == 30
+        assert reports["fresh"] == reports["in_process"]

@@ -267,13 +267,14 @@ class TestNetTaggedFrequency:
         assert any("no lexicon entry" in note for note in report.notes)
 
     def test_lexicon_term_of_another_type_is_skipped_and_noted(self, resources, tiny_bilstm):
-        # the tiny model tags "leaks", a Defect lexicon term, as frequency
+        # the tiny model tags the whole sentence as frequency; "leaks" is a
+        # Defect lexicon term, so it does not name the frequency span
         doc = parse_document("Pipe leaks at the joint.", "net")
         report = rate_document(doc, resources, tagger=BILSTM_TAGGER, model=tiny_bilstm)
         (entity,) = report.entities
-        assert (entity["type"], entity["matched_term"]) == ("FrequencyOfDefects", "leaks")
+        assert (entity["type"], entity["matched_term"]) == ("FrequencyOfDefects", None)
         assert report.weights.frequencies == 0.1
-        note = "frequency span at sentence 0 tokens 0-6 ('leaks') has no frequency band; skipped"
+        note = "frequency span at sentence 0 tokens 0-6 has no lexicon entry; skipped"
         assert note in report.notes
 
 

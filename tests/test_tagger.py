@@ -11,7 +11,9 @@ from pipedefect.corpus import GoldEntity, Sentence, Token, parse_document
 from pipedefect.lexicon import NUMBER_RE, Lexicon
 from pipedefect.network import init_model
 from pipedefect.pipeline import BILSTM_TAGGER, preprocess_document, tag_document
+from pipedefect.rating import rate_frames
 from pipedefect.tagger import (
+    CATEGORY_TO_TAG,
     MAX_BATCH_TOKENS,
     TAG_TO_ENTITY_TYPE,
     Entity,
@@ -244,6 +246,28 @@ class TestExtractEntities:
             (entity,) = extract_entities(sent, [Tag.DEFECT, Tag.DEFECT], PATTERNS, lexicon)
             assert (entity.token_range, entity.matched_lexicon_term) == ((0, 2), term)
 
+    def test_a_term_of_another_category_stays_in_the_run(self, lexicon):
+        # "often" is a Frequency term and "upstream" a Location term: inside
+        # a Defect or a Frequency run neither splits it or names a piece
+        sent = bare_sentence(["cracks", "often", "upstream"])
+        for tags, want in (
+            ([Tag.DEFECT, Tag.DEFECT, Tag.O], [("Defect", (0, 2), "cracks")]),
+            ([Tag.DEFECT, Tag.FREQUENCY, Tag.FREQUENCY],
+             [("Defect", (0, 1), "cracks"), ("FrequencyOfDefects", (1, 3), "often")]),
+            ([Tag.FREQUENCY] * 3, [("FrequencyOfDefects", (0, 3), "often")]),
+            ([Tag.O, Tag.O, Tag.DEFECT], [("Defect", (2, 3), None)]),
+        ):
+            entities = extract_entities(sent, tags, PATTERNS, lexicon)
+            assert [(e.entity_type, e.token_range, e.matched_lexicon_term)
+                    for e in entities] == want, tags
+        weights = rate_frames("d", [extract_entities(sent, [Tag.DEFECT] * 2 + [Tag.O],
+                                                     PATTERNS, lexicon)]).weights
+        assert weights.defect == 0.8
+        report = rate_frames("d", [extract_entities(sent, [Tag.DEFECT] + [Tag.FREQUENCY] * 2,
+                                                    PATTERNS, lexicon)])
+        assert (report.weights.frequencies, report.weights.defect) == (0.99, 0.8)
+        assert not any("skipped" in note for note in report.notes)
+
     @given(st.lists(st.sampled_from(list(Tag)), max_size=15))
     def test_entity_count_equals_runs(self, lexicon, tags):
         words = [f"w{k}" for k in range(len(tags))]
@@ -277,7 +301,8 @@ def longest_match_hits(words, lexicon):
 
 def reference_extract_entities(sentence, tags, patterns, lexicon):
     """Two-pass reference sorted into token order: maximal same-tag runs,
-    one entity per longest-match hit, then number+unit pairs."""
+    one entity per longest-match hit of the run's category, then
+    number+unit pairs."""
 
     def intersects(span, scopes):
         return any(span[0] < e and s < span[1] for s, e in scopes)
@@ -294,7 +319,8 @@ def reference_extract_entities(sentence, tags, patterns, lexicon):
         j = i
         while j < n and tags[j] == tags[i]:
             j += 1
-        hits = [(i + s, term) for s, term in longest_match_hits(words[i:j], lexicon)]
+        hits = [(i + s, term) for s, term in longest_match_hits(words[i:j], lexicon)
+                if CATEGORY_TO_TAG[lexicon.entries[term].category] == tags[i]]
         hits = hits or [(i, None)]
         # a token belongs to the last hit starting at or before it, else to the first
         owners = [max([0] + [k for k, (s, _) in enumerate(hits) if s <= t]) for t in range(i, j)]
