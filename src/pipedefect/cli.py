@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 partial failure, 2 usage or configuration error
 or an output that cannot be written.
 All randomness derives from the single config/flag seed.
+
+A module that only some commands use is imported inside them, so that
+``rate`` loads none of generate, evaluation, training or logging; logging
+is configured only under --verbose.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -19,8 +22,6 @@ from . import config as config_mod
 from .corpus import (ENTITY_TYPES, Document, GoldEntity, GoldRecord, format_gold, parse_document,
                      read_gold, split_corpus)
 from .errors import ConfigError, EmptyDocument, PipeDefectError
-from .evaluation import evaluate_entity_spans, evaluate_ratings, write_metric_reports
-from .generate import GeneratorConfig, generate_synthetic_corpus
 from .lexicon import save_lexicon
 from .network import load_model, save_model
 from .pipeline import (
@@ -31,8 +32,6 @@ from .pipeline import (
 )
 from .rating import ACTION_TEXT
 from .tagger import tags_from_gold_spans
-
-log = logging.getLogger("pipedefect")
 
 
 def _load_corpus_documents(corpus_dir: Path) -> dict[str, str]:
@@ -81,6 +80,8 @@ def cmd_build_lexicon(cfg) -> int:
 
 
 def cmd_generate(cfg, n: int) -> int:
+    from .generate import GeneratorConfig, generate_synthetic_corpus
+
     if n <= 0:
         raise ConfigError(f"generate needs n > 0, got {n}")
     resources = config_mod.load_resources(cfg, require_lexicon=False)
@@ -97,6 +98,8 @@ def cmd_generate(cfg, n: int) -> int:
 
 
 def cmd_train(cfg) -> int:
+    import logging
+
     from .training import train  # loads numpy, which no other command needs
 
     resources = config_mod.load_resources(cfg)
@@ -114,7 +117,8 @@ def cmd_train(cfg) -> int:
             corpus.append((sentence, tags))
     if not corpus:
         raise ConfigError("empty training set")
-    log.info("training on %d sentences from %d documents", len(corpus), len(split.train))
+    logging.getLogger("pipedefect").info(
+        "training on %d sentences from %d documents", len(corpus), len(split.train))
     result = train(corpus, resources.lexicon, cfg.training, seed=cfg.seed)
     Path(cfg.model).parent.mkdir(parents=True, exist_ok=True)
     save_model(result.model, cfg.model)
@@ -167,7 +171,7 @@ def cmd_rate(cfg, input_path: Path, tagger: str) -> int:
         except (PipeDefectError, UnicodeDecodeError, OSError) as exc:
             failures += 1
             payload = {"document_id": doc_id, "error": str(exc)}
-            log.error("failed to rate %s: %s", doc_id, exc)
+            print(f"error: failed to rate {doc_id}: {exc}", file=sys.stderr)
         with open(reports_dir / f"{doc_id}.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -208,6 +212,8 @@ def _rating_from_report(payload: dict) -> int:
 
 
 def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
+    from .evaluation import evaluate_entity_spans, evaluate_ratings, write_metric_reports
+
     resources = config_mod.load_resources(cfg)
     raw_docs, gold = _load_gold_corpus(Path(cfg.corpus_dir), gold_path)
     reports_dir = pred_path / "reports" if (pred_path / "reports").is_dir() else pred_path
@@ -293,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+    if args.verbose:  # without it a warning reaches stderr through logging's last resort
+        import logging
+
+        logging.basicConfig(level=logging.DEBUG)
     try:
         cfg = config_mod.load_config(args.config) if args.config else config_mod.PipelineConfig()
         if args.seed is not None:

@@ -2,11 +2,14 @@
 
 Unset values fall back to the bundled data files and the default tagger
 hyperparameters, so a run needs no config file at all.
+
+configparser is imported inside load_config, its one user, not at the
+top: a run without --config, and every library caller that builds a
+PipelineConfig itself, never loads it.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, field, fields
 from importlib import resources as importlib_resources
@@ -70,6 +73,8 @@ def load_config(path) -> PipelineConfig:
     as the type of its default.  Any other key is ignored.  A file that
     does not parse, or a numeric setting that is not a number, raises
     ConfigError.  Ranges are check_config's."""
+    import configparser
+
     parser = configparser.ConfigParser()
     cfg = PipelineConfig()
     try:

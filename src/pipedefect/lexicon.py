@@ -5,18 +5,18 @@ The knowledge base is a plain file of ``term <TAB> relation <TAB> term``
 edges (relation ``syn`` or ``ant``).  Antonym edges stop traversal: the
 antonyms a seed meets are logged at INFO level for auditing, and never
 enter the lexicon as same-category terms.
+
+logging is imported inside expand_synonyms, its one user, not at the top:
+only build-lexicon and generate expand seeds, so rating never loads it.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, LexiconFormatError
-
-log = logging.getLogger(__name__)
 
 CATEGORIES = ("Defect", "Location", "Frequency")
 
@@ -276,11 +276,15 @@ def expand_synonyms(
     """Build the lexicon from (term, category) seeds.
 
     Each seed contributes itself, its morphological variants (single-word
-    seeds only), and its breadth-first synonym closure up to max_depth.
+    Defect seeds only: a frequency adverb or a location word has no verb
+    or plural form), and its breadth-first synonym closure up to max_depth.
     On term collisions the smaller depth wins; ties go to the
     lexicographically smaller seed_root (seed beats morph beats synonym at
     equal depth).
     """
+    import logging
+
+    log = logging.getLogger(__name__)
     # (depth, origin_rank, seed_root) orders collision resolution
     candidates: list[tuple[int, int, str, LexiconEntry]] = []
     seed_only: list[str] = []
@@ -288,7 +292,7 @@ def expand_synonyms(
         seed = seed.lower()
         banned = blacklist.banned(seed)
         candidates.append((0, 0, seed, LexiconEntry(seed, category, ORIGIN_SEED, seed)))
-        if " " not in seed:
+        if category == "Defect" and " " not in seed:
             for variant in expand_morphology(seed)[1:]:
                 if variant in banned:
                     continue

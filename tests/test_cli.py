@@ -705,17 +705,29 @@ def test_unmatchable_phrase_exits_1_naming_its_line(key, phrase, tmp_path, capsy
 
 # numpy loads only where the network runs: every other command, and the
 # benchmark probe's imports, must leave it out of a fresh interpreter.
+# Rating with the dictionary tagger loads no module that only other work
+# uses: logging (lexicon expansion, --verbose and train), configparser
+# (--config), evaluation and generate.
 SRC = Path(pipedefect.__file__).resolve().parents[1]
+NOT_FOR_RATING = {"numpy", "logging", "configparser"}
+NOT_FOR_RATE_COMMAND = NOT_FOR_RATING | {"pipedefect.evaluation", "pipedefect.generate"}
 
 
 def fresh_python(cwd, *args):
     """Run `python -X importtime *args` in cwd with pipedefect importable;
-    return the exit code, stdout, and whether the import log names numpy."""
+    return the exit code, stdout, stderr without the import log, and the
+    set of module names the import log holds."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=False)
-    return proc.returncode, proc.stdout, re.search(r"\|\s+numpy$", proc.stderr, re.M) is not None
+    modules, err = set(), []
+    for line in proc.stderr.splitlines(keepends=True):
+        if line.startswith("import time:"):
+            modules.add(line.rsplit("|", 1)[1].strip())
+        else:
+            err.append(line)
+    return proc.returncode, proc.stdout, "".join(err), modules
 
 
 RATE_IN_FRESH_PROCESS = """\
@@ -732,41 +744,78 @@ print(json.dumps([report.rating.value, "numpy" in sys.modules]))
 class TestNumpyLoadsOnlyForTheNetwork:
     def test_imports_and_dictionary_rating(self, workspace, tmp_path):
         root, _ = workspace
-        code, out, numpy_logged = fresh_python(tmp_path, "-c", RATE_IN_FRESH_PROCESS,
-                                               str(root / "lexicon.tsv"), BOX_TEXT)
+        code, out, _, modules = fresh_python(tmp_path, "-c", RATE_IN_FRESH_PROCESS,
+                                             str(root / "lexicon.tsv"), BOX_TEXT)
         assert code == 0
         assert json.loads(out) == [5, False]
-        assert not numpy_logged
+        assert "pipedefect.pipeline" in modules
+        assert not modules & NOT_FOR_RATING
 
     def test_dictionary_commands(self, tmp_path):
         (tmp_path / "config.ini").write_text(CONFIG)
         for command in (["build-lexicon"], ["generate", "--n", "3"], ["rate", "corpus"],
                         ["evaluate", "out", "gold.tsv"]):
-            code, _, numpy_logged = fresh_python(tmp_path, "-m", "pipedefect",
-                                                 "--config", "config.ini", *command)
-            assert (code, numpy_logged) == (0, False), command
+            code, _, _, modules = fresh_python(tmp_path, "-m", "pipedefect",
+                                               "--config", "config.ini", *command)
+            assert (code, "numpy" in modules) == (0, False), command
         assert len(list((tmp_path / "out" / "reports").glob("*.json"))) == 3
+
+    def test_rate_without_config_loads_only_what_rating_runs(self, workspace, tmp_path):
+        root, _ = workspace
+        (tmp_path / "lexicon.tsv").write_bytes((root / "lexicon.tsv").read_bytes())
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "box.txt").write_text(BOX_TEXT)
+        (tmp_path / "corpus" / "blank.txt").write_text("  \n")
+        for target, want in (("corpus", 0), ("corpus/blank.txt", 1)):
+            code, _, err, modules = fresh_python(tmp_path, "-m", "pipedefect", "rate", target)
+            assert code == want, target
+            assert "pipedefect.pipeline" in modules
+            assert not modules & NOT_FOR_RATE_COMMAND
+            (line,) = err.splitlines()
+            assert line.startswith("error: failed to rate blank: ")
+        assert json.loads((tmp_path / "out" / "reports" / "box.json").read_text())["rating"] == 5
 
     def test_network_loads_numpy_and_rates_as_in_process(self, workspace, tmp_path):
         root, _ = workspace
-        code, out, numpy_logged = fresh_python(
+        code, out, _, modules = fresh_python(
             tmp_path, "-c",
             "import sys\nfrom pipedefect import network\nbefore = 'numpy' in sys.modules\n"
             "network.load_model(sys.argv[1])\nprint(before, 'numpy' in sys.modules)",
             str(root / "tagger.model"),
         )
-        assert (code, out.split(), numpy_logged) == (0, ["False", "True"], True)
+        assert (code, out.split(), "numpy" in modules) == (0, ["False", "True"], True)
         paths = {"lexicon": root / "lexicon.tsv", "model": root / "tagger.model"}
         for side in ("fresh", "in_process"):
             (tmp_path / f"{side}.ini").write_text(
                 "[paths]\n" + "".join(f"{k} = {v}\n" for k, v in paths.items())
                 + f"output_dir = {side}\n")
         command = ["rate", str(root / "corpus"), "--tagger", "bilstm"]
-        code, _, numpy_logged = fresh_python(tmp_path, "-m", "pipedefect",
-                                             "--config", "fresh.ini", *command)
-        assert (code, numpy_logged) == (0, True)
+        code, _, _, modules = fresh_python(tmp_path, "-m", "pipedefect",
+                                           "--config", "fresh.ini", *command)
+        assert (code, "numpy" in modules) == (0, True)
         assert main(["--config", str(tmp_path / "in_process.ini"), *command]) == 0
         reports = {side: {p.name: p.read_bytes() for p in (tmp_path / side / "reports").iterdir()}
                    for side in ("fresh", "in_process")}
         assert len(reports["fresh"]) == 30
         assert reports["fresh"] == reports["in_process"]
+
+
+# logging is imported only where a line is logged, and configured only under
+# --verbose; a warning still reaches stderr without it.
+class TestLogLinesInAFreshProcess:
+    def test_build_lexicon_warns_of_seed_only_terms(self, tmp_path):
+        code, _, err, _ = fresh_python(tmp_path, "-m", "pipedefect", "build-lexicon")
+        assert code == 0
+        assert re.search(r"^\d+ seeds not in synonym graph; kept as seed-only: '", err, re.M)
+
+    def test_verbose_train_logs_its_training_set(self, workspace, tmp_path):
+        root, _ = workspace
+        config = CONFIG
+        for key in ("lexicon", "corpus_dir", "gold_file"):
+            config = re.sub(rf"^{key} = ", f"{key} = {root}/", config, flags=re.M)
+        (tmp_path / "config.ini").write_text(config)
+        code, _, err, _ = fresh_python(tmp_path, "-m", "pipedefect",
+                                       "--verbose", "--config", "config.ini", "train")
+        assert code == 0
+        assert re.search(r"^INFO:pipedefect:training on \d+ sentences from 24 documents$",
+                         err, re.M)

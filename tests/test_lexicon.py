@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pipedefect.config import PipelineConfig, build_default_lexicon
 from pipedefect.errors import LexiconFormatError
 from pipedefect.lexicon import (
+    ORIGIN_MORPH,
     Blacklist,
     Lexicon,
     LexiconEntry,
@@ -114,6 +116,13 @@ class TestExpandSynonyms:
         g = SynonymGraph()
         lex = expand_synonyms([("deposits settled", "Defect")], g, Blacklist(), max_depth=1)
         assert set(lex.entries) == {"deposits settled"}
+
+    def test_default_lexicon_inflects_defect_seeds_only(self):
+        """A frequency adverb or a location word has no -s/-ing/-ed form
+        ("rarelying", "downstreamed")."""
+        entries = build_default_lexicon(PipelineConfig()).entries.values()
+        morph = {e.category for e in entries if e.origin == ORIGIN_MORPH}
+        assert morph == {"Defect"}
 
 
 # Terms sharing first words ("deposits", "very", "joint") at several

@@ -266,11 +266,13 @@ class TestNetTaggedFrequency:
         assert report.weights.frequencies == 0.1
         assert any("no lexicon entry" in note for note in report.notes)
 
-    def test_lexicon_term_of_another_type_is_skipped_and_noted(self, resources, tiny_bilstm):
-        # the tiny model tags the whole sentence as frequency; "leaks" is a
+    def test_lexicon_term_of_another_type_is_skipped_and_noted(self, resources):
+        # the model tags the whole sentence as frequency; "leaks" is a
         # Defect lexicon term, so it does not name the frequency span
+        model = init_model(["pipe", "leaks", "joint"], seed=0, word_dim=5, dict_dim=3, hidden_dim=4)
+        model.out_b[Tag.FREQUENCY] = 100.0
         doc = parse_document("Pipe leaks at the joint.", "net")
-        report = rate_document(doc, resources, tagger=BILSTM_TAGGER, model=tiny_bilstm)
+        report = rate_document(doc, resources, tagger=BILSTM_TAGGER, model=model)
         (entity,) = report.entities
         assert (entity["type"], entity["matched_term"]) == ("FrequencyOfDefects", None)
         assert report.weights.frequencies == 0.1
