@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import config as config_mod
@@ -130,9 +129,10 @@ def cmd_train(cfg) -> int:
 
 
 def _report_to_json(report) -> dict:
+    w = report.weights
     return {
         "document_id": report.document_id,
-        "weights": asdict(report.weights),
+        "weights": {"frequencies": w.frequencies, "location": w.location, "defect": w.defect},
         "rating": report.rating.value,
         "action_text": report.rating.action_text,
         "gap_row": report.rating.gap_row,

@@ -11,12 +11,11 @@ PipelineConfig itself, never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from importlib import resources as importlib_resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .lexicon import Blacklist, SynonymGraph, expand_synonyms, load_lexicon, load_seeds
+from .lexicon import Blacklist, Record, SynonymGraph, expand_synonyms, load_lexicon, load_seeds
 from .pipeline import PipelineResources, build_spell_vocabulary
 from .preprocess import NegationTriggerSet, load_phrase_file
 from .rating import band_weight
@@ -27,43 +26,44 @@ DEFAULT_SPLIT_RATIO = 0.8
 DEFAULT_MAX_DEPTH = 2
 
 
-def data_path(name: str) -> Path:
-    return Path(importlib_resources.files("pipedefect") / "data" / name)
+DATA_DIR = Path(importlib_resources.files("pipedefect") / "data")
 
 
-@dataclass
-class TrainingConfig:
+class TrainingConfig(Record):
     """The Bi-LSTM tagger's dimensions and training schedule: the INI
     [hyperparameters] section."""
 
-    word_dim: int = 200
-    dict_dim: int = 100
-    hidden_dim: int = 300
-    learning_rate: float = 0.005
-    epochs: int = 10
-    batch_size: int = 100
+    __slots__ = ("word_dim", "dict_dim", "hidden_dim", "learning_rate", "epochs", "batch_size")
+
+    def __init__(self, word_dim: int = 200, dict_dim: int = 100, hidden_dim: int = 300,
+                 learning_rate: float = 0.005, epochs: int = 10, batch_size: int = 100):
+        self.word_dim, self.dict_dim, self.hidden_dim = word_dim, dict_dim, hidden_dim
+        self.learning_rate, self.epochs, self.batch_size = learning_rate, epochs, batch_size
 
 
-@dataclass
-class PipelineConfig:
-    seeds: Path = field(default_factory=lambda: data_path("seeds.tsv"))
-    synonym_graph: Path = field(default_factory=lambda: data_path("synonym_graph.tsv"))
-    blacklists: Path = field(default_factory=lambda: data_path("blacklists.tsv"))
-    triggers: Path = field(default_factory=lambda: data_path("negation_triggers.txt"))
-    terminators: Path = field(default_factory=lambda: data_path("scope_terminators.txt"))
-    abbreviations: Path = field(default_factory=lambda: data_path("abbreviations.txt"))
-    basewords: Path = field(default_factory=lambda: data_path("basewords.txt"))
-    patterns: Path = field(default_factory=lambda: data_path("size_patterns.txt"))
-    lexicon: Path = Path("lexicon.tsv")
-    model: Path = Path("tagger.model")
-    loss_log: Path = Path("tagger.loss.txt")
-    corpus_dir: Path = Path("corpus")
-    gold_file: Path = Path("gold.tsv")
-    output_dir: Path = Path("out")
-    max_depth: int = DEFAULT_MAX_DEPTH
-    split_ratio: float = DEFAULT_SPLIT_RATIO
-    seed: int = DEFAULT_SEED
-    training: TrainingConfig = field(default_factory=TrainingConfig)
+class PipelineConfig(Record):
+    __slots__ = ("seeds", "synonym_graph", "blacklists", "triggers", "terminators",
+                 "abbreviations", "basewords", "patterns", "lexicon", "model", "loss_log",
+                 "corpus_dir", "gold_file", "output_dir", "max_depth", "split_ratio", "seed",
+                 "training")
+
+    def __init__(
+        self, seeds=DATA_DIR / "seeds.tsv", synonym_graph=DATA_DIR / "synonym_graph.tsv",
+        blacklists=DATA_DIR / "blacklists.tsv", triggers=DATA_DIR / "negation_triggers.txt",
+        terminators=DATA_DIR / "scope_terminators.txt",
+        abbreviations=DATA_DIR / "abbreviations.txt", basewords=DATA_DIR / "basewords.txt",
+        patterns=DATA_DIR / "size_patterns.txt", lexicon=Path("lexicon.tsv"),
+        model=Path("tagger.model"), loss_log=Path("tagger.loss.txt"), corpus_dir=Path("corpus"),
+        gold_file=Path("gold.tsv"), output_dir=Path("out"), max_depth=DEFAULT_MAX_DEPTH,
+        split_ratio=DEFAULT_SPLIT_RATIO, seed=DEFAULT_SEED, training: TrainingConfig | None = None,
+    ):
+        self.seeds, self.synonym_graph, self.blacklists = seeds, synonym_graph, blacklists
+        self.triggers, self.terminators, self.abbreviations = triggers, terminators, abbreviations
+        self.basewords, self.patterns, self.lexicon = basewords, patterns, lexicon
+        self.model, self.loss_log, self.corpus_dir = model, loss_log, corpus_dir
+        self.gold_file, self.output_dir, self.max_depth = gold_file, output_dir, max_depth
+        self.split_ratio = split_ratio
+        self.seed, self.training = seed, TrainingConfig() if training is None else training
 
 
 def load_config(path) -> PipelineConfig:
@@ -87,16 +87,16 @@ def load_config(path) -> PipelineConfig:
             ("hyperparameters", cfg.training, (int, float)),
         )
         for section, target, kinds in sections:
-            for f in fields(target):
-                default = getattr(target, f.name)
-                if not (isinstance(default, kinds) and parser.has_option(section, f.name)):
+            for name in target.__slots__:
+                default = getattr(target, name)
+                if not (isinstance(default, kinds) and parser.has_option(section, name)):
                     continue
                 # joinpath leaves an absolute path as it is
                 parse = base.joinpath if kinds is Path else type(default)
                 try:
-                    setattr(target, f.name, parse(parser.get(section, f.name)))
+                    setattr(target, name, parse(parser.get(section, name)))
                 except ValueError as exc:
-                    raise ConfigError(f"{path}: [{section}] {f.name}: {exc}") from exc
+                    raise ConfigError(f"{path}: [{section}] {name}: {exc}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return cfg

@@ -8,24 +8,24 @@ that gold annotation character offsets stay valid.  A Token's one offset
 pair is its ``raw_span`` into the document text, and a Sentence is its
 tokens and negation scopes: no sentence text or section name is kept.
 
-Token, Sentence and Document are slotted dataclasses that are not frozen.
-Each is complete once built (``preprocess_document`` sets a Document's
-sentences once) and nothing changes it afterwards: ``correct_spelling``
-returns a new Token.  They are not frozen because a frozen dataclass sets
-every field through ``object.__setattr__``; building a Token that way
-took 1.1 us against 0.41 us slotted (CPython 3.11 on a shared Xeon
-host), and every document builds one per token.  Being mutable with
-``__eq__``, they are unhashable.
+Token, Sentence and Document, like every record rating uses, are plain
+slotted classes on ``lexicon.Record``, not dataclasses: importing
+dataclasses (and inspect) and generating their methods was half of the
+benchmark probe's set-up, 64 ms with them and 34 ms without (CPython
+3.11, 2 cores).  Each is complete once built (``preprocess_document``
+sets a Document's sentences once) and nothing changes it afterwards:
+``correct_spelling`` returns a new Token.  They are not frozen: a frozen
+record sets each field through ``object.__setattr__``, and a Token took
+1.1 us to build so against 0.2-0.3 us.  Being mutable, they are unhashable.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 
 from .errors import ConfigError, EmptyDocument, InvalidRating, InvalidSpan
-from .lexicon import read_rows
+from .lexicon import Record, read_rows
 
 SECTION_NAMES = (
     "Pipe Characteristics",
@@ -47,46 +47,51 @@ ENTITY_TYPES = (
 )
 
 
-@dataclass(slots=True)
-class Token:
-    surface: str
-    normalized: str
-    raw_span: tuple[int, int]  # offsets into the raw document text
+class Token(Record):
+    __slots__ = ("surface", "normalized", "raw_span")  # raw_span: offsets into the raw text
+
+    def __init__(self, surface: str, normalized: str, raw_span: tuple[int, int]):
+        self.surface, self.normalized, self.raw_span = surface, normalized, raw_span
 
 
-@dataclass(slots=True)
-class Sentence:
-    tokens: list[Token] = field(default_factory=list)
-    negation_scopes: list[tuple[int, int]] = field(default_factory=list)
+class Sentence(Record):
+    __slots__ = ("tokens", "negation_scopes")
+
+    def __init__(self, tokens: list[Token] | None = None, negation_scopes: list | None = None):
+        self.tokens = [] if tokens is None else tokens
+        self.negation_scopes = [] if negation_scopes is None else negation_scopes
 
 
-@dataclass(slots=True)
-class Document:
-    id: str
-    raw: str
-    sections: dict[str, str]
-    section_spans: dict[str, tuple[int, int]]
-    sentences: list[Sentence] = field(default_factory=list)
+class Document(Record):
+    __slots__ = ("id", "raw", "sections", "section_spans", "sentences")
+
+    def __init__(self, id: str, raw: str, sections: dict[str, str], section_spans: dict[str, tuple],
+                 sentences: list[Sentence] | None = None):
+        self.id, self.raw, self.sections, self.section_spans = id, raw, sections, section_spans
+        self.sentences = [] if sentences is None else sentences
 
 
-@dataclass(frozen=True)
-class GoldEntity:
-    entity_type: str
-    span: tuple[int, int]  # 0-based, end-exclusive, into the raw document
+class GoldEntity(Record):
+    __slots__ = ("entity_type", "span")  # span: 0-based, end-exclusive, into the raw text
+
+    def __init__(self, entity_type: str, span: tuple[int, int]):
+        self.entity_type, self.span = entity_type, span
 
 
-@dataclass
-class GoldRecord:
-    document_id: str
-    entities: list[GoldEntity]
-    rating: int
-    annotator_id: str
+class GoldRecord(Record):
+    __slots__ = ("document_id", "entities", "rating", "annotator_id")
+
+    def __init__(self, document_id: str, entities: list[GoldEntity], rating: int,
+                 annotator_id: str):
+        self.document_id, self.entities = document_id, entities
+        self.rating, self.annotator_id = rating, annotator_id
 
 
-@dataclass(frozen=True)
-class CorpusSplit:
-    train: tuple[str, ...]
-    test: tuple[str, ...]
+class CorpusSplit(Record):
+    __slots__ = ("train", "test")
+
+    def __init__(self, train: tuple[str, ...], test: tuple[str, ...]):
+        self.train, self.test = train, test
 
 
 _HEADER_RE = re.compile(

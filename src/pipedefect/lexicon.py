@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
 
 from .errors import ConfigError, LexiconFormatError
 
@@ -98,14 +97,27 @@ def origin_depth(origin: str) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    term: str
-    category: str
-    origin: str  # "seed", "morph", or "syn<k>" with k >= 1
-    seed_root: str
+class Record:
+    """Base of the plain records: value equality over the slots (so no hash), the dataclass repr."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self) -> str:
+        args = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(args)})"
+
+
+class LexiconEntry(Record):
+    __slots__ = ("term", "category", "origin", "seed_root")  # origin: seed, morph or syn<k>, k >= 1
+
+    def __init__(self, term: str, category: str, origin: str, seed_root: str):
+        self.term, self.category, self.origin, self.seed_root = term, category, origin, seed_root
         if not self.term or self.term != self.term.lower():
             raise ValueError(f"term must be non-empty lowercase: {self.term!r}")
         if self.category not in CATEGORIES:
@@ -147,9 +159,11 @@ class SynonymGraph:
         return graph
 
 
-@dataclass
-class Blacklist:
-    per_seed: dict[str, set[str]] = field(default_factory=dict)
+class Blacklist(Record):
+    __slots__ = ("per_seed",)
+
+    def __init__(self, per_seed: dict[str, set[str]] | None = None):
+        self.per_seed = {} if per_seed is None else per_seed
 
     def banned(self, seed: str) -> set[str]:
         return self.per_seed.get(seed, set())

@@ -25,7 +25,6 @@ import math
 import os
 import re
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EmptySequence, ModelFormatError, NumericalError
@@ -43,27 +42,27 @@ N_BLOCKS = 6
 BLOCK_ROWS = 16
 
 
-@dataclass
 class LstmParams:
-    wx: np.ndarray  # (input_dim, 4 * hidden)
-    wh: np.ndarray  # (hidden, 4 * hidden)
-    b: np.ndarray  # (4 * hidden,)
+    __slots__ = ("wx", "wh", "b")  # (input_dim, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)
+
+    def __init__(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
+        self.wx, self.wh, self.b = wx, wh, b
 
     @property
     def hidden_dim(self) -> int:
         return self.wh.shape[0]
 
 
-@dataclass
 class TaggerModel:
-    vocab: list[str]  # vocab[0] == UNK
-    word_emb: np.ndarray  # (|V|, word_dim)
-    dict_emb: np.ndarray  # (N_DICT_FEATURES, dict_dim)
-    fwd: LstmParams
-    bwd: LstmParams
-    out_w: np.ndarray  # (2 * hidden, N_TAGS)
-    out_b: np.ndarray  # (N_TAGS,)
-    rng_seed: int
+    def __init__(self, vocab: list[str], word_emb: np.ndarray, dict_emb: np.ndarray,
+                 fwd: LstmParams, bwd: LstmParams, out_w: np.ndarray, out_b: np.ndarray,
+                 rng_seed: int):
+        self.vocab, self.fwd, self.bwd = vocab, fwd, bwd  # vocab[0] == UNK
+        self.word_emb = word_emb  # (|V|, word_dim)
+        self.dict_emb = dict_emb  # (N_DICT_FEATURES, dict_dim)
+        self.out_w, self.out_b = out_w, out_b  # (2 * hidden, N_TAGS) and (N_TAGS,)
+        self.rng_seed = rng_seed
+        self._token_ids = {t: i for i, t in enumerate(vocab)}
 
     @property
     def input_dim(self) -> int:
@@ -72,9 +71,6 @@ class TaggerModel:
     @property
     def hidden_dim(self) -> int:
         return self.fwd.hidden_dim
-
-    def __post_init__(self):
-        self._token_ids = {t: i for i, t in enumerate(self.vocab)}
 
     def token_index(self, normalized: str) -> int:
         return self._token_ids.get(normalized, 0)

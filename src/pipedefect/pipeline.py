@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .corpus import Document, Sentence
-from .lexicon import Lexicon
+from .lexicon import Lexicon, Record
 from .network import TaggerModel
 from .preprocess import (
     NegationTriggerSet,
@@ -27,13 +25,14 @@ DICT_TAGGER = "dict"
 BILSTM_TAGGER = "bilstm"
 
 
-@dataclass
-class PipelineResources:
-    lexicon: Lexicon
-    triggers: NegationTriggerSet
-    abbreviations: frozenset[str]  # lowercase
-    spell_vocab: SpellVocabulary
-    patterns: PatternTable
+class PipelineResources(Record):
+    __slots__ = ("lexicon", "triggers", "abbreviations", "spell_vocab", "patterns")
+
+    def __init__(self, lexicon: Lexicon, triggers: NegationTriggerSet,
+                 abbreviations: frozenset[str], spell_vocab: SpellVocabulary,
+                 patterns: PatternTable):
+        self.lexicon, self.triggers, self.spell_vocab = lexicon, triggers, spell_vocab
+        self.abbreviations, self.patterns = abbreviations, patterns  # abbreviations lowercase
 
 
 def build_spell_vocabulary(

@@ -11,7 +11,6 @@ token window, or the sentence end, whichever comes first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .corpus import Sentence, Token
@@ -21,10 +20,9 @@ from .lexicon import (KEPT_RUN_RE, NUMBER_RE, SENTENCE_TERMINATORS, PhraseIndex,
 NEGATION_WINDOW = 5
 
 
-@dataclass(frozen=True)
 class NegationTriggerSet:
-    pre_triggers: tuple[str, ...]
-    scope_terminators: tuple[str, ...]  # both lowercase, as load_phrase_file gives them
+    def __init__(self, pre_triggers: tuple[str, ...], scope_terminators: tuple[str, ...]):
+        self.pre_triggers, self.scope_terminators = pre_triggers, scope_terminators  # lowercase
 
     @cached_property
     def pre_index(self) -> PhraseIndex:
@@ -35,9 +33,9 @@ class NegationTriggerSet:
         return PhraseIndex(self.scope_terminators)
 
 
-@dataclass(frozen=True)
 class SpellVocabulary:
-    known_terms: frozenset[str]
+    def __init__(self, known_terms: frozenset[str]):
+        self.known_terms = known_terms
 
     @cached_property
     def _one_delete_index(self) -> dict[str, list[tuple[str, int]]]:

@@ -7,17 +7,15 @@ table has no row for defects observed with the lowest frequency band;
 that combination maps to rating 1 and is flagged (gap_row) for auditing.
 
 WeightTriple, DefectRating and RatingReport are built for every document,
-so like the corpus records they are slotted and not frozen (a frozen
-dataclass costs nearly three times as much to build).  ``rate_frames``
-and ``pipeline.rate_document`` finish a report before returning it, and
-nothing changes a record afterwards.
+so like the corpus records they are plain slotted classes, not frozen
+(see ``corpus``).  ``rate_frames`` and ``pipeline.rate_document`` finish
+a report before returning it, and nothing changes a record afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidWeight
+from .lexicon import Record
 from .tagger import Entity
 
 # Frequency band -> rating when a defect is present; the lowest band has
@@ -55,13 +53,11 @@ ACTION_TEXT = {
 }
 
 
-@dataclass(slots=True)
-class WeightTriple:
-    frequencies: float
-    location: float
-    defect: float
+class WeightTriple(Record):
+    __slots__ = ("frequencies", "location", "defect")
 
-    def __post_init__(self):
+    def __init__(self, frequencies: float, location: float, defect: float):
+        self.frequencies, self.location, self.defect = frequencies, location, defect
         if self.frequencies not in FREQUENCY_WEIGHTS:
             raise InvalidWeight(f"w_frequencies {self.frequencies} not in {FREQUENCY_WEIGHTS}")
         if self.location not in LOCATION_WEIGHTS:
@@ -70,20 +66,21 @@ class WeightTriple:
             raise InvalidWeight(f"w_defect {self.defect} not in {DEFECT_WEIGHTS}")
 
 
-@dataclass(slots=True)
-class DefectRating:
-    value: int
-    action_text: str
-    gap_row: bool = False
+class DefectRating(Record):
+    __slots__ = ("value", "action_text", "gap_row")
+
+    def __init__(self, value: int, action_text: str, gap_row: bool = False):
+        self.value, self.action_text, self.gap_row = value, action_text, gap_row
 
 
-@dataclass(slots=True)
-class RatingReport:
-    document_id: str
-    weights: WeightTriple
-    rating: DefectRating
-    entities: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class RatingReport(Record):
+    __slots__ = ("document_id", "weights", "rating", "entities", "notes")
+
+    def __init__(self, document_id: str, weights: WeightTriple, rating: DefectRating,
+                 entities: list[dict] | None = None, notes: list[str] | None = None):
+        self.document_id, self.weights, self.rating = document_id, weights, rating
+        self.entities = [] if entities is None else entities
+        self.notes = [] if notes is None else notes
 
 
 def band_weight(term: str | None, seed_root: str | None) -> float | None:

@@ -6,20 +6,18 @@ this scheme; a pattern table turns number+unit token pairs into
 SizeOfDefect or distance-style LocationOfDefect entities instead.
 
 A sentence's entities are one list in token order.  Entities are built
-for every sentence, so like the corpus records they are slotted and not
-frozen (a frozen dataclass costs nearly three times as much to build):
-``extract_entities`` builds a sentence's list and nothing changes it or
-its entities afterwards.
+for every sentence, so like the corpus records they are plain slotted
+classes, not frozen (see ``corpus``): ``extract_entities`` builds a
+sentence's list and nothing changes it or its entities afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .corpus import Sentence, gold_token_types
 from .errors import LexiconFormatError
-from .lexicon import NUMBER_RE, Lexicon, check_term, read_rows
+from .lexicon import NUMBER_RE, Lexicon, Record, check_term, read_rows
 from .network import TaggerModel, batch_logits
 
 
@@ -39,21 +37,23 @@ TAG_TO_ENTITY_TYPE = {
 }
 
 
-@dataclass(slots=True)
-class Entity:
-    entity_type: str
-    token_range: tuple[int, int]  # end-exclusive token indices
-    negated: bool
-    matched_lexicon_term: str | None = None
-    seed_root: str | None = None
+class Entity(Record):
+    __slots__ = ("entity_type", "token_range", "negated", "matched_lexicon_term", "seed_root")
+
+    def __init__(self, entity_type: str, token_range: tuple[int, int], negated: bool,
+                 matched_lexicon_term: str | None = None, seed_root: str | None = None):
+        # token_range: end-exclusive token indices
+        self.entity_type, self.token_range, self.negated = entity_type, token_range, negated
+        self.matched_lexicon_term, self.seed_root = matched_lexicon_term, seed_root
 
 
-@dataclass(frozen=True)
-class PatternTable:
+class PatternTable(Record):
     """Unit vocabularies for number+unit entity patterns."""
 
-    size_units: frozenset[str]
-    distance_units: frozenset[str]
+    __slots__ = ("size_units", "distance_units")
+
+    def __init__(self, size_units: frozenset[str], distance_units: frozenset[str]):
+        self.size_units, self.distance_units = size_units, distance_units
 
     @classmethod
     def load(cls, path) -> "PatternTable":

@@ -8,6 +8,7 @@ from pipedefect.generate import GeneratorConfig, generate_synthetic_corpus
 from pipedefect.network import init_model
 from pipedefect.pipeline import preprocess_document
 from pipedefect.preprocess import SpellVocabulary, preprocess_section
+from pipedefect.tagger import Tag, predict_tags
 
 logging.getLogger("pipedefect.lexicon").setLevel(logging.ERROR)
 
@@ -22,13 +23,21 @@ def lexicon(resources):
     return resources.lexicon
 
 
+# tiny_bilstm's vocabulary: a fixed list and not the lexicon's words, so
+# that a new lexicon seed does not change the model its tests run
+TINY_WORDS = ["at", "breach", "corrosion", "crack", "cracks", "deposits", "downstream", "fracture",
+              "frequently", "hole", "joint", "junction", "leak", "leaks", "midpoint", "no", "often",
+              "rarely", "rust", "seldom", "several", "spiral", "upstream"]
+
+
 @pytest.fixture(scope="module")
-def tiny_bilstm(lexicon):
-    """A small seeded model over the lexicon's words, its output weights
-    scaled up so that it tags every category."""
-    words = sorted({w for term in lexicon.entries for w in term.split()})
-    model = init_model(words, seed=4, word_dim=4, dict_dim=3, hidden_dim=5)
+def tiny_bilstm(lexicon, make_sentence):
+    """A small seeded model over TINY_WORDS, its output weights scaled up
+    so that it tags every category: all four tags on one fixed sentence."""
+    model = init_model(TINY_WORDS, seed=9, word_dim=4, dict_dim=3, hidden_dim=5)
     model.out_w *= 20.0
+    sentence = make_sentence("Several cracks and rust at joint, leaks often upstream.")
+    assert set(predict_tags(sentence, lexicon, model)) == set(Tag)
     return model
 
 

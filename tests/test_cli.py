@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,7 @@ import pytest
 import pipedefect
 from pipedefect.cli import main
 from pipedefect.config import PipelineConfig, load_config, load_resources
-from pipedefect.corpus import format_gold, parse_document, read_gold
+from pipedefect.corpus import GoldRecord, format_gold, parse_document, read_gold
 from pipedefect.evaluation import evaluate_entities
 from pipedefect.network import load_model
 from pipedefect.pipeline import preprocess_document, tag_document
@@ -496,7 +496,7 @@ class TestEvaluate:
         root, _ = workspace
         # each document's last gold entity dropped, so that the rows are not all perfect
         records = {
-            r.document_id: replace(r, entities=r.entities[:-1])
+            r.document_id: GoldRecord(r.document_id, r.entities[:-1], r.rating, r.annotator_id)
             for r in read_gold(root / "gold.tsv").values()
         }
         gold = tmp_path / "gold.tsv"
@@ -541,13 +541,17 @@ class TestConfigHandling:
 
     def test_every_field_is_set_from_its_section(self, tmp_path):
         default = PipelineConfig()
+
+        def numbers(target):
+            kinds = {name: type(getattr(target, name)) for name in target.__slots__}
+            return {name: k + (0.5 if kind is float else 2)
+                    for k, (name, kind) in enumerate(kinds.items()) if kind in (int, float)}
+
         sections = {
-            "paths": {f.name: tmp_path / f"{f.name}.x" for f in fields(default) if f.type == "Path"},
-            "run": {f.name: k + (0.5 if f.type == "float" else 2)
-                    for k, f in enumerate(fields(default)) if f.type in ("int", "float")},
-            "hyperparameters": {f.name: k + (0.5 if f.type == "float" else 2)
-                                for k, f in enumerate(fields(default.training))
-                                if f.type in ("int", "float")},
+            "paths": {name: tmp_path / f"{name}.x" for name in default.__slots__
+                      if isinstance(getattr(default, name), Path)},
+            "run": numbers(default),
+            "hyperparameters": numbers(default.training),
         }
         assert [len(keys) for keys in sections.values()] == [14, 3, 6]
         config = tmp_path / "config.ini"
@@ -707,10 +711,14 @@ def test_unmatchable_phrase_exits_1_naming_its_line(key, phrase, tmp_path, capsy
 # benchmark probe's imports, must leave it out of a fresh interpreter.
 # Rating with the dictionary tagger loads no module that only other work
 # uses: logging (lexicon expansion, --verbose and train), configparser
-# (--config), evaluation and generate.
+# (--config), evaluation and generate.  The records on the rating path are
+# plain classes, so it loads no class machinery either: dataclasses, and
+# the inspect it imports, are for evaluation, training and generate.
 SRC = Path(pipedefect.__file__).resolve().parents[1]
 NOT_FOR_RATING = {"numpy", "logging", "configparser"}
-NOT_FOR_RATE_COMMAND = NOT_FOR_RATING | {"pipedefect.evaluation", "pipedefect.generate"}
+CLASS_MACHINERY = {"dataclasses", "inspect"}
+NOT_FOR_RATE_COMMAND = NOT_FOR_RATING | CLASS_MACHINERY | {"pipedefect.evaluation",
+                                                           "pipedefect.generate"}
 
 
 def fresh_python(cwd, *args):
@@ -741,6 +749,20 @@ print(json.dumps([report.rating.value, "numpy" in sys.modules]))
 """
 
 
+# the benchmark probe's imports, then what it runs to rate a document with
+# the dictionary tagger
+PROBE_RATING = """\
+import json, sys, time
+from pipedefect import config, network
+from pathlib import Path
+from pipedefect import corpus, pipeline
+from pipedefect.errors import PipeDefectError
+resources = config.load_resources(config.PipelineConfig(lexicon=sys.argv[1]))
+doc = corpus.parse_document(sys.argv[2], "box")
+print(pipeline.rate_document(doc, resources, tagger=pipeline.DICT_TAGGER, model=None).rating.value)
+"""
+
+
 class TestNumpyLoadsOnlyForTheNetwork:
     def test_imports_and_dictionary_rating(self, workspace, tmp_path):
         root, _ = workspace
@@ -750,6 +772,14 @@ class TestNumpyLoadsOnlyForTheNetwork:
         assert json.loads(out) == [5, False]
         assert "pipedefect.pipeline" in modules
         assert not modules & NOT_FOR_RATING
+
+    def test_probe_rating_loads_no_class_machinery(self, workspace, tmp_path):
+        root, _ = workspace
+        code, out, _, modules = fresh_python(tmp_path, "-c", PROBE_RATING,
+                                             str(root / "lexicon.tsv"), BOX_TEXT)
+        assert (code, out.split()) == (0, ["5"])
+        assert "pipedefect.pipeline" in modules
+        assert not modules & CLASS_MACHINERY
 
     def test_dictionary_commands(self, tmp_path):
         (tmp_path / "config.ini").write_text(CONFIG)

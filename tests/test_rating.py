@@ -1,14 +1,15 @@
 import copy
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pipedefect.config import PipelineConfig, load_resources
+from pipedefect.config import PipelineConfig, TrainingConfig, load_resources
 from pipedefect.corpus import Document, Sentence, Token, parse_document
 from pipedefect.errors import ConfigError, InvalidWeight
 from pipedefect.generate import GeneratorConfig, generate_synthetic_corpus
-from pipedefect.lexicon import save_lexicon
+from pipedefect.lexicon import Blacklist, save_lexicon
 from pipedefect.network import init_model
 from pipedefect.pipeline import (
     BILSTM_TAGGER,
@@ -26,7 +27,7 @@ from pipedefect.rating import (
     assign_rating,
     rate_frames,
 )
-from pipedefect.tagger import Entity, Tag
+from pipedefect.tagger import Entity, PatternTable, Tag
 
 
 def defect(term, root=None, negated=False):
@@ -422,8 +423,28 @@ _ENTITY_REPR = (
 _WEIGHTS_REPR = "WeightTriple(frequencies=0.99, location=0.9, defect=0.8)"
 _RATING_REPR = "DefectRating(value=1, action_text='Reassess in ten years', gap_row=True)"
 
+
+def _config():
+    data = (Path(f"{k}.x") for k in range(8))
+    return PipelineConfig(*data, max_depth=3, training=TrainingConfig(epochs=2))
+
+
+_CONFIG_REPR = (
+    "PipelineConfig("
+    + "".join(f"{name}={Path(f'{k}.x')!r}, " for k, name in enumerate(
+        ["seeds", "synonym_graph", "blacklists", "triggers", "terminators", "abbreviations",
+         "basewords", "patterns"]))
+    + f"lexicon={Path('lexicon.tsv')!r}, model={Path('tagger.model')!r},"
+    f" loss_log={Path('tagger.loss.txt')!r}, corpus_dir={Path('corpus')!r},"
+    f" gold_file={Path('gold.tsv')!r}, output_dir={Path('out')!r}, max_depth=3,"
+    " split_ratio=0.8, seed=12345, training=TrainingConfig(word_dim=200, dict_dim=100,"
+    " hidden_dim=300, learning_rate=0.005, epochs=2, batch_size=100))"
+)
+
 # One sample of each record the rating path builds per document, and its
-# repr: the benchmark fingerprints reports by repr.
+# repr: the benchmark fingerprints reports by repr.  The same contract
+# holds for the records that load_config and load_resources build, which
+# tests compare by value.
 RECORDS = {
     "Token": (_token, _TOKEN_REPR),
     "Sentence": (_sentence, _SENTENCE_REPR),
@@ -441,14 +462,23 @@ RECORDS = {
         f"RatingReport(document_id='d1', weights={_WEIGHTS_REPR}, rating={_RATING_REPR},"
         " entities=[], notes=['negated entities excluded'])",
     ),
+    "Blacklist": (lambda: Blacklist({"crack": {"crevice"}}),
+                  "Blacklist(per_seed={'crack': {'crevice'}})"),
+    "PatternTable": (
+        lambda: PatternTable(frozenset({"in"}), frozenset({"ft"})),
+        "PatternTable(size_units=frozenset({'in'}), distance_units=frozenset({'ft'}))",
+    ),
+    "PipelineConfig": (_config, _CONFIG_REPR),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 class TestRecordContract:
-    """The per-document records are slotted and not frozen, since a frozen
-    dataclass costs several times as much to build, with fields, equality
-    and repr unchanged."""
+    """The records are plain slotted classes, not dataclasses: importing
+    dataclasses and generating their methods took about half of a rating
+    process's start-up.  Not frozen, since a frozen record sets each field
+    through object.__setattr__ and costs several times as much to build;
+    fields, value equality and the dataclass repr are kept."""
 
     def test_slotted(self, name):
         build, _ = RECORDS[name]
