@@ -5,8 +5,9 @@ or an output that cannot be written.
 All randomness derives from the single config/flag seed.
 
 A module that only some commands use is imported inside them, so that
-``rate`` loads none of generate, evaluation, training or logging; logging
-is configured only under --verbose.
+``rate`` loads none of generate, evaluation, training or logging, nor
+network with the dictionary tagger; logging is configured only under
+--verbose.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .corpus import (ENTITY_TYPES, Document, GoldEntity, GoldRecord, format_gold
                      read_gold, split_corpus)
 from .errors import ConfigError, EmptyDocument, PipeDefectError
 from .lexicon import save_lexicon
-from .network import load_model, save_model
 from .pipeline import (
     BILSTM_TAGGER,
     DICT_TAGGER,
@@ -99,6 +99,7 @@ def cmd_generate(cfg, n: int) -> int:
 def cmd_train(cfg) -> int:
     import logging
 
+    from .network import save_model
     from .training import train  # loads numpy, which no other command needs
 
     resources = config_mod.load_resources(cfg)
@@ -145,6 +146,8 @@ def cmd_rate(cfg, input_path: Path, tagger: str) -> int:
     resources = config_mod.load_resources(cfg)
     model = None
     if tagger == BILSTM_TAGGER:
+        from .network import load_model
+
         try:
             model = load_model(cfg.model)
         except OSError as exc:
@@ -246,7 +249,7 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
         try:
             docs[doc_id] = preprocess_document(parse_document(raw, doc_id), resources)
         except EmptyDocument:  # a blank text has no tokens
-            docs[doc_id] = Document(doc_id, raw, {}, {})
+            docs[doc_id] = Document(doc_id, raw, {})
         if "error" in payload:  # scored as no entities and no rating
             pred_spans[doc_id], pred_ratings[doc_id] = [], None
             continue

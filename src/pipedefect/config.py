@@ -11,7 +11,6 @@ PipelineConfig itself, never loads it.
 from __future__ import annotations
 
 import math
-from importlib import resources as importlib_resources
 from pathlib import Path
 
 from .errors import ConfigError
@@ -26,7 +25,7 @@ DEFAULT_SPLIT_RATIO = 0.8
 DEFAULT_MAX_DEPTH = 2
 
 
-DATA_DIR = Path(importlib_resources.files("pipedefect") / "data")
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 class TrainingConfig(Record):

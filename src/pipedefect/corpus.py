@@ -3,10 +3,10 @@
 Documents are plain text files whose optional section headers look like
 ``Defects: ...`` (header name followed by a colon).  Everything outside a
 recognized header, including text before the first header, lands in the
-``Unsectioned`` pseudo-section.  Section bodies preserve the raw bytes so
-that gold annotation character offsets stay valid.  A Token's one offset
-pair is its ``raw_span`` into the document text, and a Sentence is its
-tokens and negation scopes: no sentence text or section name is kept.
+``Unsectioned`` pseudo-section.  ``raw`` is a Document's one copy of its
+text: a section, like a gold entity, is a ``(start, end)`` span of it.  A
+Token's one offset pair is its ``raw_span`` into the text, and a Sentence
+is its tokens and negation scopes: no sentence text or section name is kept.
 
 Token, Sentence and Document, like every record rating uses, are plain
 slotted classes on ``lexicon.Record``, not dataclasses: importing
@@ -21,7 +21,6 @@ record sets each field through ``object.__setattr__``, and a Token took
 
 from __future__ import annotations
 
-import random
 import re
 
 from .errors import ConfigError, EmptyDocument, InvalidRating, InvalidSpan
@@ -63,12 +62,16 @@ class Sentence(Record):
 
 
 class Document(Record):
-    __slots__ = ("id", "raw", "sections", "section_spans", "sentences")
+    __slots__ = ("id", "raw", "section_spans", "sentences")  # section_spans in text order
 
-    def __init__(self, id: str, raw: str, sections: dict[str, str], section_spans: dict[str, tuple],
+    def __init__(self, id: str, raw: str, section_spans: dict[str, tuple[int, int]],
                  sentences: list[Sentence] | None = None):
-        self.id, self.raw, self.sections, self.section_spans = id, raw, sections, section_spans
+        self.id, self.raw, self.section_spans = id, raw, section_spans
         self.sentences = [] if sentences is None else sentences
+
+    @property
+    def sections(self) -> dict[str, str]:  # each body sliced from raw; perfbench's tests read it
+        return {name: self.raw[s:e] for name, (s, e) in self.section_spans.items()}
 
 
 class GoldEntity(Record):
@@ -105,25 +108,18 @@ _CANONICAL = {n.lower(): n for n in SECTION_NAMES}
 
 
 def parse_document(raw: str, id: str) -> Document:
-    """Split raw text into named sections, preserving body bytes."""
+    """Split raw text into named sections: their body spans of raw, in text order."""
     if not raw.strip():
         raise EmptyDocument(f"document {id!r} is empty")
-    sections: dict[str, str] = {}
-    spans: dict[str, tuple[int, int]] = {}
     first: dict[str, re.Match] = {}
     for m in _HEADER_RE.finditer(raw):  # a repeated header is plain body text
         first.setdefault(_CANONICAL[m.group(1).lower()], m)
-    matches = list(first.items())
-    end = matches[0][1].start() if matches else len(raw)
-    if end > 0:
-        sections[UNSECTIONED] = raw[:end]
-        spans[UNSECTIONED] = (0, end)
-    for k, (name, m) in enumerate(matches):
-        body_start = m.end()
-        body_end = matches[k + 1][1].start() if k + 1 < len(matches) else len(raw)
-        sections[name] = raw[body_start:body_end]
-        spans[name] = (body_start, body_end)
-    return Document(id=id, raw=raw, sections=sections, section_spans=spans)
+    # a body ends where the next header starts, the last one at the end of raw
+    ends = [m.start() for m in first.values()] + [len(raw)]
+    spans = {UNSECTIONED: (0, ends[0])} if ends[0] else {}
+    for (name, m), end in zip(first.items(), ends[1:]):
+        spans[name] = (m.end(), end)
+    return Document(id=id, raw=raw, section_spans=spans)
 
 
 _SPAN_RE = re.compile(r"^(\w+):(\d+)-(\d+)$")
@@ -189,6 +185,8 @@ def gold_token_types(sentences: list[Sentence], gold: list[GoldEntity]) -> list[
 def split_corpus(ids: list[str], ratio: float, seed: int) -> CorpusSplit:
     """Deterministic train/test split by seeded shuffle of the sorted ids;
     callers pass at least 2 ids and 0 < ratio < 1."""
+    import random  # only train splits a corpus; rate never loads it
+
     ordered = sorted(ids)
     rng = random.Random(seed)
     rng.shuffle(ordered)

@@ -14,9 +14,10 @@ is 2.88 MB, more than a 2 MB L2 cache, and a step then starts on the
 blocks the step before left there.  Gate order inside the packed weight
 matrices is [input, forget, output, candidate].
 
-numpy is imported inside each function that uses it, not at the top: the
-dictionary tagger imports this module for its types and never runs the
-network, so rating with it never loads numpy.
+numpy is imported inside each function that uses it, not at the top, so
+importing this module loads no numpy.  Rating with the dictionary tagger
+does not import it at all: tagger and cli import it where the network runs
+or a model is read or written.
 """
 
 from __future__ import annotations
@@ -128,17 +129,33 @@ def init_model(
     vocab: list[str], seed: int, word_dim: int, dict_dim: int, hidden_dim: int
 ) -> TaggerModel:
     """Uniform [-0.1, 0.1] initialization of the matrices from a seeded
-    generator, drawn in file order; biases start at zero."""
+    generator, drawn in file order; biases start at zero.  A vocabulary
+    that names a word twice raises ValueError, as load_model would refuse
+    the model."""
     import numpy as np
 
     if not vocab or vocab[0] != UNK:
         vocab = [UNK] + [t for t in vocab if t != UNK]
+    repeated = _repeated_word(vocab)
+    if repeated is not None:
+        raise ValueError(f"vocabulary repeats the word {repeated!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     arrays = [
         rng.uniform(-0.1, 0.1, size=shape) if len(shape) == 2 else np.zeros(shape)
         for shape in _layout(len(vocab), word_dim, dict_dim, hidden_dim).values()
     ]
     return _from_arrays(list(vocab), seed, arrays)
+
+
+def _repeated_word(vocab: list[str]) -> str | None:
+    """The first word of vocab that a word before it already named, if any:
+    a repeated word would leave a dead word_emb row."""
+    seen: set[str] = set()
+    for word in vocab:
+        if word in seen:
+            return word
+        seen.add(word)
+    return None
 
 
 def _layout(n_vocab: int, word_dim: int, dict_dim: int, hidden: int) -> dict:
@@ -335,11 +352,9 @@ def _check_shapes(path, vocab: list[str], shapes: list[tuple[int, ...]]) -> dict
     start with UNK and name each word once."""
     if not vocab or vocab[0] != UNK:
         raise ModelFormatError(f"{path}: vocabulary must start with {UNK}")
-    seen: set[str] = set()
-    for word in vocab:  # a repeated word would leave a dead word_emb row
-        if word in seen:
-            raise ModelFormatError(f"{path}: vocabulary repeats the word {word!r}")
-        seen.add(word)
+    repeated = _repeated_word(vocab)
+    if repeated is not None:
+        raise ModelFormatError(f"{path}: vocabulary repeats the word {repeated!r}")
     named = dict(zip(_MATRIX_NAMES, shapes))
     layout = _layout(len(vocab), named["word_emb"][-1], named["dict_emb"][-1], named["fwd.wh"][0])
     for name, shape in named.items():

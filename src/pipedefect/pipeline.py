@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .corpus import Document, Sentence
 from .lexicon import Lexicon, Record
-from .network import TaggerModel
 from .preprocess import (
     NegationTriggerSet,
     SpellVocabulary,
@@ -48,10 +47,10 @@ def build_spell_vocabulary(
 def preprocess_document(doc: Document, resources: PipelineResources) -> Document:
     """Fill doc.sentences from all section bodies (in document order)."""
     sentences: list[Sentence] = []
-    for name, (start, _end) in sorted(doc.section_spans.items(), key=lambda kv: kv[1]):
+    for start, end in doc.section_spans.values():
         sentences.extend(
             preprocess_section(
-                doc.sections[name],
+                doc.raw[start:end],
                 body_offset=start,
                 spell_vocab=resources.spell_vocab,
                 triggers=resources.triggers,

@@ -18,7 +18,6 @@ from enum import IntEnum
 from .corpus import Sentence, gold_token_types
 from .errors import LexiconFormatError
 from .lexicon import NUMBER_RE, Lexicon, Record, check_term, read_rows
-from .network import TaggerModel, batch_logits
 
 
 class Tag(IntEnum):
@@ -91,6 +90,8 @@ def predict_document_tags(
     packed stream, cut into several passes before a sentence that would
     take a pass past MAX_BATCH_TOKENS (a longer sentence runs alone).  A
     sentence with no tokens rides in the stream and gets []."""
+    from .network import batch_logits  # loads numpy, which the dictionary tagger never needs
+
     tags: list[list[Tag]] = []
     ids: list[int] = []
     feats: list[int] = []

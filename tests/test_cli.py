@@ -719,6 +719,12 @@ NOT_FOR_RATING = {"numpy", "logging", "configparser"}
 CLASS_MACHINERY = {"dataclasses", "inspect"}
 NOT_FOR_RATE_COMMAND = NOT_FOR_RATING | CLASS_MACHINERY | {"pipedefect.evaluation",
                                                            "pipedefect.generate"}
+# Nor does it load the network, the random module (for train's corpus
+# split) or importlib.resources and what it pulls in.  The interpreter's
+# site may import some of these itself, and a module already loaded is not
+# in a program's import log, so they are checked with site off (-S).
+NOT_FOR_DICTIONARY_RATING = {"pipedefect.network", "random", "importlib.resources", "typing",
+                             "tempfile", "zipfile"}
 
 
 def fresh_python(cwd, *args):
@@ -803,6 +809,16 @@ class TestNumpyLoadsOnlyForTheNetwork:
             assert not modules & NOT_FOR_RATE_COMMAND
             (line,) = err.splitlines()
             assert line.startswith("error: failed to rate blank: ")
+        assert json.loads((tmp_path / "out" / "reports" / "box.json").read_text())["rating"] == 5
+
+    def test_rate_without_site_loads_only_what_rating_runs(self, workspace, tmp_path):
+        root, _ = workspace
+        (tmp_path / "lexicon.tsv").write_bytes((root / "lexicon.tsv").read_bytes())
+        (tmp_path / "box.txt").write_text(BOX_TEXT)
+        code, _, err, modules = fresh_python(tmp_path, "-S", "-m", "pipedefect", "rate", "box.txt")
+        assert (code, err) == (0, "")
+        assert "pipedefect.pipeline" in modules
+        assert not modules & (NOT_FOR_RATE_COMMAND | NOT_FOR_DICTIONARY_RATING)
         assert json.loads((tmp_path / "out" / "reports" / "box.json").read_text())["rating"] == 5
 
     def test_network_loads_numpy_and_rates_as_in_process(self, workspace, tmp_path):

@@ -18,13 +18,13 @@ from pipedefect.errors import ConfigError, EmptyDocument, InvalidRating, Invalid
 class TestParseDocument:
     def test_single_header(self):
         doc = parse_document("Defects: Frequent leaks at joint.", "d1")
-        assert list(doc.sections) == ["Defects"]
-        assert doc.sections["Defects"] == " Frequent leaks at joint."
+        assert list(doc.section_spans) == ["Defects"]
+        assert doc.raw[slice(*doc.section_spans["Defects"])] == " Frequent leaks at joint."
 
     def test_no_header_goes_to_unsectioned(self):
         doc = parse_document("Frequent leaks at joint.", "d1")
-        assert list(doc.sections) == [UNSECTIONED]
-        assert doc.sections[UNSECTIONED] == "Frequent leaks at joint."
+        assert list(doc.section_spans) == [UNSECTIONED]
+        assert doc.raw[slice(*doc.section_spans[UNSECTIONED])] == "Frequent leaks at joint."
 
     def test_two_headers_hand_split(self):
         raw = "Defects: leaks here.\nSummary: all done."
@@ -32,28 +32,35 @@ class TestParseDocument:
         # oracle: substring indexing of the two header positions
         first_body = raw[len("Defects:") : raw.index("Summary:")]
         second_body = raw[raw.index("Summary:") + len("Summary:") :]
-        assert doc.sections["Defects"] == first_body
-        assert doc.sections["Summary"] == second_body
+        assert doc.raw[slice(*doc.section_spans["Defects"])] == first_body
+        assert doc.raw[slice(*doc.section_spans["Summary"])] == second_body
+        assert doc.sections == {"Defects": first_body, "Summary": second_body}  # a view of raw
 
     def test_header_case_insensitive(self):
         doc = parse_document("dEfEcTs: leaks.", "d1")
-        assert "Defects" in doc.sections
+        assert "Defects" in doc.section_spans
 
     @pytest.mark.parametrize("raw", ["Defect\u017f: leaks.", "Crit\u0131cality Assessment: ok"])
     def test_header_with_non_ascii_case_is_body_text(self, raw):
         # "\u017f" (long s) and "\u0131" (dotless i) fold to "s" and "i"
         # under Unicode matching, but lower() keeps them
-        assert parse_document(raw, "d1").sections == {UNSECTIONED: raw}
+        assert parse_document(raw, "d1").section_spans == {UNSECTIONED: (0, len(raw))}
 
     def test_repeated_header_is_body_text(self):
         raw = "Defects: one.\nDefects: two."
         doc = parse_document(raw, "d1")
-        assert doc.sections["Defects"] == " one.\nDefects: two."
+        assert doc.raw[slice(*doc.section_spans["Defects"])] == " one.\nDefects: two."
 
     def test_leading_text_before_first_header(self):
         raw = "preamble\nDefects: leaks."
         doc = parse_document(raw, "d1")
-        assert doc.sections[UNSECTIONED] == "preamble\n"
+        assert doc.raw[slice(*doc.section_spans[UNSECTIONED])] == "preamble\n"
+
+    def test_sections_in_text_order_not_header_table_order(self):
+        doc = parse_document("note\nSummary: all done.\nDefects: leaks.", "d1")
+        assert list(doc.section_spans) == [UNSECTIONED, "Summary", "Defects"]
+        bodies = [doc.raw[start:end] for start, end in doc.section_spans.values()]
+        assert bodies == ["note\n", " all done.\n", " leaks."]
 
     def test_empty_document_rejected(self):
         with pytest.raises(EmptyDocument):
@@ -62,10 +69,10 @@ class TestParseDocument:
     def test_body_bytes_roundtrip(self):
         raw = "intro text\nDefects: a, b & c!\nCapacity: 77%\nSummary:"
         doc = parse_document(raw, "d1")
-        for name, (start, end) in doc.section_spans.items():
-            assert doc.sections[name] == raw[start:end]
-        # spans tile the document except for the header lines themselves
-        covered = sorted(doc.section_spans.values())
+        # spans come in text order and tile the document except for the
+        # header lines themselves
+        covered = list(doc.section_spans.values())
+        assert covered == sorted(covered)
         reassembled = "".join(raw[s:e] for s, e in covered)
         stripped = raw
         for name in SECTION_NAMES:

@@ -55,7 +55,7 @@ class TestGenerate:
         docs, _ = gen(lexicon, 20, seed=5)
         for doc in docs:
             reparsed = parse_document(doc.raw, doc.id)
-            assert "Defects" in reparsed.sections
+            assert "Defects" in reparsed.section_spans
 
 
 class TestGeneratorEngineConsistency:

@@ -489,6 +489,14 @@ class TestModelFile:
             with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: .*{word}"):
                 load_model(path)
 
+    @pytest.mark.parametrize("vocab, word", [(["leak", "leak"], "leak"),
+                                             (["pipe", "<unk>", "leak", "pipe"], "pipe"),
+                                             (["<unk>", "leak", "<unk>"], "<unk>")])
+    def test_init_model_refuses_a_repeated_word(self, vocab, word):
+        # load_model refuses such a model, so init_model does not build one
+        with pytest.raises(ValueError, match=f"^vocabulary repeats the word '{re.escape(word)}'$"):
+            init_model(vocab, seed=0, word_dim=2, dict_dim=2, hidden_dim=2)
+
     def test_every_truncation_and_sampled_byte_change_loads_or_is_rejected(self, tmp_path):
         path = tmp_path / "m.model"
         save_model(small_model(seed=10, word_dim=2, dict_dim=2, hidden_dim=2, vocab=("leak",)),

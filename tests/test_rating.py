@@ -449,10 +449,9 @@ RECORDS = {
     "Token": (_token, _TOKEN_REPR),
     "Sentence": (_sentence, _SENTENCE_REPR),
     "Document": (
-        lambda: Document("d1", "Defects: No Crack", {"Defects": " No Crack"},
-                         {"Defects": (8, 17)}, [_sentence()]),
-        "Document(id='d1', raw='Defects: No Crack', sections={'Defects': ' No Crack'},"
-        f" section_spans={{'Defects': (8, 17)}}, sentences=[{_SENTENCE_REPR}])",
+        lambda: Document("d1", "Defects: No Crack", {"Defects": (8, 17)}, [_sentence()]),
+        "Document(id='d1', raw='Defects: No Crack', section_spans={'Defects': (8, 17)},"
+        f" sentences=[{_SENTENCE_REPR}])",
     ),
     "Entity": (_entity, _ENTITY_REPR),
     "WeightTriple": (_weights, _WEIGHTS_REPR),
