@@ -196,11 +196,11 @@ class PhraseIndex:
             bucket.append(words)
             bucket.sort(key=len, reverse=True)
 
-    def scan(self, tokens: list[str], start: int = 0):
-        """``(position, phrase)`` of each longest match from ``start``, left
-        to right and never overlapping: after a match the walk goes on at
-        the token past it."""
-        i, n = start, len(tokens)
+    def scan(self, tokens: list[str], start: int = 0, stop: int | None = None):
+        """``(position, phrase)`` of each longest match starting in [start,
+        stop), left to right and never overlapping: after a match the walk
+        goes on at the token past it.  A match may end past ``stop``."""
+        i, n = start, len(tokens) if stop is None else stop
         while i < n:
             for words in self._by_first.get(tokens[i], ()):
                 if len(words) == 1 or tuple(tokens[i : i + len(words)]) == words:

@@ -69,7 +69,7 @@ def tag_document(
 ) -> list[list[Entity]]:
     """Each sentence's entities, in token order, for a preprocessed document.
     The Bi-LSTM tags all of the document's sentences in one packed stream of
-    their tokens (several past tagger.MAX_BATCH_TOKENS real tokens)."""
+    their tokens, in passes of at most tagger.MAX_BATCH_TOKENS tokens."""
     if tagger == BILSTM_TAGGER:
         if model is None:
             raise ValueError("bilstm tagger requires a trained model")

@@ -16,6 +16,7 @@ from functools import cached_property
 from .corpus import Sentence, Token
 from .lexicon import (KEPT_RUN_RE, NUMBER_RE, SENTENCE_TERMINATORS, PhraseIndex, check_term,
                       read_rows)
+from .tagger import MAX_BATCH_TOKENS
 
 NEGATION_WINDOW = 5
 
@@ -23,14 +24,8 @@ NEGATION_WINDOW = 5
 class NegationTriggerSet:
     def __init__(self, pre_triggers: tuple[str, ...], scope_terminators: tuple[str, ...]):
         self.pre_triggers, self.scope_terminators = pre_triggers, scope_terminators  # lowercase
-
-    @cached_property
-    def pre_index(self) -> PhraseIndex:
-        return PhraseIndex(self.pre_triggers)
-
-    @cached_property
-    def terminator_index(self) -> PhraseIndex:
-        return PhraseIndex(self.scope_terminators)
+        self.pre_index = PhraseIndex(pre_triggers)
+        self.terminator_index = PhraseIndex(scope_terminators)
 
 
 class SpellVocabulary:
@@ -207,12 +202,11 @@ def detect_negation(
     pre-trigger opens one, ending at the first scope terminator that starts
     within NEGATION_WINDOW tokens, or at the window's or sentence's end."""
     words = [t.normalized for t in tokens]
-    n = len(words)
     scopes: list[tuple[int, int]] = []
     for i, trigger in triggers.pre_index.scan(words):
         start = i + len(trigger)
-        stop, _ = next(triggers.terminator_index.scan(words, start), (n, None))
-        end = min(start + NEGATION_WINDOW, stop)
+        stop = min(start + NEGATION_WINDOW, len(words))
+        end, _ = next(triggers.terminator_index.scan(words, start, stop), (stop, None))
         if end == start:
             continue
         if scopes and start < scopes[-1][1]:
@@ -240,6 +234,10 @@ def preprocess_section(
     not a number (so "at 10 ft. Crack" ends after "ft."), and at the end of
     the body.  A terminator ending the last run of a sentence becomes its
     own token.
+
+    A sentence over tagger.MAX_BATCH_TOKENS tokens, terminator included, is
+    cut into sentences of at most that many, so one Bi-LSTM pass bounds it:
+    a lexicon term straddling a cut is lost, and a negation scope stops there.
     """
     groups: list[list[tuple[str, int]]] = []  # (run, start in body) per sentence
     run = ""
@@ -272,5 +270,7 @@ def preprocess_section(
             tok if tok.normalized in known else correct_spelling(tok, spell_vocab)
             for tok in tokens
         ]
-        sentences.append(Sentence(tokens, detect_negation(tokens, triggers)))
+        for k in range(0, len(tokens), MAX_BATCH_TOKENS):
+            piece = tokens[k : k + MAX_BATCH_TOKENS]
+            sentences.append(Sentence(piece, detect_negation(piece, triggers)))
     return sentences

@@ -88,8 +88,8 @@ def predict_document_tags(
     """Tags for every sentence of a document: argmax over each token's
     logits, ties to the lowest index.  The sentences' tokens run as one
     packed stream, cut into several passes before a sentence that would
-    take a pass past MAX_BATCH_TOKENS (a longer sentence runs alone).  A
-    sentence with no tokens rides in the stream and gets []."""
+    take a pass past MAX_BATCH_TOKENS; preprocess_section cuts any longer
+    one (given here, it runs alone).  An empty sentence rides along: []."""
     from .network import batch_logits  # loads numpy, which the dictionary tagger never needs
 
     tags: list[list[Tag]] = []
@@ -112,10 +112,6 @@ def predict_tags(sentence: Sentence, lexicon: Lexicon, model: TaggerModel) -> li
     return predict_document_tags([sentence], lexicon, model)[0]
 
 
-def _intersects(start: int, end: int, scopes: list[tuple[int, int]]) -> bool:
-    return any(start < e and s < end for s, e in scopes)
-
-
 def extract_entities(
     sentence: Sentence,
     tags: list[Tag],
@@ -132,12 +128,14 @@ def extract_entities(
     among them, stay with the piece before them, or with the first piece
     when they lead the run.  A run with no hit is one entity with no term.
     Pattern matches only claim tokens tagged O so the two sources never
-    overlap.  Entities crossing a negation scope are flagged negated.
+    overlap.  An entity with a token in a negation scope is negated.
     """
     words = [t.normalized for t in sentence.tokens]
-    scopes = sentence.negation_scopes
-    entities: list[Entity] = []
     n = len(tags)
+    negated = [False] * n
+    for start, end in sentence.negation_scopes:
+        negated[start:end] = [True] * (end - start)
+    entities: list[Entity] = []
     i = 0
     while i < n:
         tag = tags[i]
@@ -155,7 +153,7 @@ def extract_entities(
             for k, (_, entry) in enumerate(hits or [(None, None)]):
                 term, root = (entry.term, entry.seed_root) if entry else (None, None)
                 entities.append(Entity(TAG_TO_ENTITY_TYPE[tag], (cuts[k], cuts[k + 1]),
-                                       _intersects(cuts[k], cuts[k + 1], scopes), term, root))
+                                       any(negated[cuts[k] : cuts[k + 1]]), term, root))
             i = j
             continue
         # \d is any Unicode decimal digit, which is what str.isdecimal tests
@@ -165,7 +163,7 @@ def extract_entities(
             etype = ("LocationOfDefect" if unit in patterns.distance_units
                      else "SizeOfDefect" if unit in patterns.size_units else None)
             if etype:
-                entities.append(Entity(etype, (i, i + 2), _intersects(i, i + 2, scopes)))
+                entities.append(Entity(etype, (i, i + 2), negated[i] or negated[i + 1]))
         i += 1
     return entities
 

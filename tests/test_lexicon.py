@@ -208,6 +208,14 @@ class TestPhraseIndexScan:
     def test_phrase_cut_off_by_the_end_does_not_match(self):
         assert list(PhraseIndex(["a b"]).scan(["x", "a"])) == []
 
+    def test_phrase_starting_before_stop_may_end_past_it(self):
+        assert list(PhraseIndex(["a b"]).scan("x a b".split(), 0, 2)) == [(1, ("a", "b"))]
+
+    def test_phrase_starting_at_stop_does_not_match(self):
+        index = PhraseIndex(["a b", "c"])
+        assert list(index.scan("x c a b".split(), 0, 2)) == [(1, ("c",))]
+        assert list(index.scan("x c a b".split(), 1, 1)) == []
+
 
 class TestPersistence:
     def entries(self):

@@ -12,6 +12,7 @@ from pipedefect import preprocess
 from pipedefect.config import PipelineConfig, load_resources
 from pipedefect.corpus import SECTION_NAMES, Sentence, Token, parse_document
 from pipedefect.errors import PipeDefectError
+from pipedefect.lexicon import PhraseIndex
 from pipedefect.pipeline import BILSTM_TAGGER, rate_document
 from pipedefect.preprocess import (
     NEGATION_WINDOW,
@@ -24,6 +25,7 @@ from pipedefect.preprocess import (
     load_phrase_file,
     preprocess_section,
 )
+from pipedefect.tagger import MAX_BATCH_TOKENS
 
 ABBREVS = frozenset({"ft.", "in.", "no."})
 
@@ -446,6 +448,27 @@ class TestDetectNegation:
         assert [t.normalized for t in sentence.tokens] == ["pipe", "lacking", "cracks", "."]
         assert sentence.negation_scopes == [(2, 4)]
 
+    def test_two_word_terminator_on_the_windows_last_token(self, resources):
+        # "apart" is the fifth token after "no"; its match ends past the window
+        tokens = toks("no a b c d apart from e")
+        assert detect_negation(tokens, resources.triggers) == [(1, 5)]
+
+    def test_reads_a_window_of_tokens_per_trigger(self, monkeypatch):
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, key):
+                CountingList.reads += 1
+                return super().__getitem__(key)
+
+        scan = PhraseIndex.scan
+        monkeypatch.setattr(PhraseIndex, "scan",
+                            lambda self, tokens, *args: scan(self, CountingList(tokens), *args))
+        n = 2000
+        scopes = detect_negation([Token("no", "no", (0, 2))] * n, TRIGGERS)
+        assert scopes == [(1, n)]
+        assert CountingList.reads <= n * (NEGATION_WINDOW + 1)
+
     @given(st.lists(st.sampled_from(["no", "leak", "but", "pipe", "not", "ok"]), max_size=12))
     def test_scopes_sorted_disjoint_in_bounds(self, words):
         tokens = [Token(w, w, (0, len(w))) for w in words]
@@ -455,6 +478,21 @@ class TestDetectNegation:
             assert 0 <= s < e <= len(tokens)
             assert s >= prev_end
             prev_end = e
+
+
+class TestLongSentenceIsCut:
+    @pytest.mark.parametrize("n_words", [MAX_BATCH_TOKENS - 1, MAX_BATCH_TOKENS, 600])
+    def test_pieces_fit_one_pass_and_keep_every_token(self, n_words):
+        words = ("no", "crack", "at", "joint", "often", "upstream")
+        body = " ".join(words[k % len(words)] for k in range(n_words)) + ". Leak here."
+        args = (body, 5, NO_SPELLING, TRIGGERS, frozenset())
+        found = preprocess_section(*args)
+        uncut = oracle_preprocess_section(*args)
+        assert len(uncut) == 2 and len(uncut[0].tokens) == n_words + 1
+        assert len(found) == 1 + -(-(n_words + 1) // MAX_BATCH_TOKENS)
+        assert all(len(s.tokens) <= MAX_BATCH_TOKENS for s in found)
+        assert [t for s in found for t in s.tokens] == [t for s in uncut for t in s.tokens]
+        assert all(s.negation_scopes == detect_negation(s.tokens, TRIGGERS) for s in found)
 
 
 class TestUnitAbbreviationEndsSentence:

@@ -169,6 +169,15 @@ class TestPredictDocumentTags:
         assert all(tokens <= MAX_BATCH_TOKENS for rows, tokens in batch_shapes if rows > 1)
         assert batched == [predict_tags(s, lexicon, model) for s in sentences]
 
+    def test_run_on_document_runs_in_bounded_passes(self, resources, batch_shapes):
+        n = 2000
+        doc = parse_document(" ".join(WORDS[k % len(WORDS)] for k in range(n)), "run-on")
+        preprocess_document(doc, resources)
+        frames = tag_document(doc, resources, tagger=BILSTM_TAGGER, model=lively_model())
+        assert len(frames) == len(doc.sentences) > 1
+        assert sum(tokens for _, tokens in batch_shapes) == 2 * n
+        assert all(tokens <= MAX_BATCH_TOKENS for _, tokens in batch_shapes)
+
 
 def of_type(entities, entity_type):
     return [e for e in entities if e.entity_type == entity_type]
