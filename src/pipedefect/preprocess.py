@@ -33,40 +33,18 @@ class SpellVocabulary:
         self.known_terms = known_terms
 
     @cached_property
-    def _one_delete_index(self) -> dict[str, list[tuple[str, int]]]:
-        """Each known term with one character deleted -> the (term,
-        position of the deleted character) pairs that give it.
+    def _delete_index(self) -> dict[str, tuple[str, ...]]:
+        """Symmetric-delete index (Garbe's SymSpell): every deletion of up
+        to two characters of each known term -> the terms that give it.
 
         Built on the first search, so runs that never search never pay for
-        it.  A repeated letter gives the same key at several positions, and
-        each position is kept.
+        it.  Most keys come from one term, and a tuple holds one in less
+        memory than a list.
         """
-        index: dict[str, list[tuple[str, int]]] = {}
-        for term in self.known_terms:
-            for i in range(len(term)):
-                index.setdefault(term[:i] + term[i + 1 :], []).append((term, i))
-        return index
-
-    @cached_property
-    def _delete_index(self) -> dict[str, str | tuple[str, ...]]:
-        """Symmetric-delete index (Garbe's SymSpell): every deletion of up
-        to two characters of each known term -> that term, or a tuple of
-        terms when several produce the same deletion.
-
-        Built on the first search that reaches two edits.  Most deletions
-        come from one term, so a bare string is stored for those instead of
-        a one-element container.
-        """
-        index: dict[str, str | tuple[str, ...]] = {}
+        index: dict[str, tuple[str, ...]] = {}
         for term in self.known_terms:
             for key in _deletions(term, 2):
-                hit = index.get(key)
-                if hit is None:
-                    index[key] = term
-                elif isinstance(hit, str):
-                    index[key] = (hit, term)
-                else:
-                    index[key] = hit + (term,)
+                index[key] = index.get(key, ()) + (term,)
         return index
 
     @cached_property
@@ -93,44 +71,27 @@ def load_phrase_file(path, rule: str = "term") -> tuple[str, ...]:
     )
 
 
-def edit_distance(a: str, b: str, cap: int | None = None) -> int:
-    """Levenshtein distance; with ``cap``, any distance above it reads
-    ``cap + 1``.
+def within_edits(a: str, b: str, k: int) -> bool:
+    """Whether the Levenshtein distance between ``a`` and ``b`` is at most
+    ``k``.
 
-    Bit-parallel (Myers 1999; Hyyrö 2003): bit i of the vertical delta
-    vectors ``pv``/``mv`` says whether row i + 1 of the current DP column
-    is one more/one less than row i, and ``peq`` holds, per character, the
-    positions of ``a`` where it occurs.  Python ints have no word size, so
-    one column costs a few integer operations for any length of ``a``.
+    A common prefix costs nothing.  Once it is stripped, the first
+    characters differ, so an alignment substitutes, deletes or inserts
+    there: three branches at ``k - 1``, so at most 3**k paths.
     """
-    if a == b:
-        return 0
-    if cap is not None and abs(len(a) - len(b)) > cap:
-        return cap + 1
-    if not a:
-        return len(b)
-    peq: dict[str, int] = {}
-    bit = 1
-    for ch in a:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    high = bit >> 1
-    pv, mv, dist = mask, 0, len(a)
-    for ch in b:
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & high:
-            dist += 1
-        elif mh & high:
-            dist -= 1
-        ph = (ph << 1) | 1  # row 0 of the DP grows by one per column
-        pv = ((mh << 1) | ~(xv | ph)) & mask
-        mv = ph & xv
-    return dist if cap is None or dist <= cap else cap + 1
+    if abs(len(a) - len(b)) > k:
+        return False
+    if k == 0:
+        return a == b
+    n = min(len(a), len(b))
+    p = 0
+    while p < n and a[p] == b[p]:
+        p += 1
+    a, b = a[p:], b[p:]
+    if not a or not b:
+        return True  # the distance is the length gap
+    return (within_edits(a[1:], b[1:], k - 1) or within_edits(a[1:], b, k - 1)
+            or within_edits(a, b[1:], k - 1))
 
 
 def correct_spelling(token: Token, vocab: SpellVocabulary) -> Token:
@@ -148,51 +109,25 @@ def correct_spelling(token: Token, vocab: SpellVocabulary) -> Token:
         return token
     if len(word) > vocab._longest_term + 2:
         return token  # the distance is at least the length gap
-    # One edit away, exactly and without a distance check: with dels[i] the
-    # word minus its character i, a term is one edit away when the word is
-    # the term minus one character (an insertion), dels[i] is the term (a
-    # deletion), or the term minus its character i is dels[i] too (a
-    # substitution at i).  The same key at another position, as "ab" and
-    # "ba" give "b", is not one edit.
+    # A Levenshtein alignment of cost k deletes at most k characters from
+    # each side (a substitution is one deletion on each side), so every term
+    # within k edits shares a key with the word's deletions of up to k
+    # characters.  The pairs skip j < i, which would repeat a pair.
+    index = vocab._delete_index
     dels = [word[:i] + word[i + 1 :] for i in range(len(word))]
-    index, known = vocab._one_delete_index, vocab.known_terms
-    found = [term for term, _ in index.get(word, ())]
-    for i, key in enumerate(dels):
-        if key in known:
-            found.append(key)
-        for term, pos in index.get(key, ()):
-            if pos == i:
-                found.append(term)
-    best = min(found) if found else _two_edit_term(word, dels, vocab)
+    near = {term for key in (word, *dels) for term in index.get(key, ())}
+    best = _smallest_within(word, near, 1)
+    if best is None:
+        pairs = (key[:j] + key[j + 1 :] for i, key in enumerate(dels) for j in range(i, len(key)))
+        far = {term for key in pairs for term in index.get(key, ())}
+        best = _smallest_within(word, near | far, 2)
     if best is None:
         return token
     return Token(token.surface, best, token.raw_span)
 
 
-def _two_edit_term(word: str, dels: list[str], vocab: SpellVocabulary) -> str | None:
-    """The smallest term two edits from ``word``, given that none is closer.
-
-    A Levenshtein alignment of cost k deletes at most k characters from
-    each side (a substitution is one deletion on each side), so every term
-    within two edits shares a key with the word's deletions of up to two
-    characters: the word, ``dels``, and each dels[i] minus its character
-    j >= i (j < i would repeat a pair of positions).
-    """
-    pairs = (key[:j] + key[j + 1 :] for i, key in enumerate(dels) for j in range(i, len(key)))
-    index = vocab._delete_index
-    candidates: set[str] = set()
-    for key in (word, *dels, *pairs):
-        hit = index.get(key)
-        if hit is None:
-            continue
-        if isinstance(hit, str):
-            candidates.add(hit)
-        else:
-            candidates.update(hit)
-    for term in sorted(candidates):
-        if edit_distance(word, term, cap=2) <= 2:
-            return term
-    return None
+def _smallest_within(word: str, terms: set[str], k: int) -> str | None:
+    return next((term for term in sorted(terms) if within_edits(word, term, k)), None)
 
 
 def detect_negation(

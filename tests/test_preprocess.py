@@ -21,9 +21,9 @@ from pipedefect.preprocess import (
     SpellVocabulary,
     correct_spelling,
     detect_negation,
-    edit_distance,
     load_phrase_file,
     preprocess_section,
+    within_edits,
 )
 from pipedefect.tagger import MAX_BATCH_TOKENS
 
@@ -203,22 +203,25 @@ def _string_pair(draw):
 
 
 class TestEditDistance:
+    """``within_edits(a, b, k)``: the Levenshtein distance is at most k."""
+
     def test_identity(self):
-        assert edit_distance("leak", "leak") == 0
+        assert within_edits("leak", "leak", 0)
 
     def test_transposed_letters(self):
-        assert edit_distance("laeks", "leaks") == 2
+        assert not within_edits("laeks", "leaks", 1)
+        assert within_edits("laeks", "leaks", 2)
 
     def test_cap_exceeded(self):
-        assert edit_distance("aaaa", "bbbb", cap=2) == 3
+        assert not within_edits("aaaa", "bbbb", 2)
 
-    def test_cap_reads_cap_plus_one_above_it(self):
-        assert edit_distance("abcdef", "fedcba", cap=2) == 3
-        assert edit_distance("abcdef", "fedcba", cap=0) == 1
+    def test_false_one_above_k(self):
+        assert not within_edits("abc", "xyz", 2)
+        assert within_edits("abc", "xyz", 3)
 
-    @given(st.text(max_size=12), st.text(max_size=12))
-    def test_symmetric(self, a, b):
-        assert edit_distance(a, b) == edit_distance(b, a)
+    @given(st.text(max_size=12), st.text(max_size=12), st.integers(0, 3))
+    def test_symmetric(self, a, b, k):
+        assert within_edits(a, b, k) == within_edits(b, a, k)
 
     @settings(max_examples=200)
     @given(_string_pair())
@@ -228,9 +231,9 @@ class TestEditDistance:
     def test_matches_dynamic_programming_table(self, pair):
         a, b = pair
         exact = oracle_edit_distance(a, b)
-        assert edit_distance(a, b) == exact
-        for cap in (0, 1, 2, 3):
-            assert edit_distance(a, b, cap=cap) == min(exact, cap + 1)
+        for k in (0, 1, 2, 3):
+            assert within_edits(a, b, k) == (exact <= k)
+            assert within_edits(b, a, k) == (exact <= k)
 
 
 MAX_EDITS = 2  # the corrector's edit budget
@@ -287,7 +290,7 @@ class TestCorrectSpelling:
 
     def test_no_candidate_within_distance(self):
         # oracle: exhaustive scan shows every vocab term is > 2 edits away
-        assert all(edit_distance("xyzq", t) > 2 for t in self.VOCAB.known_terms)
+        assert all(oracle_edit_distance("xyzq", t) > 2 for t in self.VOCAB.known_terms)
         assert correct_spelling(self.make("xyzq"), self.VOCAB).normalized == "xyzq"
 
     def test_numbers_never_corrected(self):
@@ -317,6 +320,8 @@ class TestCorrectSpelling:
     @settings(max_examples=500)
     @given(_vocab_and_word())
     @example((DEPTH_2_TIE, "abcd"))
+    # only the word itself, a depth-2 key of "abcdxy", reaches that term
+    @example((SpellVocabulary(frozenset({"abcdxy"})), "abcd"))
     @example((SpellVocabulary(frozenset({"abcdxy", "abaa", "zbcd"})), "abcd"))
     # one edit: the word is the term minus one character (an insertion),
     # the word minus one character is the term (a deletion), and both minus
@@ -335,17 +340,17 @@ class TestCorrectSpelling:
     @example((SpellVocabulary(frozenset({"abcd", "bbc", "bc"})), "abc"))
     def test_matches_brute_force_scan(self, case):
         """The one-edit search alone settles a word with a term one edit
-        away; a two-edit correction comes from the two-edit search."""
+        away; a two-edit correction comes from the two-edit search, the only
+        caller of ``within_edits`` with k = 2 (its recursion lowers k)."""
         vocab, word = case
         expected = brute_force_correction(word, vocab)
-        two_edit = mock.patch.object(
-            preprocess, "_two_edit_term", wraps=preprocess._two_edit_term
-        )
-        with two_edit as two_edit_search:
+        check = mock.patch.object(preprocess, "within_edits", wraps=preprocess.within_edits)
+        with check as within:
             assert correct_spelling(self.make(word), vocab).normalized == expected
         if expected != word:
             one_edit = oracle_edit_distance(word, expected) == 1
-            assert two_edit_search.called != one_edit
+            two_edit_search = any(call.args[2] == 2 for call in within.call_args_list)
+            assert two_edit_search != one_edit
 
     @given(_vocab_and_word())
     @example((VOCAB, "Laeks"))
@@ -359,10 +364,15 @@ class TestCorrectSpelling:
         assert (out is tok) == (out.normalized == tok.normalized)
 
     def test_one_edit_needs_no_distance_check(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("edit_distance called for a one-edit word")
+        """A one-edit word makes no two-edit check."""
+        within = preprocess.within_edits
 
-        monkeypatch.setattr(preprocess, "edit_distance", refuse)
+        def refuse_two(a, b, k):
+            if k == 2:
+                raise AssertionError("two-edit check for a one-edit word")
+            return within(a, b, k)
+
+        monkeypatch.setattr(preprocess, "within_edits", refuse_two)
         for word, term in (("leas", "leaks"), ("leakss", "leaks"), ("lexks", "leaks")):
             assert correct_spelling(self.make(word), self.VOCAB).normalized == term
 
@@ -393,6 +403,17 @@ class TestCorrectSpelling:
                 word = vary(word) if word else "x"
             expected = brute_force_correction(word, vocab)
             assert correct_spelling(self.make(word), vocab).normalized == expected, word
+
+    def test_delete_index_built_on_first_search_only(self):
+        """Known words never build the index; the first search builds it and
+        later searches reuse it."""
+        vocab = SpellVocabulary(frozenset({"leaks", "pipe", "no"}))
+        preprocess_section("No leaks. Pipe no leaks.", 0, vocab, TRIGGERS, frozenset())
+        assert "_delete_index" not in vocab.__dict__
+        assert correct_spelling(self.make("laeks"), vocab).normalized == "leaks"
+        index = vocab.__dict__["_delete_index"]
+        assert correct_spelling(self.make("pipw"), vocab).normalized == "pipe"
+        assert vocab._delete_index is index
 
     def test_length_cutoff_keeps_words_within_budget(self):
         vocab = SpellVocabulary(frozenset({"leak"}))
