@@ -215,7 +215,7 @@ def _rating_from_report(payload: dict) -> int:
 
 
 def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
-    from .evaluation import evaluate_entity_spans, evaluate_ratings, write_metric_reports
+    from .evaluation import evaluate_entity_spans, evaluate_ratings, pct, write_metric_reports
 
     resources = config_mod.load_resources(cfg)
     raw_docs, gold = _load_gold_corpus(Path(cfg.corpus_dir), gold_path)
@@ -267,8 +267,8 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
     failed = sum("error" in p for p in payloads.values())
     print(f"{failed} of {len(payloads)} reported documents failed to rate")
     for row in entity_rows + rating_rows:
-        acc = "NA" if row.accuracy is None else f"{100 * row.accuracy:.1f}"
-        print(f"{row.label}: accuracy {acc}")
+        print(f"{row.label}: accuracy {pct(row.accuracy)}, recall {pct(row.recall)}, "
+              f"precision {pct(row.precision)}, F1 {pct(row.f1)}")
     return 0
 
 

@@ -168,7 +168,8 @@ def evaluate_ratings(pred: dict[str, int | None], gold: dict[str, int]) -> list[
     return rows
 
 
-def _pct(value: float | None) -> str:
+def pct(value: float | None) -> str:
+    """A fraction as a one-decimal percentage; NA when it is undefined."""
     return "NA" if value is None else f"{100.0 * value:.1f}"
 
 
@@ -179,7 +180,7 @@ def write_metric_reports(rows: list[MetricRow], csv_path, json_path) -> None:
         writer.writerow(("Label",) + METRIC_COLUMNS)
         for row in rows:
             label, *values = astuple(row)
-            writer.writerow([label, *map(_pct, values)])
+            writer.writerow([label, *map(pct, values)])
         writer.writerow([])
         writer.writerow([f"# note: {FORMULA_NOTE}"])
     with open(json_path, "w", encoding="utf-8") as fh:

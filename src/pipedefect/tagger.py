@@ -77,7 +77,7 @@ def dictionary_tag(sentence: Sentence, lexicon: Lexicon) -> list[Tag]:
 
 
 # Most real tokens in one forward pass.  The pass's memory grows with
-# them, about 30 KB a token at the default dimensions, so a long document
+# them, about 20 KB a token at the default dimensions, so a long document
 # is tagged in several passes.
 MAX_BATCH_TOKENS = 256
 

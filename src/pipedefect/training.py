@@ -4,8 +4,8 @@ pad_batch pads a batch's int arrays to its longest sentence, and
 batch_loss_and_grads packs their real tokens into one stream once: the
 forward pass is network.lstm_direction on that stream, the same kernel and
 layout that inference runs, and the loss and backprop see real tokens
-only.  The kernel steps only the sentences still running, and backprop
-walks the same shrinking prefix.
+only.  Backprop walks the kernel's steps in reverse over slices of the
+step-ordered arrays it keeps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from .config import TrainingConfig
 from .corpus import Sentence
 from .errors import AlignmentError
 from .lexicon import Lexicon
-from .network import N_TAGS, UNK, LstmParams, TaggerModel, embed, init_model, lstm_direction
+from .network import (N_TAGS, UNK, LstmParams, TaggerModel, embed, init_model, lstm_direction,
+                      step_order)
 from .tagger import Tag, dictionary_tag
 
 ADAM_BETA1 = 0.9
@@ -73,23 +74,28 @@ def pad_batch(batch: list[EncodedSentence]):
     return tuple(padded)
 
 
-def _backprop_direction(dH, params: LstmParams, cache):
-    """Gradient of lstm_direction, walking its steps backwards over the
-    same prefixes of rows: returns (dZ, dWh), dZ the gradient of its input
-    projections in the stream's order.  Only the rows that carried a state
-    into a step pass a gradient back through wh and the forget gate, so a
-    direction's first step makes no recurrent product."""
-    order, steps = cache
+def _backprop_direction(dH, params: LstmParams, order, counts, Z, H, C):
+    """Gradient of lstm_direction, walking its steps backwards over slices
+    of its step-ordered activations Z, states H and cells C: returns (dZ,
+    dWh), dZ the gradient of its input projections in the stream's order.
+    Only the rows that carried a state into a step pass a gradient back
+    through wh and the forget gate, so a direction's first step makes no
+    recurrent product."""
     hd = params.hidden_dim
-    bounds = np.cumsum([len(step[0]) for step in steps])[:-1]
-    dZ = np.zeros((len(order), 4 * hd))
+    dZ = np.zeros_like(Z)
     dWh = np.zeros_like(params.wh)
+    tanh_C = np.tanh(C)
+    dH = dH[order]  # a copy: each step adds the carried gradient in place
     dh_next = dc_next = np.zeros((0, hd))
-    # dH[order] is a copy: each step adds the carried gradient in place
-    for (i, f, o, g, c, tanh_c, h_prev, c_prev), dh, dz in zip(
-        reversed(steps), reversed(np.split(dH[order], bounds)), reversed(np.split(dZ, bounds))
-    ):
-        k = len(h_prev)
+    counts = counts.tolist()
+    starts = np.cumsum([0] + counts).tolist()
+    for t in reversed(range(len(counts))):
+        rows = slice(starts[t], starts[t + 1])
+        # the step before's first rows, k of them carrying a state into this step
+        prev, k = (starts[t - 1], min(counts[t - 1], counts[t])) if t else (0, 0)
+        i, f, o, g = (Z[rows, q * hd : (q + 1) * hd] for q in range(4))
+        dh, dz, tanh_c = dH[rows], dZ[rows], tanh_C[rows]
+        h_prev, c_prev = H[prev : prev + k], C[prev : prev + k]
         dh[: len(dh_next)] += dh_next
         dc = dh * o * (1.0 - tanh_c**2)
         dc[: len(dc_next)] += dc_next
@@ -115,9 +121,14 @@ def batch_loss_and_grads(model: TaggerModel, ids, feats, tags, mask, compute_gra
     ids, feats, tags = ids[real], feats[real], tags[real]
     lengths = np.count_nonzero(real, axis=1)
     X = embed(ids, feats, model)  # input rows of the real tokens
-    Hf, cache_f = lstm_direction(X @ model.fwd.wx + model.fwd.b, lengths, model.fwd, reverse=False)
-    Hb, cache_b = lstm_direction(X @ model.bwd.wx + model.bwd.b, lengths, model.bwd, reverse=True)
-    H = np.concatenate([Hf, Hb], axis=1)
+    H = np.empty((len(ids), 2 * hd))
+    states = []  # per direction: order, counts and the kernel's Z, H, C in step order
+    for k, params in enumerate((model.fwd, model.bwd)):
+        order, counts = step_order(lengths, reverse=k == 1)
+        Z = (X @ params.wx + params.b)[order]
+        Hk, Ck = lstm_direction(Z, counts, params)
+        H[order, k * hd : (k + 1) * hd] = Hk
+        states.append((order, counts, Z, Hk, Ck))
     logits = H @ model.out_w + model.out_b
     logits = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
@@ -128,8 +139,8 @@ def batch_loss_and_grads(model: TaggerModel, ids, feats, tags, mask, compute_gra
         return loss, None
     dlogits = (probs - gold) / len(tags)
     dH = dlogits @ model.out_w.T
-    dZf, dfwh = _backprop_direction(dH[:, :hd], model.fwd, cache_f)
-    dZb, dbwh = _backprop_direction(dH[:, hd:], model.bwd, cache_b)
+    dZf, dfwh = _backprop_direction(dH[:, :hd], model.fwd, *states[0])
+    dZb, dbwh = _backprop_direction(dH[:, hd:], model.bwd, *states[1])
     dX = dZf @ model.fwd.wx.T + dZb @ model.bwd.wx.T
     word_dim = model.word_emb.shape[1]
     d_word = np.zeros_like(model.word_emb)

@@ -487,7 +487,13 @@ class TestEvaluate:
         assert (ratings[-1]["label"], ratings[-1]["accuracy"]) == ("Overall", 0.5)
         rows = json.loads((out / "entity_metrics.json").read_text())["rows"]
         assert (rows[0]["label"], rows[0]["recall"]) == ("Defects", recall)
-        assert "1 of 2 reported documents failed" in capsys.readouterr().out
+        printed = capsys.readouterr().out.splitlines()
+        assert "1 of 2 reported documents failed to rate" in printed
+        # recall, precision and F1 beside accuracy; an undefined (0/0) value is NA
+        defects = next(line for line in printed if line.startswith("Defects: "))
+        assert f", recall {100 * recall:.1f}, precision 100.0, F1 " in defects
+        assert "Defect rating 3: accuracy 50.0, recall 0.0, precision NA, F1 NA" in printed
+        assert "Overall: accuracy 50.0, recall NA, precision NA, F1 NA" in printed
 
     @pytest.mark.parametrize("tagger", ["dict", "bilstm"])
     def test_entity_rows_equal_evaluate_entities_over_tagged_frames(

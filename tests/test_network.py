@@ -2,6 +2,7 @@ import math
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pipedefect.config import TrainingConfig
 from pipedefect.errors import EmptySequence, ModelFormatError, NumericalError
 from pipedefect.network import (
+    N_DICT_FEATURES,
     UNK,
     LstmParams,
     batch_logits,
@@ -20,7 +23,9 @@ from pipedefect.network import (
     lstm_direction,
     save_model,
     sentence_logits,
+    step_order,
 )
+from pipedefect.tagger import MAX_BATCH_TOKENS
 
 
 def small_model(seed=0, word_dim=6, dict_dim=4, hidden_dim=5, vocab=("leak", "pipe")):
@@ -41,12 +46,19 @@ def reference_step(x, h_prev, c_prev, params: LstmParams):
     return o * np.tanh(c), c
 
 
+def in_stream_order(Z, lengths, params: LstmParams, reverse: bool):
+    """lstm_direction over a stream-ordered Z, which it leaves as it was:
+    hidden states and cells in the stream's order."""
+    order, counts = step_order(lengths, reverse)
+    H, C = np.empty((2, len(Z), params.hidden_dim))
+    H[order], C[order] = lstm_direction(Z[order], counts, params)
+    return H, C
+
+
 def run_one(xs, params: LstmParams):
     """lstm_direction over one sequence: hidden states and cells."""
     xs = np.asarray(xs, dtype=float)
-    H, (_, steps) = lstm_direction(xs @ params.wx + params.b, [len(xs)], params, reverse=False)
-    cells = [step[4][0] for step in steps]  # c_raw, in time order
-    return H, np.array(cells)
+    return in_stream_order(xs @ params.wx + params.b, [len(xs)], params, reverse=False)
 
 
 def zero_params(input_dim, hidden_dim):
@@ -222,6 +234,30 @@ def starts(lengths):
     return np.cumsum(lengths) - lengths
 
 
+class TestStepOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 9), max_size=8), st.booleans())
+    @example([], False)
+    @example([0, 0], True)
+    @example([3, 5, 3, 1, 5], False)  # ties keep their stream order
+    @example([3, 5, 3, 1, 5], True)
+    def test_each_step_takes_the_longest_sentences_at_its_time(self, lengths, reverse):
+        order, counts = step_order(lengths, reverse)
+        assert order.dtype.kind == counts.dtype.kind == "i"  # even when empty
+        assert sorted(order.tolist()) == list(range(sum(lengths)))
+        assert len(counts) == max(lengths, default=0)
+        rises = np.diff(counts)
+        assert np.all(rises >= 0) if reverse else np.all(rises <= 0)
+        longest_first = sorted(range(len(lengths)), key=lambda s: -lengths[s])  # stable
+        j = 0
+        for t, n in enumerate(counts.tolist()):
+            time = len(counts) - 1 - t if reverse else t
+            assert n == sum(length > time for length in lengths)
+            assert order[j : j + n].tolist() == [starts(lengths)[s] + time
+                                                 for s in longest_first[:n]]
+            j += n
+
+
 class TestLstmDirection:
     def test_packed_stream_matches_each_sequence_alone(self):
         m = small_model(seed=5)
@@ -230,9 +266,9 @@ class TestLstmDirection:
         X = rng.normal(size=(sum(lengths), m.input_dim))
         for params, reverse in ((m.fwd, False), (m.bwd, True)):
             Z = X @ params.wx + params.b
-            H, _ = lstm_direction(Z, lengths, params, reverse)
+            H, _ = in_stream_order(Z, lengths, params, reverse)
             for s, n in zip(starts(lengths), lengths):
-                alone, _ = lstm_direction(Z[s : s + n], [n], params, reverse)
+                alone, _ = in_stream_order(Z[s : s + n], [n], params, reverse)
                 assert np.allclose(H[s : s + n], alone, rtol=0, atol=1e-12)
 
 
@@ -249,7 +285,7 @@ class TestZeroStateSkip:
         m = small_model(seed=14)
         Z = np.random.default_rng(5).normal(size=(4, 4 * m.hidden_dim))
         for params, reverse in ((m.fwd, False), (m.bwd, True)):
-            H, _ = lstm_direction(Z, [1, 1, 1, 1], self.with_wh(params, np.nan), reverse)
+            H, _ = in_stream_order(Z, [1, 1, 1, 1], self.with_wh(params, np.nan), reverse)
             assert np.all(np.isfinite(H))
 
     def test_each_rows_first_step_never_reads_wh(self):
@@ -257,8 +293,8 @@ class TestZeroStateSkip:
         lengths = [3, 1, 5, 2, 5, 4]
         Z = np.random.default_rng(6).normal(size=(sum(lengths), 4 * m.hidden_dim))
         for params, reverse in ((m.fwd, False), (m.bwd, True)):
-            H, _ = lstm_direction(Z, lengths, self.with_wh(params, np.nan), reverse)
-            zero_wh, _ = lstm_direction(Z, lengths, self.with_wh(params, 0.0), reverse)
+            H, _ = in_stream_order(Z, lengths, self.with_wh(params, np.nan), reverse)
+            zero_wh, _ = in_stream_order(Z, lengths, self.with_wh(params, 0.0), reverse)
             for k, (s, n) in enumerate(zip(starts(lengths), lengths)):
                 first = s + n - 1 if reverse else s
                 assert np.all(np.isfinite(H[first])), (reverse, k)
@@ -295,7 +331,7 @@ class TestShrinkingPrefix:
         feats = rng.integers(0, 4, size=sum(lengths))
         X = np.concatenate([m.word_emb[ids], m.dict_emb[feats]], axis=1)
         for params, reverse in ((m.fwd, False), (m.bwd, True)):
-            H, _ = lstm_direction(X @ params.wx + params.b, lengths, params, reverse)
+            H, _ = in_stream_order(X @ params.wx + params.b, lengths, params, reverse)
             assert H.shape == (sum(lengths), m.hidden_dim)
             for s, n in zip(starts(lengths), lengths):
                 h = c = np.zeros(m.hidden_dim)
@@ -373,6 +409,28 @@ class TestBatchLogits:
         m = small_model()
         with pytest.raises(EmptySequence):
             sentence_logits([], [], m)
+
+    def test_a_full_pass_allocates_under_25_kb_a_token(self):
+        """At its peak a pass holds the (N, 2 * hidden) output and one
+        direction's projections, states and cells, all step-ordered: 19.7 KB
+        a token at the default dimensions.  A stream-order copy of the
+        projections and a per-step backprop cache took it to 34."""
+        cfg = TrainingConfig()
+        m = init_model([f"w{k}" for k in range(40)], seed=0, word_dim=cfg.word_dim,
+                       dict_dim=cfg.dict_dim, hidden_dim=cfg.hidden_dim)
+        lengths = [40, 3, 0, 25, 60, 12, 1, 50, 65]
+        assert sum(lengths) == MAX_BATCH_TOKENS
+        rng = np.random.default_rng(7)
+        ids = rng.integers(0, len(m.vocab), size=MAX_BATCH_TOKENS)
+        feats = rng.integers(0, N_DICT_FEATURES, size=MAX_BATCH_TOKENS)
+        batch_logits(ids, feats, lengths, m)  # builds the projection table first
+        tracemalloc.start()
+        try:
+            batch_logits(ids, feats, lengths, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / MAX_BATCH_TOKENS < 25_000
 
 
 class TestModelFile:

@@ -137,15 +137,15 @@ class TestPredictDocumentTags:
 
     @pytest.fixture
     def batch_shapes(self, monkeypatch):
-        """(sentences, tokens) of every lstm_direction call."""
+        """(sentences, tokens) of every direction pass, one step_order call each."""
         shapes = []
-        kernel = network.lstm_direction
+        order_of = network.step_order
 
-        def counting(Z, lengths, params, reverse):
-            shapes.append((len(lengths), len(Z)))
-            return kernel(Z, lengths, params, reverse)
+        def counting(lengths, reverse):
+            shapes.append((len(lengths), sum(lengths)))
+            return order_of(lengths, reverse)
 
-        monkeypatch.setattr(network, "lstm_direction", counting)
+        monkeypatch.setattr(network, "step_order", counting)
         return shapes
 
     def test_one_batch_per_document(self, resources, batch_shapes):
