@@ -219,6 +219,8 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
 
     resources = config_mod.load_resources(cfg)
     raw_docs, gold = _load_gold_corpus(Path(cfg.corpus_dir), gold_path)
+    if not pred_path.is_dir():
+        raise ConfigError(f"prediction path {pred_path} is not a directory")
     reports_dir = pred_path / "reports" if (pred_path / "reports").is_dir() else pred_path
     payloads = {}
     paths: dict[str, Path] = {}

@@ -15,7 +15,7 @@ from .corpus import Document, GoldEntity, GoldRecord, parse_document
 from .errors import LexiconRequired
 from .lexicon import Lexicon
 from .rating import DEFAULT_FREQUENCY_BANDS, rate_frames
-from .tagger import Entity
+from .tagger import CATEGORY_TO_TAG, TAG_TO_ENTITY_TYPE, Entity
 
 ANNOTATOR_ID = "synthetic"
 
@@ -23,7 +23,7 @@ NEGATION_PROB = 0.3
 EXTRA_SECTION_PROB = 0.2
 SECOND_FREQUENCY_PROB = 0.25
 DEFECT_COUNT_WEIGHTS = (0.15, 0.45, 0.40)  # 0 / 1 / 2
-LOCATION_CASE_WEIGHTS = (0.30, 0.40, 0.30)  # none / one / multiple
+LOCATION_COUNT_WEIGHTS = (0.30, 0.40, 0.30)  # 0 / 1 / 2
 
 # Filler words used by templates; all must be in the base spelling
 # vocabulary and none may be (part of the start of) a lexicon term.
@@ -32,6 +32,7 @@ _NEUTRAL_SENTENCES = (
     "Pipe section in normal service.",
     "Camera survey record complete.",
 )
+_BODY_START = "Defects: "
 
 
 @dataclass
@@ -41,61 +42,44 @@ class GeneratorConfig:
 
 
 class _DocBuilder:
-    """Accumulates raw text while tracking absolute entity spans.
+    """Raw text, with filler appended to `text` and lexicon terms through
+    `term`, and the gold entities at their absolute spans. They are rated
+    as one sentence's list: no weight depends on an entity's sentence."""
 
-    The whole document's entities are rated as one sentence's list: no
-    weight depends on which sentence holds an entity.
-    """
-
-    def __init__(self):
-        self.text = ""
+    def __init__(self, lexicon: Lexicon):
+        self.lexicon = lexicon
+        self.text = _BODY_START
         self.entities: list[GoldEntity] = []
         self.rated: list[Entity] = []
 
-    def add(self, piece: str) -> None:
-        self.text += piece
-
-    def add_entity(
-        self, term: str, entity_type: str, negated: bool, seed_root: str,
-        capitalize: bool = False,
-    ) -> None:
-        surface = term[0].upper() + term[1:] if capitalize else term
+    def term(self, term: str, negated: bool = False) -> None:
+        """Append `term` with its entry's entity type and seed root,
+        capitalised when it opens the Defects: body."""
+        entry = self.lexicon.entries[term]
+        entity_type = TAG_TO_ENTITY_TYPE[CATEGORY_TO_TAG[entry.category]]
+        surface = term[0].upper() + term[1:] if self.text == _BODY_START else term
         start = len(self.text)
         self.text += surface
         self.entities.append(GoldEntity(entity_type, (start, start + len(surface))))
-        self.rated.append(
-            Entity(
-                entity_type=entity_type,
-                token_range=(0, 1),  # token positions are not needed for rating
-                negated=negated,
-                matched_lexicon_term=term,
-                seed_root=seed_root,
-            )
-        )
+        # token positions are not needed for rating
+        self.rated.append(Entity(entity_type, (0, 1), negated, term, entry.seed_root))
 
 
-def _term_pools(config: GeneratorConfig):
-    lex = config.lexicon
-    defects = sorted(
-        t for t, e in lex.entries.items()
-        if e.category == "Defect" and e.origin == "seed" and not t.startswith("no ")
-    )
-    locations = sorted(
-        t for t, e in lex.entries.items() if e.category == "Location" and e.origin == "seed"
-    )
-    frequencies = sorted(
-        t for t in DEFAULT_FREQUENCY_BANDS
-        if t in lex.entries and lex.entries[t].category == "Frequency"
-    )
+def _term_pools(lexicon: Lexicon):
+    entries = lexicon.entries
+    seeds = sorted(t for t, e in entries.items() if e.origin == "seed")
+    defects = [t for t in seeds if entries[t].category == "Defect" and not t.startswith("no ")]
+    locations = [t for t in seeds if entries[t].category == "Location"]
+    frequencies = sorted(t for t in DEFAULT_FREQUENCY_BANDS
+                         if t in entries and entries[t].category == "Frequency")
     return defects, locations, frequencies
 
 
-def generate_synthetic_corpus(
-    config: GeneratorConfig, seed: int
-) -> tuple[list[Document], list[GoldRecord]]:
+def generate_synthetic_corpus(config: GeneratorConfig, seed: int
+                              ) -> tuple[list[Document], list[GoldRecord]]:
     if len(config.lexicon) == 0:
         raise LexiconRequired("generator needs a non-empty lexicon")
-    defect_pool, location_pool, frequency_pool = _term_pools(config)
+    defect_pool, location_pool, frequency_pool = _term_pools(config.lexicon)
     if not (defect_pool and location_pool and frequency_pool):
         raise LexiconRequired("lexicon must provide defect, location and frequency seeds")
     rng = random.Random(seed)
@@ -103,28 +87,18 @@ def generate_synthetic_corpus(
     golds: list[GoldRecord] = []
     for k in range(config.n_documents):
         doc_id = f"pipe{k:04d}"
-        builder = _build_document(config, rng, defect_pool, location_pool, frequency_pool)
-        doc = parse_document(builder.text, doc_id)
-        report = rate_frames(doc_id, [builder.rated])
-        golds.append(
-            GoldRecord(
-                document_id=doc_id,
-                entities=builder.entities,
-                rating=report.rating.value,
-                annotator_id=ANNOTATOR_ID,
-            )
-        )
-        docs.append(doc)
+        b = _build_document(config, rng, defect_pool, location_pool, frequency_pool)
+        docs.append(parse_document(b.text, doc_id))
+        rating = rate_frames(doc_id, [b.rated]).rating.value
+        golds.append(GoldRecord(doc_id, b.entities, rating, ANNOTATOR_ID))
     return docs, golds
 
 
 def _build_document(config, rng, defect_pool, location_pool, frequency_pool) -> _DocBuilder:
-    b = _DocBuilder()
-    b.add("Defects:")
+    b = _DocBuilder(config.lexicon)
     n_defects = rng.choices((0, 1, 2), weights=DEFECT_COUNT_WEIGHTS)[0]
-    loc_case = rng.choices(("none", "one", "multiple"), weights=LOCATION_CASE_WEIGHTS)[0]
+    n_locations = rng.choices((0, 1, 2), weights=LOCATION_COUNT_WEIGHTS)[0]
     defects = rng.sample(defect_pool, k=max(n_defects, 1))[:n_defects]
-    n_locations = {"none": 0, "one": 1, "multiple": 2}[loc_case]
     locations = rng.sample(location_pool, k=n_locations)
     # pick a band first so ratings 2..5 are evenly exercised
     by_band: dict[float, list[str]] = {}
@@ -135,57 +109,34 @@ def _build_document(config, rng, defect_pool, location_pool, frequency_pool) -> 
         band = rng.choice(sorted(by_band))
         frequency = rng.choice(by_band[band])
 
-    lex = config.lexicon
-
-    def root(term):
-        return lex.entries[term].seed_root
-
+    if frequency is not None:
+        b.term(frequency)
+        b.text += " "
     if n_defects == 0:
-        b.add(" ")
-        if frequency is not None:
-            b.add_entity(frequency, "FrequencyOfDefects", False, root(frequency),
-                         capitalize=True)
-            b.add(" surveyed with nothing further noted.")
-        else:
-            b.add(rng.choice(_NEUTRAL_SENTENCES))
+        b.text += ("surveyed with nothing further noted." if frequency is not None
+                   else rng.choice(_NEUTRAL_SENTENCES))
     else:
-        b.add(" ")
-        if frequency is not None:
-            b.add_entity(frequency, "FrequencyOfDefects", False, root(frequency),
-                         capitalize=True)
-            b.add(" ")
-            b.add_entity(defects[0], "Defect", False, root(defects[0]))
-        else:
-            b.add_entity(defects[0], "Defect", False, root(defects[0]), capitalize=True)
-        b.add(" observed")
+        b.term(defects[0])
+        b.text += " observed"
         if locations:
-            b.add(" at ")
-            b.add_entity(locations[0], "LocationOfDefect", False, root(locations[0]))
-        b.add(".")
+            b.text += " at "
+            b.term(locations[0])
+        b.text += "."
         if n_defects > 1:
-            b.add(" ")
-            b.add("Also ")
-            second_freq = (
-                rng.choice(frequency_pool)
-                if rng.random() < SECOND_FREQUENCY_PROB
-                else None
-            )
-            if second_freq is not None:
-                b.add_entity(second_freq, "FrequencyOfDefects", False, root(second_freq))
-                b.add(" ")
-            b.add_entity(defects[1], "Defect", False, root(defects[1]))
-            b.add(" noted during review.")
+            b.text += " Also "
+            if rng.random() < SECOND_FREQUENCY_PROB:
+                b.term(rng.choice(frequency_pool))
+                b.text += " "
+            b.term(defects[1])
+            b.text += " noted during review."
     if len(locations) > 1:
-        b.add(" ")
-        b.add("Issue recorded at ")
-        b.add_entity(locations[1], "LocationOfDefect", False, root(locations[1]))
-        b.add(" as well.")
+        b.text += " Issue recorded at "
+        b.term(locations[1])
+        b.text += " as well."
     if rng.random() < NEGATION_PROB:
-        negated = rng.choice(defect_pool)
-        b.add(" ")
-        b.add("No ")
-        b.add_entity(negated, "Defect", True, root(negated))
-        b.add(" found.")
+        b.text += " No "
+        b.term(rng.choice(defect_pool), negated=True)
+        b.text += " found."
     if rng.random() < EXTRA_SECTION_PROB:
-        b.add("\nSummary: Inspection record filed for review.")
+        b.text += "\nSummary: Inspection record filed for review."
     return b

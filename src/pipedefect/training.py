@@ -125,7 +125,7 @@ def batch_loss_and_grads(model: TaggerModel, ids, feats, tags, mask, compute_gra
     states = []  # per direction: order, counts and the kernel's Z, H, C in step order
     for k, params in enumerate((model.fwd, model.bwd)):
         order, counts = step_order(lengths, reverse=k == 1)
-        Z = (X @ params.wx + params.b)[order]
+        Z = X[order] @ params.wx + params.b
         Hk, Ck = lstm_direction(Z, counts, params)
         H[order, k * hd : (k + 1) * hd] = Hk
         states.append((order, counts, Z, Hk, Ck))

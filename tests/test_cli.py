@@ -355,6 +355,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path / "bad") in err
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_prediction_path_not_a_directory_exits_2(self, kind, eval_workspace, tmp_path, capsys):
+        root, _ = eval_workspace
+        pred = tmp_path / "pred"
+        if kind == "file":
+            pred.write_text("{}")
+        config = tmp_path / "config.ini"
+        config.write_text(
+            CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv"))
+            .replace("corpus_dir = corpus", f"corpus_dir = {root / 'corpus'}")
+        )
+        assert main(["--config", str(config), "evaluate", str(pred), str(root / "gold.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(pred) in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "text", ["{bad", "[1, 2]", '{"rating": 3}', '{"document_id": 7}', "\udcff"]
     )

@@ -1,10 +1,16 @@
+import hashlib
+
 import pytest
 
-from pipedefect.corpus import parse_document
+from pipedefect.corpus import format_gold, parse_document
 from pipedefect.errors import LexiconRequired
 from pipedefect.generate import GeneratorConfig, generate_synthetic_corpus
 from pipedefect.lexicon import Lexicon
 from pipedefect.pipeline import preprocess_document, rate_document
+
+# sha256 of 300 documents on seed 1 with the default lexicon: each raw
+# text, then the gold file, joined by NUL
+CORPUS_SHA256 = "74f39714ad3703522f2f67a6cfcf8409a2f9b5ad59801ba094ef1b4bb5c4f292"
 
 
 def gen(lexicon, n, seed=0, **kwargs):
@@ -50,6 +56,13 @@ class TestGenerate:
     def test_ratings_cover_all_bands(self, lexicon):
         _, golds = gen(lexicon, 300, seed=4)
         assert {g.rating for g in golds} == {1, 2, 3, 4, 5}
+
+    def test_corpus_bytes_are_pinned(self, lexicon):
+        # a change to the generator's text or draw order changes this
+        # digest; a deliberate one updates it and says why
+        docs, golds = gen(lexicon, 300, seed=1)
+        text = "\0".join(d.raw for d in docs) + "\0" + format_gold(golds)
+        assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
 
     def test_documents_parse_and_start_with_defects_section(self, lexicon):
         docs, _ = gen(lexicon, 20, seed=5)
