@@ -33,27 +33,22 @@ from .rating import ACTION_TEXT
 from .tagger import tags_from_gold_spans
 
 
-def _load_corpus_documents(corpus_dir: Path) -> dict[str, str]:
-    if not corpus_dir.is_dir():
-        raise ConfigError(f"corpus directory {corpus_dir} does not exist")
-    docs = {}
-    for path in sorted(corpus_dir.glob("*.txt")):
-        try:
-            docs[path.stem] = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"corpus file {path} is not UTF-8: {exc}") from exc
-    return docs
-
-
 def _span_fits(span, n_chars: int) -> bool:
     """Whether a raw-text span lies in a text of n_chars characters."""
     return 0 <= span[0] < span[1] <= n_chars
 
 
 def _load_gold_corpus(corpus_dir: Path, gold_path) -> tuple[dict[str, str], dict[str, GoldRecord]]:
-    """The corpus texts and the gold records, each record of a corpus
-    document checked against its text."""
-    raw_docs = _load_corpus_documents(corpus_dir)
+    """The corpus texts (each .txt file by its stem) and the gold records,
+    each record of a corpus document checked against its text."""
+    if not corpus_dir.is_dir():
+        raise ConfigError(f"corpus directory {corpus_dir} does not exist")
+    raw_docs = {}
+    for path in sorted(corpus_dir.glob("*.txt")):
+        try:
+            raw_docs[path.stem] = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"corpus file {path} is not UTF-8: {exc}") from exc
     gold = read_gold(gold_path)
     for doc_id in sorted(raw_docs.keys() & gold.keys()):
         n_chars = len(raw_docs[doc_id])
@@ -110,7 +105,10 @@ def cmd_train(cfg) -> int:
     split = split_corpus(ids, cfg.split_ratio, cfg.seed)
     corpus = []
     for doc_id in split.train:
-        doc = preprocess_document(parse_document(raw_docs[doc_id], doc_id), resources)
+        try:
+            doc = preprocess_document(parse_document(raw_docs[doc_id], doc_id), resources)
+        except EmptyDocument:  # a blank text has no sentences to train on
+            continue
         for sentence, tags in zip(
             doc.sentences, tags_from_gold_spans(doc.sentences, gold[doc_id].entities)
         ):
@@ -237,6 +235,8 @@ def cmd_evaluate(cfg, pred_path: Path, gold_path: Path) -> int:
             raise ConfigError(f"reports {paths[doc_id]} and {path} are both for document {doc_id}")
         paths[doc_id] = path
         payloads[doc_id] = payload
+    if not payloads:
+        raise ConfigError(f"no reports in {reports_dir}")
     missing = sorted(set(payloads) - set(gold))
     if missing:
         raise ConfigError(f"no gold records for predicted ids: {', '.join(missing)}")

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .lexicon import Blacklist, Record, SynonymGraph, expand_synonyms, load_lexicon, load_seeds
-from .pipeline import PipelineResources, build_spell_vocabulary
-from .preprocess import NegationTriggerSet, load_phrase_file
+from .pipeline import PipelineResources
+from .preprocess import NegationTriggerSet, SpellVocabulary, load_phrase_file
 from .rating import band_weight
 from .tagger import PatternTable
 
@@ -121,7 +121,8 @@ def check_config(cfg: PipelineConfig) -> None:
 
 
 def load_resources(cfg: PipelineConfig, require_lexicon: bool = True) -> PipelineResources:
-    """Load every runtime resource named by the config."""
+    """Load every runtime resource named by the config.  Spelling knows the
+    base-word lines and each word of a lexicon term or a negation phrase."""
     if Path(cfg.lexicon).exists():
         lexicon = load_lexicon(cfg.lexicon)
     elif require_lexicon:
@@ -132,12 +133,13 @@ def load_resources(cfg: PipelineConfig, require_lexicon: bool = True) -> Pipelin
         pre_triggers=load_phrase_file(cfg.triggers),
         scope_terminators=load_phrase_file(cfg.terminators),
     )
-    base_words = set(load_phrase_file(cfg.basewords))
+    phrases = (*lexicon.entries, *triggers.pre_triggers, *triggers.scope_terminators)
+    known = {w for phrase in phrases for w in phrase.split()}
     resources = PipelineResources(
         lexicon=lexicon,
         triggers=triggers,
+        spell_vocab=SpellVocabulary(frozenset(known.union(load_phrase_file(cfg.basewords)))),
         abbreviations=frozenset(load_phrase_file(cfg.abbreviations, "abbreviation")),
-        spell_vocab=build_spell_vocabulary(lexicon, base_words, triggers),
         patterns=PatternTable.load(cfg.patterns),
     )
     unbanded = sorted(

@@ -72,42 +72,40 @@ def _term_pools(lexicon: Lexicon):
     locations = [t for t in seeds if entries[t].category == "Location"]
     frequencies = sorted(t for t in DEFAULT_FREQUENCY_BANDS
                          if t in entries and entries[t].category == "Frequency")
-    return defects, locations, frequencies
+    # bands: the frequencies by band, in band order; a document picks a band
+    # first so ratings 2..5 are evenly exercised
+    by_band: dict[float, list[str]] = {}
+    for term in frequencies:
+        by_band.setdefault(DEFAULT_FREQUENCY_BANDS[term], []).append(term)
+    return defects, locations, frequencies, [by_band[band] for band in sorted(by_band)]
 
 
 def generate_synthetic_corpus(config: GeneratorConfig, seed: int
                               ) -> tuple[list[Document], list[GoldRecord]]:
     if len(config.lexicon) == 0:
         raise LexiconRequired("generator needs a non-empty lexicon")
-    defect_pool, location_pool, frequency_pool = _term_pools(config.lexicon)
-    if not (defect_pool and location_pool and frequency_pool):
+    pools = _term_pools(config.lexicon)
+    if not all(pools):
         raise LexiconRequired("lexicon must provide defect, location and frequency seeds")
     rng = random.Random(seed)
     docs: list[Document] = []
     golds: list[GoldRecord] = []
     for k in range(config.n_documents):
         doc_id = f"pipe{k:04d}"
-        b = _build_document(config, rng, defect_pool, location_pool, frequency_pool)
+        b = _build_document(config, rng, *pools)
         docs.append(parse_document(b.text, doc_id))
         rating = rate_frames(doc_id, [b.rated]).rating.value
         golds.append(GoldRecord(doc_id, b.entities, rating, ANNOTATOR_ID))
     return docs, golds
 
 
-def _build_document(config, rng, defect_pool, location_pool, frequency_pool) -> _DocBuilder:
+def _build_document(config, rng, defect_pool, location_pool, frequency_pool, bands) -> _DocBuilder:
     b = _DocBuilder(config.lexicon)
     n_defects = rng.choices((0, 1, 2), weights=DEFECT_COUNT_WEIGHTS)[0]
     n_locations = rng.choices((0, 1, 2), weights=LOCATION_COUNT_WEIGHTS)[0]
     defects = rng.sample(defect_pool, k=max(n_defects, 1))[:n_defects]
     locations = rng.sample(location_pool, k=n_locations)
-    # pick a band first so ratings 2..5 are evenly exercised
-    by_band: dict[float, list[str]] = {}
-    for term in frequency_pool:
-        by_band.setdefault(DEFAULT_FREQUENCY_BANDS[term], []).append(term)
-    frequency = None
-    if rng.random() < 0.85:
-        band = rng.choice(sorted(by_band))
-        frequency = rng.choice(by_band[band])
+    frequency = rng.choice(rng.choice(bands)) if rng.random() < 0.85 else None
 
     if frequency is not None:
         b.term(frequency)

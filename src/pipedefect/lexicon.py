@@ -230,13 +230,6 @@ class Lexicon:
     def __contains__(self, term: str) -> bool:
         return term in self.entries
 
-    def vocabulary(self) -> set[str]:
-        """Individual words appearing in any term (for spelling correction)."""
-        words: set[str] = set()
-        for term in self.entries:
-            words.update(term.split())
-        return words
-
     def lookup(self, tokens: list[str]) -> list[tuple[tuple[int, int], LexiconEntry]]:
         """Longest-match, left-to-right, non-overlapping matches."""
         return [

@@ -51,13 +51,13 @@ class LstmParams:
 
 
 class TaggerModel:
-    def __init__(self, vocab: list[str], word_emb: np.ndarray, dict_emb: np.ndarray,
-                 fwd: LstmParams, bwd: LstmParams, out_w: np.ndarray, out_b: np.ndarray,
-                 rng_seed: int):
-        self.vocab, self.fwd, self.bwd = vocab, fwd, bwd  # vocab[0] == UNK
-        self.word_emb = word_emb  # (|V|, word_dim)
-        self.dict_emb = dict_emb  # (N_DICT_FEATURES, dict_dim)
-        self.out_w, self.out_b = out_w, out_b  # (2 * hidden, N_TAGS) and (N_TAGS,)
+    def __init__(self, vocab: list[str], arrays: list[np.ndarray], rng_seed: int):
+        """The model holding the parameter arrays given in file order (_layout)."""
+        self.vocab = vocab  # vocab[0] == UNK
+        self.word_emb = arrays[0]  # (|V|, word_dim)
+        self.dict_emb = arrays[1]  # (N_DICT_FEATURES, dict_dim)
+        self.fwd, self.bwd = LstmParams(*arrays[2:5]), LstmParams(*arrays[5:8])
+        self.out_w, self.out_b = arrays[8:]  # (2 * hidden, N_TAGS) and (N_TAGS,)
         self.rng_seed = rng_seed
         self._token_ids = {t: i for i, t in enumerate(vocab)}
 
@@ -140,7 +140,7 @@ def init_model(
         rng.uniform(-0.1, 0.1, size=shape) if len(shape) == 2 else np.zeros(shape)
         for shape in _layout(len(vocab), word_dim, dict_dim, hidden_dim).values()
     ]
-    return _from_arrays(list(vocab), seed, arrays)
+    return TaggerModel(list(vocab), arrays, rng_seed=seed)
 
 
 def _repeated_word(vocab: list[str]) -> str | None:
@@ -165,12 +165,6 @@ def _layout(n_vocab: int, word_dim: int, dict_dim: int, hidden: int) -> dict:
         "out_w": (2 * hidden, N_TAGS),
         "out_b": (N_TAGS,),
     }
-
-
-def _from_arrays(vocab: list[str], seed: int, arrays: list[np.ndarray]) -> TaggerModel:
-    """The model holding the parameter arrays given in file order."""
-    return TaggerModel(vocab, *arrays[:2], LstmParams(*arrays[2:5]), LstmParams(*arrays[5:8]),
-                       *arrays[8:], rng_seed=seed)
 
 
 def embed(ids, feats, model: TaggerModel) -> np.ndarray:
@@ -399,6 +393,6 @@ def load_model(path) -> TaggerModel:
                 raise ModelFormatError(f"{path}: {name} length prefix disagrees with its shape {shape}")
             arrays.append(np.empty(shape, dtype="<f8"))
             fh.readinto(arrays[-1])
-    model = _from_arrays(vocab, seed, arrays)
+    model = TaggerModel(vocab, arrays, rng_seed=seed)
     model.check_finite()
     return model

@@ -34,16 +34,6 @@ class PipelineResources(Record):
         self.abbreviations, self.patterns = abbreviations, patterns  # abbreviations lowercase
 
 
-def build_spell_vocabulary(
-    lexicon: Lexicon, base_words: set[str], triggers: NegationTriggerSet
-) -> SpellVocabulary:
-    """The lexicon's words, the (lowercase) base words and the negation
-    phrases' words: spelling never rewrites a word that negation reads."""
-    phrases = triggers.pre_triggers + triggers.scope_terminators
-    negation_words = {w for phrase in phrases for w in phrase.split()}
-    return SpellVocabulary(frozenset(lexicon.vocabulary() | base_words | negation_words))
-
-
 def preprocess_document(doc: Document, resources: PipelineResources) -> Document:
     """Fill doc.sentences from all section bodies (in document order)."""
     sentences: list[Sentence] = []

@@ -12,7 +12,7 @@ import pytest
 import pipedefect
 from pipedefect.cli import main
 from pipedefect.config import PipelineConfig, load_config, load_resources
-from pipedefect.corpus import GoldRecord, format_gold, parse_document, read_gold
+from pipedefect.corpus import GoldRecord, format_gold, parse_document, read_gold, split_corpus
 from pipedefect.evaluation import evaluate_entities
 from pipedefect.network import load_model
 from pipedefect.pipeline import preprocess_document, tag_document
@@ -97,6 +97,33 @@ class TestTrain:
         (tmp_path / "corpus" / "latin1.txt").write_bytes("Defects: café leaks.".encode("latin-1"))
         assert main([*argv, "train"]) == 2
         assert "latin1.txt" in capsys.readouterr().err
+        assert not (tmp_path / "tagger.model").exists()
+
+    def test_blank_training_document_is_skipped(self, workspace, tmp_path):
+        """A whitespace-only document has no sentences to train on, as
+        evaluate scores it: a text with no tokens."""
+        root, _ = workspace
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv")))
+        argv = ["--config", str(config)]
+        assert main([*argv, "generate", "--n", "6"]) == 0
+        (tmp_path / "corpus" / "blank.txt").write_text(" \n\t\n")
+        with open(tmp_path / "gold.tsv", "a") as fh:
+            fh.write("blank\t1\t-\tsynthetic\n")
+        assert "blank" in split_corpus(sorted(read_gold(tmp_path / "gold.tsv")), 0.8, 11).train
+        assert main([*argv, "train"]) == 0
+        assert (tmp_path / "tagger.model").exists()
+
+    def test_only_blank_training_documents_exit_2(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        (tmp_path / "corpus").mkdir()
+        for doc_id in ("a", "b"):
+            (tmp_path / "corpus" / f"{doc_id}.txt").write_text("  \n")
+        (tmp_path / "gold.tsv").write_text("a\t1\t-\tsynthetic\nb\t1\t-\tsynthetic\n")
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv")))
+        assert main(["--config", str(config), "train"]) == 2
+        assert capsys.readouterr().err == "error: empty training set\n"
         assert not (tmp_path / "tagger.model").exists()
 
     @pytest.mark.parametrize("kind", ["missing", "not utf-8", "directory"])
@@ -369,6 +396,23 @@ class TestEvaluate:
         assert main(["--config", str(config), "evaluate", str(pred), str(root / "gold.tsv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(pred) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sub", ["", "reports"])
+    def test_directory_with_no_reports_exits_2(self, sub, eval_workspace, tmp_path, capsys):
+        """An evaluation of no reports gives no figure; the error names the
+        directory that was searched, and no metric file is written."""
+        root, _ = eval_workspace
+        reports = tmp_path / "pred" / sub
+        reports.mkdir(parents=True)
+        config = tmp_path / "config.ini"
+        config.write_text(
+            CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv"))
+            .replace("corpus_dir = corpus", f"corpus_dir = {root / 'corpus'}")
+        )
+        argv = ["--config", str(config), "evaluate", str(tmp_path / "pred")]
+        assert main([*argv, str(root / "gold.tsv")]) == 2
+        assert capsys.readouterr().err == f"error: no reports in {reports}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

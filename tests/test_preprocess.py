@@ -404,6 +404,19 @@ class TestCorrectSpelling:
             expected = brute_force_correction(word, vocab)
             assert correct_spelling(self.make(word), vocab).normalized == expected, word
 
+    def test_shipped_vocabulary_holds_lexicon_base_and_negation_words(self, resources):
+        """The words of the lexicon's terms, the base-word lines and the
+        words of both negation phrase files, each file read here."""
+        cfg = PipelineConfig()
+
+        def phrases(path):
+            lines = (line.split("#", 1)[0].strip() for line in path.read_text().splitlines())
+            return [line.lower() for line in lines if line]
+
+        words = [*resources.lexicon.entries, *phrases(cfg.triggers), *phrases(cfg.terminators)]
+        expected = {w for phrase in words for w in phrase.split()} | set(phrases(cfg.basewords))
+        assert resources.spell_vocab.known_terms == expected
+
     def test_delete_index_built_on_first_search_only(self):
         """Known words never build the index; the first search builds it and
         later searches reuse it."""
