@@ -3,10 +3,13 @@
 tagger, rate every document with both taggers, and score the results.
 
 Everything is written under --workdir; re-running with the same seed
-reproduces the outputs byte for byte.
+reproduces the outputs byte for byte.  The last lines give the sha256 of
+the trained model and of each tagger's summary.csv, so two runs (say,
+before and after a change) are compared by those lines alone.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -74,6 +77,8 @@ def main():
         run([*argv, "evaluate", str(args.workdir / f"out_{tagger}"), gold], f"evaluate [{tagger}]")
 
     print(f"\nReports written under {args.workdir}/out_dict and {args.workdir}/out_bilstm")
+    for path in ("tagger.model", "out_dict/summary.csv", "out_bilstm/summary.csv"):
+        print(f"sha256 {hashlib.sha256((args.workdir / path).read_bytes()).hexdigest()}  {path}")
 
 
 if __name__ == "__main__":

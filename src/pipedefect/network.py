@@ -1,12 +1,13 @@
 """Bi-LSTM sequence labeling network, implemented directly on numpy.
 
 One batched direction pass (lstm_direction) holds the only copy of the gate
-equations; training runs it on a batch of sentences and inference
-(batch_logits) on the sentences of one document.  Both give it one packed
-stream of the sentences' real tokens, nothing padded, in step order
-(step_order), and its state is three step-ordered arrays: the input
-projections, which the activations overwrite in place, and the hidden
-states and cells.  Inference keeps nothing for backprop: a 256-token pass
+equations, and one loop (_hidden) runs it in both directions: training
+calls that loop on a batch of sentences, inference (batch_logits) on the
+sentences of one document.  Both give it one packed stream of the
+sentences' real tokens, nothing padded, in step order (step_order), and a
+direction's state is three step-ordered arrays: the input projections,
+which the activations overwrite in place, and the hidden states and cells.
+Training keeps them for backprop; inference keeps nothing: a 256-token pass
 peaks at about 19.7 KB a token at the default dimensions.  Gate order
 inside the packed weight matrices is [input, forget, output, candidate].
 
@@ -167,14 +168,6 @@ def _layout(n_vocab: int, word_dim: int, dict_dim: int, hidden: int) -> dict:
     }
 
 
-def embed(ids, feats, model: TaggerModel) -> np.ndarray:
-    """Input rows [word_emb[id], dict_emb[feature]]: ids, feats of any
-    shape S -> (*S, input_dim)."""
-    import numpy as np
-
-    return np.concatenate([model.word_emb[ids], model.dict_emb[feats]], axis=-1)
-
-
 def step_order(lengths, reverse: bool):
     """(order, counts) of a packed stream of sentences, lengths tokens each
     (a sentence may have none), in one time direction.  Sentences are ordered
@@ -242,20 +235,26 @@ def lstm_direction(Z, counts, params: LstmParams):
     return H, C
 
 
-def _hidden(project, lengths, model: TaggerModel) -> np.ndarray:
+def _hidden(project, lengths, model: TaggerModel, kept: list | None = None) -> np.ndarray:
     """Forward and backward hidden states side by side, (N, 2 * hidden), in
     the stream's order.  project(k, params, order) gives direction k's input
     projections (N, 4 * hidden) in that direction's step order, the forward
-    direction's first; each direction's projections and cells are dropped
-    as soon as its states are scattered into the output."""
+    direction's first.  Training passes a list as kept, and each direction's
+    (order, counts, Z, H, C) is appended to it for backprop: the step order
+    and the kernel's activations, states and cells.  Without one nothing is
+    kept, and each direction's arrays are dropped before the next runs."""
     import numpy as np
 
     hd = model.hidden_dim
     out = np.empty((int(np.sum(lengths)), 2 * hd))
     for k, params in enumerate((model.fwd, model.bwd)):
         order, counts = step_order(lengths, reverse=k == 1)
-        out[order, k * hd : (k + 1) * hd] = lstm_direction(
-            project(k, params, order), counts, params)[0]
+        Z = project(k, params, order)
+        H, C = lstm_direction(Z, counts, params)
+        out[order, k * hd : (k + 1) * hd] = H
+        if kept is not None:
+            kept.append((order, counts, Z, H, C))
+        del Z, H, C
     return out
 
 

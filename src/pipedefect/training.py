@@ -2,10 +2,10 @@
 
 pad_batch pads a batch's int arrays to its longest sentence, and
 batch_loss_and_grads packs their real tokens into one stream once: the
-forward pass is network.lstm_direction on that stream, the same kernel and
+forward pass is network._hidden on that stream, the same loop, kernel and
 layout that inference runs, and the loss and backprop see real tokens
 only.  Backprop walks the kernel's steps in reverse over slices of the
-step-ordered arrays it keeps.
+step-ordered arrays that _hidden keeps for it.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from .config import TrainingConfig
 from .corpus import Sentence
 from .errors import AlignmentError
 from .lexicon import Lexicon
-from .network import (N_TAGS, UNK, LstmParams, TaggerModel, embed, init_model, lstm_direction,
-                      step_order)
+from .network import N_TAGS, UNK, LstmParams, TaggerModel, _hidden, init_model
 from .tagger import Tag, dictionary_tag
 
 ADAM_BETA1 = 0.9
@@ -120,15 +119,9 @@ def batch_loss_and_grads(model: TaggerModel, ids, feats, tags, mask, compute_gra
     real = mask > 0
     ids, feats, tags = ids[real], feats[real], tags[real]
     lengths = np.count_nonzero(real, axis=1)
-    X = embed(ids, feats, model)  # input rows of the real tokens
-    H = np.empty((len(ids), 2 * hd))
+    X = np.concatenate([model.word_emb[ids], model.dict_emb[feats]], axis=1)  # real tokens' inputs
     states = []  # per direction: order, counts and the kernel's Z, H, C in step order
-    for k, params in enumerate((model.fwd, model.bwd)):
-        order, counts = step_order(lengths, reverse=k == 1)
-        Z = X[order] @ params.wx + params.b
-        Hk, Ck = lstm_direction(Z, counts, params)
-        H[order, k * hd : (k + 1) * hd] = Hk
-        states.append((order, counts, Z, Hk, Ck))
+    H = _hidden(lambda k, params, order: X[order] @ params.wx + params.b, lengths, model, states)
     logits = H @ model.out_w + model.out_b
     logits = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)

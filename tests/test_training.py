@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from pipedefect.generate import GeneratorConfig, generate_synthetic_corpus
 from pipedefect.network import init_model, load_model, save_model, sentence_logits
 from pipedefect.pipeline import preprocess_document
 from pipedefect.tagger import (
+    MAX_BATCH_TOKENS,
     Tag,
     dictionary_tag,
     predict_document_tags,
@@ -132,6 +135,31 @@ class TestLossAndGradients:
                 numeric[j] = (up - down) / (2 * step)
             assert np.allclose(grad.reshape(-1), numeric, rtol=1e-6, atol=1e-9), k
         assert np.all(np.abs(grads[0][first_ids + np.array(lengths) - 1]) > 1e-6)
+
+    def test_a_training_step_allocates_under_120_kb_a_token(self):
+        """At its peak a step holds both directions' step-ordered
+        projections, states and cells, which backprop reads, beside the
+        gradients: about 108 KB a token at the default dimensions on this
+        256-token batch (41 KB without gradients).  One more copy of a
+        direction's state adds 14.4 KB a token."""
+        cfg = TrainingConfig()
+        model = init_model([f"w{k}" for k in range(40)], seed=0, word_dim=cfg.word_dim,
+                           dict_dim=cfg.dict_dim, hidden_dim=cfg.hidden_dim)
+        lengths = [40, 3, 25, 60, 12, 1, 50, 65]
+        assert sum(lengths) == MAX_BATCH_TOKENS
+        rng = np.random.default_rng(7)
+        batch = [EncodedSentence(token_ids=[int(i) for i in rng.integers(0, len(model.vocab), n)],
+                                 dict_feats=[int(f) for f in rng.integers(0, 4, n)],
+                                 tag_ids=[int(t) for t in rng.integers(0, 4, n)])
+                 for n in lengths]
+        ids, feats, tags, mask = pad_batch(batch)
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(model, ids, feats, tags, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / MAX_BATCH_TOKENS < 120_000
 
 
 class TestTrain:
