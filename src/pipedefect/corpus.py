@@ -12,8 +12,9 @@ Token, Sentence and Document, like every record rating uses, are plain
 slotted classes on ``lexicon.Record``, not dataclasses: importing
 dataclasses (and inspect) and generating their methods was half of the
 benchmark probe's set-up, 64 ms with them and 34 ms without (CPython
-3.11, 2 cores).  Each is complete once built (``preprocess_document``
-sets a Document's sentences once) and nothing changes it afterwards:
+3.11, 2 cores).  Each is complete once built, but for a Document's
+sentences: those come only from ``pipeline.preprocess_document``, which
+sets them once.  Nothing changes a record afterwards:
 ``correct_spelling`` returns a new Token.  They are not frozen: a frozen
 record sets each field through ``object.__setattr__``, and a Token took
 1.1 us to build so against 0.2-0.3 us.  Being mutable, they are unhashable.
@@ -54,20 +55,22 @@ class Token(Record):
 
 
 class Sentence(Record):
+    """Tokens and negation scopes, each a ``(start, end)`` token range; both given when built."""
+
     __slots__ = ("tokens", "negation_scopes")
 
-    def __init__(self, tokens: list[Token] | None = None, negation_scopes: list | None = None):
-        self.tokens = [] if tokens is None else tokens
-        self.negation_scopes = [] if negation_scopes is None else negation_scopes
+    def __init__(self, tokens: list[Token], negation_scopes: list[tuple[int, int]]):
+        self.tokens, self.negation_scopes = tokens, negation_scopes
 
 
 class Document(Record):
-    __slots__ = ("id", "raw", "section_spans", "sentences")  # section_spans in text order
+    """Raw text and section spans, in text order; ``preprocess_document`` sets the sentences."""
 
-    def __init__(self, id: str, raw: str, section_spans: dict[str, tuple[int, int]],
-                 sentences: list[Sentence] | None = None):
+    __slots__ = ("id", "raw", "section_spans", "sentences")
+
+    def __init__(self, id: str, raw: str, section_spans: dict[str, tuple[int, int]]):
         self.id, self.raw, self.section_spans = id, raw, section_spans
-        self.sentences = [] if sentences is None else sentences
+        self.sentences: list[Sentence] = []
 
     @property
     def sections(self) -> dict[str, str]:  # each body sliced from raw; perfbench's tests read it

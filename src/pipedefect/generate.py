@@ -82,8 +82,6 @@ def _term_pools(lexicon: Lexicon):
 
 def generate_synthetic_corpus(config: GeneratorConfig, seed: int
                               ) -> tuple[list[Document], list[GoldRecord]]:
-    if len(config.lexicon) == 0:
-        raise LexiconRequired("generator needs a non-empty lexicon")
     pools = _term_pools(config.lexicon)
     if not all(pools):
         raise LexiconRequired("lexicon must provide defect, location and frequency seeds")

@@ -91,12 +91,6 @@ def check_term(path, lineno: int, term: str, rule: str) -> str:
     return term
 
 
-def origin_depth(origin: str) -> int:
-    if origin.startswith("syn"):
-        return int(origin[3:])
-    return 0
-
-
 class Record:
     """Base of the plain records: value equality over the slots (so no hash), the dataclass repr."""
 
@@ -122,7 +116,7 @@ class LexiconEntry(Record):
             raise ValueError(f"term must be non-empty lowercase: {self.term!r}")
         if self.category not in CATEGORIES:
             raise ValueError(f"unknown category {self.category!r}")
-        if self.origin.startswith("syn") and origin_depth(self.origin) < 1:
+        if self.origin.startswith("syn") and int(self.origin[3:]) < 1:
             raise ValueError(f"synonym depth must be >= 1: {self.origin!r}")
 
 
@@ -160,10 +154,12 @@ class SynonymGraph:
 
 
 class Blacklist(Record):
+    """Seed -> the terms its synonym expansion skips, as given or as ``load`` reads them."""
+
     __slots__ = ("per_seed",)
 
-    def __init__(self, per_seed: dict[str, set[str]] | None = None):
-        self.per_seed = {} if per_seed is None else per_seed
+    def __init__(self, per_seed: dict[str, set[str]]):
+        self.per_seed = per_seed
 
     def banned(self, seed: str) -> set[str]:
         return self.per_seed.get(seed, set())
@@ -212,13 +208,11 @@ class PhraseIndex:
 
 
 class Lexicon:
-    """Term -> entry map with a longest-match index over multiword terms."""
+    """Term -> entry map, filled by ``add``, with a longest-match index over multiword terms."""
 
-    def __init__(self, entries: dict[str, LexiconEntry] | None = None):
+    def __init__(self):
         self.entries: dict[str, LexiconEntry] = {}
         self._index = PhraseIndex()
-        for entry in (entries or {}).values():
-            self.add(entry)
 
     def add(self, entry: LexiconEntry) -> None:
         self.entries[entry.term] = entry

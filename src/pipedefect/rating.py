@@ -74,13 +74,15 @@ class DefectRating(Record):
 
 
 class RatingReport(Record):
+    """Weights, rating and notes; ``pipeline.rate_document`` appends the entity dicts."""
+
     __slots__ = ("document_id", "weights", "rating", "entities", "notes")
 
     def __init__(self, document_id: str, weights: WeightTriple, rating: DefectRating,
-                 entities: list[dict] | None = None, notes: list[str] | None = None):
+                 notes: list[str]):
         self.document_id, self.weights, self.rating = document_id, weights, rating
-        self.entities = [] if entities is None else entities
-        self.notes = [] if notes is None else notes
+        self.entities: list[dict] = []
+        self.notes = notes
 
 
 def band_weight(term: str | None, seed_root: str | None) -> float | None:
@@ -150,4 +152,4 @@ def rate_frames(document_id: str, frames: list[list[Entity]]) -> RatingReport:
     notes = ["negated entities excluded from all weights"]
     if rating.gap_row:
         notes.append("weight triple outside the rating table; defaulted to rating 1")
-    return RatingReport(document_id, triple, rating, notes=notes + skipped)
+    return RatingReport(document_id, triple, rating, notes + skipped)

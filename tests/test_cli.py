@@ -243,6 +243,31 @@ def test_unwritable_output_exits_2(command, key, workspace, tmp_path, capsys):
     assert str(blocked) in err
 
 
+def test_rate_without_lexicon_file_exits_2(workspace, tmp_path, capsys):
+    root, _ = workspace
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG)
+    assert main(["--config", str(config), "rate", str(root / "corpus")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: missing lexicon file: {tmp_path / 'lexicon.tsv'} (run build-lexicon)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_missing_corpus_directory_exits_2(command, workspace, tmp_path, capsys):
+    root, _ = workspace
+    config = tmp_path / "config.ini"
+    config.write_text(
+        CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv"))
+        .replace("gold.tsv", str(root / "gold.tsv"))
+    )
+    args = [str(root / "corpus"), str(root / "gold.tsv")] if command == "evaluate" else []
+    assert main(["--config", str(config), command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: corpus directory {tmp_path / 'corpus'} does not exist\n"
+    assert not (tmp_path / "tagger.model").exists() and not (tmp_path / "out").exists()
+
+
 def _run_on_gold(command, workspace, tmp_path, capsys, lines):
     """train, or evaluate of a directory with no reports, on the workspace
     corpus with ``lines`` as tmp_path/gold.tsv; the exit code and stderr."""

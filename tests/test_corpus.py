@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,6 +108,11 @@ class TestParseGold:
     def test_rating_six_rejected(self, tmp_path):
         with pytest.raises(InvalidRating):
             read_gold(write_gold(tmp_path, "doc1\t6\t-\tann1\n"))
+
+    def test_non_integer_rating_names_its_line(self, tmp_path):
+        path = write_gold(tmp_path, "doc1\t3\t-\tann1\ndoc2\tx\t-\tann1\n")
+        with pytest.raises(InvalidRating, match=rf"^{re.escape(str(path))}:2: rating 'x' "):
+            read_gold(path)
 
     def test_malformed_span_rejected(self, tmp_path):
         with pytest.raises(InvalidSpan):

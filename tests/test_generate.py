@@ -5,7 +5,7 @@ import pytest
 from pipedefect.corpus import format_gold, parse_document
 from pipedefect.errors import LexiconRequired
 from pipedefect.generate import GeneratorConfig, generate_synthetic_corpus
-from pipedefect.lexicon import Lexicon
+from pipedefect.lexicon import Lexicon, LexiconEntry
 from pipedefect.pipeline import preprocess_document, rate_document
 
 # sha256 of 300 documents on seed 1 with the default lexicon: each raw
@@ -43,6 +43,13 @@ class TestGenerate:
     def test_empty_lexicon_rejected(self):
         with pytest.raises(LexiconRequired):
             gen(Lexicon(), 5)
+
+    def test_lexicon_without_location_seed_rejected(self):
+        lex = Lexicon()
+        lex.add(LexiconEntry("leak", "Defect", "seed", "leak"))
+        lex.add(LexiconEntry("rarely", "Frequency", "seed", "rarely"))
+        with pytest.raises(LexiconRequired, match="defect, location and frequency seeds"):
+            gen(lex, 5)
 
     def test_gold_spans_point_at_their_terms(self, lexicon):
         docs, golds = gen(lexicon, 50, seed=3)

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,6 @@ from pipedefect.lexicon import (
     expand_synonyms,
     load_lexicon,
     load_seeds,
-    origin_depth,
     save_lexicon,
 )
 from pipedefect.preprocess import load_phrase_file
@@ -54,14 +54,14 @@ class TestMorphology:
 class TestExpandSynonyms:
     def test_depth_one(self):
         g = graph_of(("rupture", "syn", "burst"))
-        lex = expand_synonyms([("rupture", "Defect")], g, Blacklist(), max_depth=1)
+        lex = expand_synonyms([("rupture", "Defect")], g, Blacklist({}), max_depth=1)
         assert "burst" in lex
         assert lex.entries["burst"].origin == "syn1"
         assert lex.entries["burst"].seed_root == "rupture"
 
     def test_depth_zero_is_seed_plus_morphology(self):
         g = graph_of(("rupture", "syn", "burst"))
-        lex = expand_synonyms([("rupture", "Defect")], g, Blacklist(), max_depth=0)
+        lex = expand_synonyms([("rupture", "Defect")], g, Blacklist({}), max_depth=0)
         assert "burst" not in lex
         assert set(lex.entries) == set(expand_morphology("rupture"))
 
@@ -72,34 +72,39 @@ class TestExpandSynonyms:
         assert "burst" not in lex
         assert "blowout" not in lex  # only reachable through the banned node
 
+    def test_blacklisted_variant_left_out(self):
+        g = SynonymGraph()
+        lex = expand_synonyms([("leak", "Defect")], g, Blacklist({"leak": {"leaks"}}), max_depth=1)
+        assert set(lex.entries) == set(expand_morphology("leak")) - {"leaks"}
+
     def test_antonyms_recorded_not_added(self, caplog):
         g = graph_of(("rupture", "syn", "burst"), ("rupture", "ant", "intact"))
         with caplog.at_level(logging.INFO, logger="pipedefect.lexicon"):
-            lex = expand_synonyms([("rupture", "Defect")], g, Blacklist(), max_depth=2)
+            lex = expand_synonyms([("rupture", "Defect")], g, Blacklist({}), max_depth=2)
         assert "intact" not in lex
         assert "seed 'rupture': antonyms recorded, not added: ['intact']" in caplog.messages
 
     def test_collision_smaller_depth_wins(self):
         g = graph_of(("a", "syn", "x"), ("b", "syn", "m"), ("m", "syn", "x"))
-        lex = expand_synonyms([("a", "Defect"), ("b", "Defect")], g, Blacklist(), max_depth=2)
+        lex = expand_synonyms([("a", "Defect"), ("b", "Defect")], g, Blacklist({}), max_depth=2)
         assert lex.entries["x"].seed_root == "a"
         assert lex.entries["x"].origin == "syn1"
 
     def test_collision_tie_breaks_by_seed_root(self):
         g = graph_of(("b", "syn", "x"), ("a", "syn", "x"))
-        lex = expand_synonyms([("b", "Defect"), ("a", "Defect")], g, Blacklist(), max_depth=1)
+        lex = expand_synonyms([("b", "Defect"), ("a", "Defect")], g, Blacklist({}), max_depth=1)
         assert lex.entries["x"].seed_root == "a"
 
     def test_seed_beats_synonym(self):
         g = graph_of(("a", "syn", "b"))
-        lex = expand_synonyms([("a", "Defect"), ("b", "Location")], g, Blacklist(), max_depth=1)
+        lex = expand_synonyms([("a", "Defect"), ("b", "Location")], g, Blacklist({}), max_depth=1)
         assert lex.entries["b"].origin == "seed"
         assert lex.entries["b"].category == "Location"
 
     def test_seed_missing_from_graph_warns(self, caplog):
         g = graph_of(("x", "syn", "y"))
         with caplog.at_level(logging.WARNING, logger="pipedefect.lexicon"):
-            lex = expand_synonyms([("zzz", "Defect")], g, Blacklist(), max_depth=2)
+            lex = expand_synonyms([("zzz", "Defect")], g, Blacklist({}), max_depth=2)
         assert "zzz" in lex
         assert any("zzz" in rec.message for rec in caplog.records)
 
@@ -107,14 +112,14 @@ class TestExpandSynonyms:
         g = graph_of(("x", "syn", "y"))
         seeds = [("zzz", "Defect"), ("x", "Defect"), ("qqq", "Location")]
         with caplog.at_level(logging.WARNING, logger="pipedefect.lexicon"):
-            expand_synonyms(seeds, g, Blacklist(), max_depth=2)
+            expand_synonyms(seeds, g, Blacklist({}), max_depth=2)
         (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert "zzz" in record.message and "qqq" in record.message
         assert "'x'" not in record.message
 
     def test_multiword_seed_no_morphology(self):
         g = SynonymGraph()
-        lex = expand_synonyms([("deposits settled", "Defect")], g, Blacklist(), max_depth=1)
+        lex = expand_synonyms([("deposits settled", "Defect")], g, Blacklist({}), max_depth=1)
         assert set(lex.entries) == {"deposits settled"}
 
     def test_default_lexicon_inflects_defect_seeds_only(self):
@@ -128,16 +133,15 @@ class TestExpandSynonyms:
 # Terms sharing first words ("deposits", "very", "joint") at several
 # lengths, a term that is a prefix of another, and one whose words are
 # terms of their own.
-SCAN_LEXICON = Lexicon({
-    term: LexiconEntry(term, category, "seed", term)
-    for term, category in [
-        ("deposits", "Defect"), ("deposits settled", "Defect"),
-        ("deposits settled hard", "Defect"), ("deposits attached", "Defect"),
-        ("very", "Frequency"), ("very frequently", "Frequency"), ("very rarely", "Frequency"),
-        ("frequently", "Frequency"), ("joint offset", "Defect"), ("offset", "Location"),
-        ("joint", "Location"), ("crack", "Defect"),
-    ]
-})
+SCAN_LEXICON = Lexicon()
+for _term, _category in [
+    ("deposits", "Defect"), ("deposits settled", "Defect"),
+    ("deposits settled hard", "Defect"), ("deposits attached", "Defect"),
+    ("very", "Frequency"), ("very frequently", "Frequency"), ("very rarely", "Frequency"),
+    ("frequently", "Frequency"), ("joint offset", "Defect"), ("offset", "Location"),
+    ("joint", "Location"), ("crack", "Defect"),
+]:
+    SCAN_LEXICON.add(LexiconEntry(_term, _category, "seed", _term))
 SCAN_PIECES = sorted(
     set(SCAN_LEXICON.entries) | {w for t in SCAN_LEXICON.entries for w in t.split()}
 ) + ["pipe", "at", ".", "settled", "Deposits"]
@@ -263,6 +267,22 @@ class TestPersistence:
         with pytest.raises(LexiconFormatError):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("row, why", [
+        ("leak\tSize\tseed\tleak", "unknown category 'Size'"),
+        ("leak\tDefect\tsyn0\tleak", "synonym depth must be >= 1: 'syn0'"),
+    ])
+    def test_entry_refused_names_its_line(self, tmp_path, row, why):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"crack\tDefect\tseed\tcrack\n{row}\n")
+        with pytest.raises(LexiconFormatError, match=rf"^{re.escape(f'{path}:2: {why}')}$"):
+            load_lexicon(path)
+
+    def test_seed_with_unknown_category_names_its_line(self, tmp_path):
+        path = tmp_path / "seeds.tsv"
+        path.write_text("leak\tDefect\nmidpoint\tPlace\n")
+        with pytest.raises(LexiconFormatError, match=rf"^{re.escape(str(path))}:2: "):
+            load_seeds(path)
+
 
 class TestEntryValidation:
     def test_uppercase_rejected(self):
@@ -277,10 +297,9 @@ class TestEntryValidation:
         with pytest.raises(ValueError):
             LexiconEntry("leak", "Defect", "syn0", "leak")
 
-    def test_origin_depth(self):
-        assert origin_depth("seed") == 0
-        assert origin_depth("morph") == 0
-        assert origin_depth("syn3") == 3
+    def test_non_numeric_synonym_depth_rejected(self):
+        with pytest.raises(ValueError):
+            LexiconEntry("leak", "Defect", "synx", "leak")
 
 
 class TestSynonymGraph:

@@ -399,6 +399,12 @@ def _sentence():
     return Sentence([Token("No", "no", (9, 11)), _token()], [(1, 2)])
 
 
+def _document():
+    doc = Document("d1", "Defects: No Crack", {"Defects": (8, 17)})
+    doc.sentences = [_sentence()]
+    return doc
+
+
 def _entity():
     return Entity("Defect", (1, 2), True, "crack", "crack")
 
@@ -449,7 +455,7 @@ RECORDS = {
     "Token": (_token, _TOKEN_REPR),
     "Sentence": (_sentence, _SENTENCE_REPR),
     "Document": (
-        lambda: Document("d1", "Defects: No Crack", {"Defects": (8, 17)}, [_sentence()]),
+        _document,
         "Document(id='d1', raw='Defects: No Crack', section_spans={'Defects': (8, 17)},"
         f" sentences=[{_SENTENCE_REPR}])",
     ),

@@ -178,6 +178,15 @@ class TestPredictDocumentTags:
         assert sum(tokens for _, tokens in batch_shapes) == 2 * n
         assert all(tokens <= MAX_BATCH_TOKENS for _, tokens in batch_shapes)
 
+    @pytest.mark.parametrize("tagger, message", [
+        (BILSTM_TAGGER, "bilstm tagger requires a trained model"),
+        ("crf", "unknown tagger 'crf'"),
+    ])
+    def test_tagger_without_its_model_or_name_refused(self, resources, tagger, message):
+        doc = preprocess_document(parse_document("Defects: Pipe leaks.", "d"), resources)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tag_document(doc, resources, tagger=tagger)
+
 
 def of_type(entities, entity_type):
     return [e for e in entities if e.entity_type == entity_type]
