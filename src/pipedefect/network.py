@@ -82,20 +82,18 @@ class TaggerModel:
         projection x @ wx + b is the sum of its word's row and its
         feature's row.
 
-        Built on the first inference and kept: |V| * 8 * hidden * 8 bytes,
-        19.2 KB a word at the default dimensions.  The arrays it is made
-        from become read-only, so an in-place update of them raises
+        |V| * 8 * hidden * 8 bytes, 19.2 KB a word at the default
+        dimensions.  load_model builds it while reading the file, and a
+        model built in memory on its first inference.  The arrays it is
+        made from are then read-only, so an in-place update of them raises
         ValueError instead of leaving the table stale (assigning new arrays
         to the model does not rebuild it).
         """
-        import numpy as np
-
-        word_dim = self.word_emb.shape[1]
+        words, feats = _empty_table(len(self.word_emb), self.hidden_dim)
         directions = (self.fwd, self.bwd)
-        words = np.empty((2, len(self.word_emb), 4 * self.hidden_dim))
         for k, p in enumerate(directions):
-            np.matmul(self.word_emb, p.wx[:word_dim], out=words[k])  # no temporary copy
-        feats = np.stack([self.dict_emb @ p.wx[word_dim:] + p.b for p in directions])
+            _project(self.word_emb, self.dict_emb, p.wx, words[k], feats[k])
+            feats[k] += p.b
         for a in (self.word_emb, self.dict_emb, *(x for p in directions for x in (p.wx, p.b))):
             a.flags.writeable = False
         return words, feats
@@ -120,6 +118,25 @@ class TaggerModel:
         for p in self.parameters():
             if not np.all(np.isfinite(p)):
                 raise NumericalError("model contains non-finite parameters")
+
+
+def _empty_table(n_vocab: int, hidden: int):
+    """Uninitialized (words, feats) arrays of the input projection table."""
+    import numpy as np
+
+    return np.empty((2, n_vocab, 4 * hidden)), np.empty((2, N_DICT_FEATURES, 4 * hidden))
+
+
+def _project(word_emb, dict_emb, wx, words, feats) -> None:
+    """One direction's rows of the input projection table, before its
+    bias: word_emb @ wx[:word_dim] into words and dict_emb @ wx[word_dim:]
+    into feats, with no temporary copy.  The caller adds b to feats (a
+    model file holds b after wx)."""
+    import numpy as np
+
+    word_dim = word_emb.shape[1]
+    np.matmul(word_emb, wx[:word_dim], out=words)
+    np.matmul(dict_emb, wx[word_dim:], out=feats)
 
 
 def init_model(
@@ -311,22 +328,32 @@ _MATRIX_NAMES = tuple(_layout(0, 0, 0, 0))
 
 
 def save_model(model: TaggerModel, path) -> None:
+    """Write the model file under a temporary name beside path and rename
+    it over path: a failed save leaves path as it was, and a model whose wx
+    load_model mapped from path keeps the old file's bytes."""
     import numpy as np
 
     arrays = model.parameters()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(f"seed {model.rng_seed}\n".encode())
-        fh.write(f"vocab {len(model.vocab)}\n".encode())
-        for tok in model.vocab:
-            fh.write(tok.encode() + b"\n")
-        for name, arr in zip(_MATRIX_NAMES, arrays):
-            fh.write(f"matrix {name} {' '.join(str(s) for s in arr.shape)}\n".encode())
-        fh.write(b"data\n")
-        for arr in arrays:
-            data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            fh.write(struct.pack("<Q", len(data)))
-            fh.write(data)
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(_MAGIC)
+            fh.write(f"seed {model.rng_seed}\n".encode())
+            fh.write(f"vocab {len(model.vocab)}\n".encode())
+            for tok in model.vocab:
+                fh.write(tok.encode() + b"\n")
+            for name, arr in zip(_MATRIX_NAMES, arrays):
+                fh.write(f"matrix {name} {' '.join(str(s) for s in arr.shape)}\n".encode())
+            fh.write(b"data\n")
+            for arr in arrays:
+                data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                fh.write(struct.pack("<Q", len(data)))
+                fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _header(fh, path, pattern: str = "(.*)") -> str:
@@ -363,7 +390,16 @@ def _check_shapes(path, vocab: list[str], shapes: list[tuple[int, ...]]) -> dict
 
 def load_model(path) -> TaggerModel:
     """Read and check a model file: one that does not parse raises
-    ModelFormatError, one holding a non-finite parameter NumericalError."""
+    ModelFormatError, one holding a non-finite value NumericalError naming
+    the file and the array.
+
+    The input projection table is built while reading: each direction's wx
+    is read into one buffer, checked and projected, and the model keeps in
+    its place a read-only view of a read-only mapping of the file, whose
+    pages rating never touches (5.76 MB at the default dimensions).
+    """
+    import mmap
+
     import numpy as np
 
     with open(path, "rb") as fh:
@@ -386,12 +422,30 @@ def load_model(path) -> TaggerModel:
         need = sum(8 + n for n in sizes)  # each matrix has an 8-byte length prefix
         if payload != need:
             raise ModelFormatError(f"{path}: payload is {payload} bytes, its header needs {need}")
-        arrays = []
+        # mapped through the open file, so the mapped bytes are the ones checked
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        words, feats = _empty_table(n_vocab, layout["fwd.wh"][0])
+        buffer = np.empty(layout["fwd.wx"], dtype="<f8")
+        arrays = {}
         for (name, shape), nbytes in zip(layout.items(), sizes):
             if fh.read(8) != struct.pack("<Q", nbytes):
                 raise ModelFormatError(f"{path}: {name} length prefix disagrees with its shape {shape}")
-            arrays.append(np.empty(shape, dtype="<f8"))
-            fh.readinto(arrays[-1])
-    model = TaggerModel(vocab, arrays, rng_seed=seed)
-    model.check_finite()
+            is_wx, offset = name.endswith(".wx"), fh.tell()
+            array = buffer if is_wx else np.empty(shape, dtype="<f8")
+            fh.readinto(array)
+            if not np.all(np.isfinite(array)):
+                raise NumericalError(f"{path}: {name} holds a non-finite value")
+            k = int(name.startswith("bwd."))
+            if is_wx:
+                _project(arrays["word_emb"], arrays["dict_emb"], buffer, words[k], feats[k])
+                array = np.ndarray(shape, "<f8", buffer=mapped, offset=offset)
+                if k:
+                    del buffer  # before bwd.wh is read
+            elif name.endswith(".b"):
+                feats[k] += array
+            arrays[name] = array
+    model = TaggerModel(vocab, list(arrays.values()), rng_seed=seed)
+    model.input_projections = words, feats
+    for a in (model.word_emb, model.dict_emb, model.fwd.b, model.bwd.b):
+        a.flags.writeable = False
     return model

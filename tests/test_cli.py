@@ -14,7 +14,7 @@ from pipedefect.cli import main
 from pipedefect.config import PipelineConfig, load_config, load_resources
 from pipedefect.corpus import GoldRecord, format_gold, parse_document, read_gold, split_corpus
 from pipedefect.evaluation import evaluate_entities
-from pipedefect.network import load_model
+from pipedefect.network import init_model, load_model, save_model
 from pipedefect.pipeline import preprocess_document, tag_document
 
 BOX_TEXT = (
@@ -189,6 +189,18 @@ class TestRate:
         assert main([*argv, "rate", str(root / "corpus"), "--tagger", "bilstm"]) == 1
         assert "tagger.model" in capsys.readouterr().err
 
+    def test_non_finite_model_exits_1_naming_it_and_the_array(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        model = init_model(["leak"], seed=0, word_dim=2, dict_dim=2, hidden_dim=2)
+        model.bwd.wx[1, 3] = float("nan")
+        save_model(model, tmp_path / "tagger.model")
+        config = tmp_path / "config.ini"
+        config.write_text(CONFIG.replace("lexicon.tsv", str(root / "lexicon.tsv")))
+        argv = ["--config", str(config)]
+        assert main([*argv, "rate", str(root / "corpus"), "--tagger", "bilstm"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'tagger.model'}: bwd.wx holds a non-finite value\n"
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_model_exits_2(self, kind, workspace, tmp_path, capsys):
         root, _ = workspace
@@ -241,6 +253,9 @@ def test_unwritable_output_exits_2(command, key, workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(blocked) in err
+    if key == "model":  # the model was written to a temporary file, which is gone
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "config.ini"]
+        assert not any(blocked.iterdir())
 
 
 def test_rate_without_lexicon_file_exits_2(workspace, tmp_path, capsys):

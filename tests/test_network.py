@@ -1,6 +1,11 @@
+import errno
+import io
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,12 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pipedefect import network
 from pipedefect.config import TrainingConfig
 from pipedefect.errors import EmptySequence, ModelFormatError, NumericalError
 from pipedefect.network import (
     N_DICT_FEATURES,
     UNK,
     LstmParams,
+    TaggerModel,
     batch_logits,
     bilstm_forward,
     init_model,
@@ -26,6 +33,10 @@ from pipedefect.network import (
     step_order,
 )
 from pipedefect.tagger import MAX_BATCH_TOKENS
+
+
+PARAMETER_NAMES = ("word_emb", "dict_emb", "fwd.wx", "fwd.wh", "fwd.b",
+                   "bwd.wx", "bwd.wh", "bwd.b", "out_w", "out_b")
 
 
 def small_model(seed=0, word_dim=6, dict_dim=4, hidden_dim=5, vocab=("leak", "pipe")):
@@ -171,12 +182,15 @@ class TestLstmStep:
         assert np.allclose(hs[:, 0], [h1, h2], rtol=0, atol=1e-12)
         assert np.allclose(cs[:, 0], [c1, c2], rtol=0, atol=1e-12)
 
-    def test_nan_parameters_rejected(self, tmp_path):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", PARAMETER_NAMES)
+    def test_nan_parameters_rejected(self, name, value, tmp_path):
         m = small_model()
-        m.fwd.wx[0, 0] = np.nan
+        m.parameters()[PARAMETER_NAMES.index(name)].flat[-1] = value
         path = tmp_path / "nan.model"
         save_model(m, path)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError,
+                           match=f"^{re.escape(str(path))}: {re.escape(name)} holds a non-finite value$"):
             load_model(path)
 
 
@@ -357,13 +371,50 @@ class TestInputProjections:
                     assert np.allclose(words[k, i] + dict_rows[k, f], x @ params.wx + params.b,
                                        rtol=0, atol=1e-12)
 
-    def test_built_on_first_inference_not_at_load(self, tmp_path):
+    def test_table_built_at_load_equals_the_lazy_table(self, tmp_path):
         path = tmp_path / "m.model"
         save_model(small_model(seed=9), path)
-        m = load_model(path)
-        assert "input_projections" not in vars(m)
-        sentence_logits([1, 2], [0, 1], m)
-        assert "input_projections" in vars(m)
+        loaded = load_model(path)
+        assert "input_projections" in vars(loaded)
+        arrays = [a.copy() for a in loaded.parameters()]
+        in_memory = TaggerModel(list(loaded.vocab), arrays, rng_seed=loaded.rng_seed)
+        assert "input_projections" not in vars(in_memory)
+        for built, lazy in zip(loaded.input_projections, in_memory.input_projections):
+            assert built.tobytes() == lazy.tobytes()
+        fresh = small_model(seed=9)
+        assert "input_projections" not in vars(fresh)
+        sentence_logits([1, 2], [0, 1], fresh)
+        assert "input_projections" in vars(fresh)
+        for array in (loaded.word_emb, loaded.dict_emb, loaded.fwd.b, loaded.bwd.b,
+                      loaded.fwd.wx, loaded.bwd.wx):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] += 1.0
+
+    def test_a_loaded_model_keeps_no_wx_in_memory(self, tmp_path):
+        """load_model reads each direction's wx through one buffer and keeps
+        only a view of the file: what it keeps is the other parameters and
+        the projection table, and its peak holds one wx more.  The slack
+        covers the finiteness check's one byte a value and the vocabulary."""
+        cfg = TrainingConfig()
+        m = init_model([f"w{k}" for k in range(40)], seed=0, word_dim=cfg.word_dim,
+                       dict_dim=cfg.dict_dim, hidden_dim=cfg.hidden_dim)
+        path = tmp_path / "m.model"
+        save_model(m, path)
+        wx = m.fwd.wx.nbytes
+        others = sum(a.nbytes for a in m.parameters()) - 2 * wx
+        table = 2 * (len(m.vocab) + N_DICT_FEATURES) * 4 * cfg.hidden_dim * 8
+        slack = wx // 8 + 100_000
+        del m
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < others + table + slack
+        assert peak < others + table + wx + slack
+        assert np.all(np.isfinite(loaded.fwd.wx))
 
     def test_weights_behind_the_table_become_read_only(self):
         m = small_model(seed=13)
@@ -573,6 +624,42 @@ class TestModelFile:
             except (ModelFormatError, NumericalError):
                 continue
             assert all(np.all(np.isfinite(p)) for p in model.parameters())
+
+    def test_saving_a_loaded_model_over_its_own_file(self, tmp_path):
+        """The loaded model's wx is mapped from the file it is saved over: an
+        in-place rewrite would truncate the mapped pages and die of SIGBUS,
+        so the save runs in a fresh process."""
+        path = tmp_path / "m.model"
+        save_model(small_model(seed=9, word_dim=30, dict_dim=10, hidden_dim=20), path)
+        before = path.read_bytes()
+        src = Path(network.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom pipedefect.network import load_model, "
+             "save_model\nsave_model(load_model(sys.argv[1]), sys.argv[1])", str(path)],
+            env=env, capture_output=True, text=True, check=False)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
+
+    def test_a_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.model"
+        save_model(small_model(seed=9), path)
+        before = path.read_bytes()
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                if self.tell() + len(data) > len(before) // 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(network, "open", lambda file, mode: FullDisk(file, mode[0]),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_model(small_model(seed=10), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
 
     def test_check_finite(self):
         m = small_model()
